@@ -40,7 +40,8 @@ class AveragingConfig:
 
     ``weights`` may be ``None`` (unweighted), a sequence of N positive reals,
     or a callable ``(iteration, point, samples) -> sequence`` evaluated once
-    per iteration for adaptive schemes. ``epsilon_init`` is the scale of the
+    per iteration for adaptive schemes; ``fixed_point_mean`` runs the
+    weighted rule whenever it is set. ``epsilon_init`` is the scale of the
     random rotation used when an initial guess is derived from a sample.
     """
 
@@ -194,8 +195,19 @@ def _combined_tangent(
     return TangentVector._unchecked(point, acc)
 
 
-def _run(samples: SampleSet, config: AveragingConfig, initial: StiefelPoint,
-         weights: WeightSpec) -> AveragingReport:
+def fixed_point_mean(
+    samples: SampleSet, config: AveragingConfig, initial: StiefelPoint
+) -> AveragingReport:
+    """Fixed-point mean of ``samples`` under ``config.pair``.
+
+    Iterates from ``initial`` until the step discrepancy falls below
+    ``config.conv_tol`` or ``config.max_iters`` is exhausted. Every iterate
+    is a validated Stiefel point. When ``config.weights`` is set, the
+    combined tangent is (1/N) sum_k w_k lift(X, X_k) with the weights used
+    exactly as supplied; with all weights equal to one the trajectory
+    matches the unweighted run bit for bit.
+    """
+    weights = config.weights
     if (initial.dims.p, initial.dims.n) != (samples.dims.p, samples.dims.n):
         raise ValidationError(
             f"initial guess dims {initial.dims} do not match samples {samples.dims}"
@@ -244,31 +256,13 @@ def _run(samples: SampleSet, config: AveragingConfig, initial: StiefelPoint,
     )
 
 
-def fixed_point_mean(
-    samples: SampleSet, config: AveragingConfig, initial: StiefelPoint
-) -> AveragingReport:
-    """Unweighted fixed-point mean of ``samples`` under ``config.pair``.
-
-    Iterates from ``initial`` until the step discrepancy falls below
-    ``config.conv_tol`` or ``config.max_iters`` is exhausted. Every iterate
-    is a validated Stiefel point. Any ``config.weights`` are ignored here;
-    use ``weighted_fixed_point_mean`` for the weighted rule.
-    """
-    return _run(samples, config, initial, weights=None)
-
-
 def weighted_fixed_point_mean(
     samples: SampleSet, config: AveragingConfig, initial: StiefelPoint
 ) -> AveragingReport:
-    """Weighted fixed-point mean; requires ``config.weights``.
-
-    The combined tangent is (1/N) sum_k w_k lift(X, X_k) with the weights
-    used exactly as supplied. With all weights equal to one the trajectory
-    matches the unweighted run bit for bit.
-    """
+    """``fixed_point_mean`` that insists on ``config.weights`` being set."""
     if config.weights is None:
         raise ValidationError("weighted_fixed_point_mean needs config.weights")
-    return _run(samples, config, initial, weights=config.weights)
+    return fixed_point_mean(samples, config, initial)
 
 
 def residual_vector_field(

@@ -21,9 +21,10 @@ import sys
 from pathlib import Path
 
 from . import experiments, fileio
-from .averaging import AveragingConfig, fixed_point_mean, weighted_fixed_point_mean
+from .averaging import AveragingConfig, fixed_point_mean
 from .errors import DomainError, FileFormatError, StiefelMeanError, ValidationError
 from .manifold import (
+    TOL_ORTH,
     Dims,
     derive_seed,
     discrepancy,
@@ -99,9 +100,6 @@ def _build_parser() -> _Parser:
     exp.add_argument("--outdir", default=".", help="directory for the CSV")
     exp.add_argument("--paper-scale", action="store_true",
                      help="full-size protocol instead of desk-scale defaults")
-    exp.add_argument("--parallel-trials", action="store_true",
-                     help="run timing trials on worker threads (flagged in "
-                          "the CSV; wall times become contention prone)")
     exp.add_argument("--p", type=int, help="override the row count")
     exp.add_argument("--n", type=int, help="override the column count")
     exp.add_argument("--N", type=int, dest="n_samples",
@@ -161,11 +159,7 @@ def _cmd_mean(args) -> int:
     if init_seed is None:
         init_seed = derive_seed(cloud.seed, 1)
     initial = perturb_initial_guess(cloud.samples[0], config.epsilon_init, init_seed)
-
-    if weights is None:
-        report = fixed_point_mean(cloud, config, initial)
-    else:
-        report = weighted_fixed_point_mean(cloud, config, initial)
+    report = fixed_point_mean(cloud, config, initial)
 
     out = args.out or f"{args.infile}.mean.txt"
     trace = args.trace or f"{args.infile}.trace.csv"
@@ -190,8 +184,6 @@ def _cmd_validate(args) -> int:
         labels.append("center")
     labels.extend(f"sample {k}" for k in range(header["count"]))
     worst = 0.0
-    from .manifold import TOL_ORTH
-
     for label, block in zip(labels, blocks):
         defect = orthonormality_defect(block)
         worst = max(worst, defect)
@@ -217,8 +209,6 @@ def _cmd_exp(args) -> int:
         except ValueError:
             raise _UsageError(f"bad sweep '{args.sweep}': expected integers "
                               "separated by commas") from None
-    if args.parallel_trials:
-        overrides["parallel_trials"] = True
     spec = experiments.default_spec(kind, args.seed,
                                     paper_scale=args.paper_scale, **overrides)
     result = experiments.run_experiment(spec)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .averaging import AveragingConfig, AveragingReport, fixed_point_mean
 from .errors import DomainError, StiefelMeanError, ValidationError
@@ -53,9 +52,7 @@ class ExperimentSpec:
     For the runtime kinds, ``sweep`` lists the varying dimension (n for
     ``runtime_vs_n`` with p fixed, p for ``runtime_vs_p`` with n fixed) and
     must be strictly increasing. ``trials`` repetitions are timed per swept
-    value; other kinds use a single draw. ``parallel_trials`` runs trials on
-    worker threads (rows stay deterministic; wall times become contention
-    prone, so it is off by default and flagged in the output).
+    value; other kinds use a single draw.
     """
 
     kind: str
@@ -68,7 +65,6 @@ class ExperimentSpec:
     sweep: Optional[Tuple[int, ...]] = None
     pairs: Tuple[MapPair, ...] = ALL_PAIRS
     paper_scale: bool = False
-    parallel_trials: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -95,8 +91,7 @@ class ExperimentSpec:
             f"kind={self.kind} p={self.p} n={self.n} sweep={sweep} "
             f"N={self.n_samples} sigma={self.sigma!r} trials={self.trials} "
             f"seed={self.seed} pairs={pairs} "
-            f"paper_scale={str(self.paper_scale).lower()} "
-            f"parallel={str(self.parallel_trials).lower()}"
+            f"paper_scale={str(self.paper_scale).lower()}"
         )
 
 
@@ -201,6 +196,8 @@ def run_discrepancy_stats(spec: ExperimentSpec) -> DiscrepancyStatsResult:
     if np.ptp(deltas) == 0.0 and np.ptp(comps) == 0.0:
         spearman = 0.0  # constant columns (e.g. sigma = 0) have no rank trend
     else:
+        from scipy import stats  # here, not at the top: it takes ~1 s to load
+
         spearman = float(stats.spearmanr(deltas, comps).statistic)
     return DiscrepancyStatsResult(
         spec=spec,
@@ -326,36 +323,21 @@ def _run_runtime(spec: ExperimentSpec, vary: str) -> RuntimeResult:
     records: List[TimingRecord] = []
     failures: Dict[Tuple[str, int], int] = {}
 
-    tasks = []
     for dim_index, dim in enumerate(spec.sweep):
         dims = Dims(dim, spec.n) if vary == "p" else Dims(spec.p, dim)
         for trial in range(spec.trials):
-            tasks.append((dims, dim, dim_index, trial))
-
-    def execute(task):
-        dims, dim, dim_index, trial = task
-        try:
-            timed = _timed_trial(spec, dims, dim_index, trial)
-        except StiefelMeanError:  # the shared cloud itself failed
-            timed = [(pair.label, None, None) for pair in spec.pairs]
-        return [(label, dim, trial, elapsed, report) for label, elapsed, report in timed]
-
-    if spec.parallel_trials:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(execute, tasks))
-    else:
-        outcomes = [execute(t) for t in tasks]
-
-    for label, dim, trial, elapsed, report in (o for task in outcomes for o in task):
-        if report is None:
-            failures[(label, dim)] = failures.get((label, dim), 0) + 1
-        else:
-            records.append(TimingRecord(
-                pair=label, dim=dim, trial=trial, wall_time=elapsed,
-                iterations=report.iterations_used, converged=report.converged,
-            ))
+            try:
+                timed = _timed_trial(spec, dims, dim_index, trial)
+            except StiefelMeanError:  # the shared cloud itself failed
+                timed = [(pair.label, None, None) for pair in spec.pairs]
+            for label, elapsed, report in timed:
+                if report is None:
+                    failures[(label, dim)] = failures.get((label, dim), 0) + 1
+                else:
+                    records.append(TimingRecord(
+                        pair=label, dim=dim, trial=trial, wall_time=elapsed,
+                        iterations=report.iterations_used, converged=report.converged,
+                    ))
 
     records.sort(key=lambda r: (r.pair, r.dim, r.trial))
     medians: Dict[Tuple[str, int], float] = {}

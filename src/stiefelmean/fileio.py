@@ -26,10 +26,6 @@ from .errors import FileFormatError
 from .manifold import Dims, SampleSet, StiefelPoint
 
 
-def _format_row(row: np.ndarray) -> str:
-    return " ".join(f"{v:.16e}" for v in row)
-
-
 def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -> None:
     """Write a sample set; the center block is included when known unless
     ``include_center`` is false."""
@@ -42,13 +38,11 @@ def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -
     if with_center:
         blocks.append(sample_set.center.X)
     blocks.extend(s.X for s in sample_set.samples)
+    # one %-operation per block; "%.16e" % v is the same text as f"{v:.16e}"
+    block_format = (" ".join(["%.16e"] * dims.n) + "\n") * dims.p
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for b, block in enumerate(blocks):
-            if b:
-                fh.write("\n")
-            for row in block:
-                fh.write(_format_row(row) + "\n")
+        fh.write("\n".join(block_format % tuple(b.ravel().tolist()) for b in blocks))
 
 
 def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
@@ -84,54 +78,70 @@ def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
         raise FileFormatError(f"invalid sample count {count}", line=1)
 
     expected = count + (1 if has_center else 0)
-    blocks: List[np.ndarray] = []
+    cells: List[str] = []
+    row_lines: List[int] = []  # 1-based line number of each value row
     i = 1
     total = len(lines)
-    while len(blocks) < expected:
-        while i < total and not lines[i].strip():
-            i += 1
-        if i >= total:
-            raise FileFormatError(
-                f"expected {expected} blocks, found {len(blocks)}", line=total
-            )
-        rows = []
-        for r in range(p):
-            if i >= total or not lines[i].strip():
+    try:
+        for b in range(expected):
+            while i < total and not lines[i].strip():
+                i += 1
+            if i >= total:
                 raise FileFormatError(
-                    f"block {len(blocks)}: expected {p} rows, got {r}", line=i
+                    f"expected {expected} blocks, found {b}", line=total
                 )
-            parts = lines[i].split()
-            if len(parts) != n:
-                raise FileFormatError(
-                    f"expected {n} values, got {len(parts)}", line=i + 1
-                )
-            row = []
-            for c, tok in enumerate(parts):
-                try:
-                    val = float(tok)
-                except ValueError:
+            for r in range(p):
+                if i >= total or not lines[i].strip():
                     raise FileFormatError(
-                        f"could not parse '{tok}' as a number", line=i + 1, column=c + 1
-                    ) from None
-                if not np.isfinite(val):
-                    raise FileFormatError(
-                        f"non-finite value '{tok}'", line=i + 1, column=c + 1
+                        f"block {b}: expected {p} rows, got {r}", line=i
                     )
-                row.append(val)
-            rows.append(row)
+                parts = lines[i].split()
+                if len(parts) != n:
+                    raise FileFormatError(
+                        f"expected {n} values, got {len(parts)}", line=i + 1
+                    )
+                cells.extend(parts)
+                row_lines.append(i + 1)
+                i += 1
+            if i < total and lines[i].strip():
+                raise FileFormatError("expected a blank line between blocks", line=i + 1)
+        while i < total:
+            if lines[i].strip():
+                raise FileFormatError("trailing content after the last block", line=i + 1)
             i += 1
-        if i < total and lines[i].strip():
-            raise FileFormatError("expected a blank line between blocks", line=i + 1)
-        blocks.append(np.array(rows, dtype=float))
-    while i < total:
-        if lines[i].strip():
-            raise FileFormatError("trailing content after the last block", line=i + 1)
-        i += 1
+    except FileFormatError:
+        # a bad value in an earlier row comes first in the file
+        _check_values(cells, row_lines, n)
+        raise
+    values = _check_values(cells, row_lines, n)
     header = {
         "p": p, "n": n, "count": count, "sigma": sigma, "seed": seed,
         "has_center": has_center,
     }
-    return header, blocks
+    return header, list(values.reshape(expected, p, n))
+
+
+def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
+    """Convert the value tokens in one call. When a token does not parse or
+    is not finite, find the first such token and raise ``FileFormatError``
+    at its line and column."""
+    try:
+        values = np.array(cells, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for k, tok in enumerate(cells):
+        line, column = row_lines[k // n], k % n + 1
+        try:
+            val = float(tok)
+        except ValueError:
+            raise FileFormatError(
+                f"could not parse '{tok}' as a number", line=line, column=column
+            ) from None
+        if not np.isfinite(val):
+            raise FileFormatError(f"non-finite value '{tok}'", line=line, column=column)
+    raise AssertionError("float() accepted what NumPy rejected")
 
 
 def read_sample_set(path, tol: Optional[float] = None) -> SampleSet:

@@ -56,6 +56,8 @@ from stiefelmean.maps import (
     polar_retraction,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 1217
 
 

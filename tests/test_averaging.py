@@ -231,6 +231,22 @@ def test_equal_weights_match_unweighted_bitwise():
     assert np.array_equal(plain.final_point.X, ones.final_point.X)
 
 
+def test_fixed_point_mean_runs_the_weighted_rule():
+    cloud = small_cloud(34, sigma=0.1, n_samples=6)
+    initial = perturb_initial_guess(cloud.samples[0], 0.01, 35)
+    config = AveragingConfig(weights=[3.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+    direct = fixed_point_mean(cloud, config, initial)
+    strict = weighted_fixed_point_mean(cloud, config, initial)
+    assert direct.step_sizes == strict.step_sizes
+    assert direct.iterates_delta_to_center == strict.iterates_delta_to_center
+    assert np.array_equal(direct.final_point.X, strict.final_point.X)
+    plain = fixed_point_mean(cloud, AveragingConfig(), initial)
+    assert discrepancy(direct.final_point, plain.final_point) > 1e-6
+    ones = fixed_point_mean(cloud, AveragingConfig(weights=[1.0] * 6), initial)
+    assert plain.step_sizes == ones.step_sizes
+    assert np.array_equal(plain.final_point.X, ones.final_point.X)
+
+
 def test_callable_weights_hook():
     cloud = small_cloud(26, sigma=0.05, n_samples=5)
     initial = perturb_initial_guess(cloud.samples[0], 0.01, 27)

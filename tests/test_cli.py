@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from stiefelmean.cli import main
@@ -15,6 +19,14 @@ def sample_file(tmp_path):
                "--seed", 7, "--out", path)
     assert code == 0
     return path
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, stiefelmean.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_gen_writes_valid_file(sample_file):

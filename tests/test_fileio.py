@@ -8,7 +8,13 @@ from stiefelmean.fileio import (
     write_point,
     write_sample_set,
 )
-from stiefelmean.manifold import Dims, generate_center, generate_samples
+from stiefelmean.manifold import (
+    Dims,
+    SampleSet,
+    StiefelPoint,
+    generate_center,
+    generate_samples,
+)
 
 
 @pytest.fixture
@@ -124,3 +130,88 @@ def test_read_sample_set_rejects_off_manifold_block(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_sample_set(_write(tmp_path, text))
     assert err.value.defect == pytest.approx(3.0, rel=1e-12)
+
+
+def _reference_text(path, sample_set):
+    # the writer's format spelled out one value at a time
+    lines = [path.read_text().splitlines()[0]]
+    blocks = [sample_set.center.X] + [s.X for s in sample_set.samples]
+    for b, block in enumerate(blocks):
+        if b:
+            lines.append("")
+        lines += [" ".join(f"{v:.16e}" for v in row) for row in block]
+    return "\n".join(lines) + "\n"
+
+
+def test_large_file_round_trips_bitwise(tmp_path):
+    big = generate_samples(generate_center(Dims(40, 4), 103), 0.05, 1000, 104)
+    path = tmp_path / "big.txt"
+    write_sample_set(path, big)
+    assert path.read_text() == _reference_text(path, big)
+    loaded = read_sample_set(path)
+    assert np.array_equal(loaded.center.X, big.center.X)
+    assert all(np.array_equal(a.X, b.X) for a, b in zip(loaded.samples, big.samples))
+
+
+def test_writer_text_for_signed_zero_and_subnormal(tmp_path):
+    x = np.array([[1.0, -0.0], [5e-324, 1.0], [-5e-324, 0.0]])
+    point = StiefelPoint(x)
+    sample_set = SampleSet(dims=point.dims, center=point, sigma=0.0, seed=1,
+                           samples=(point, point))
+    path = tmp_path / "edge.txt"
+    write_sample_set(path, sample_set)
+    text = path.read_text()
+    assert text == _reference_text(path, sample_set)
+    assert "-0.0000000000000000e+00" in text and "4.9406564584124654e-324" in text
+    _, blocks = read_matrix_blocks(path)
+    assert all(b.tobytes() == x.tobytes() for b in blocks)
+
+
+def _last_block_file(tmp_path, cloud, row, col, token):
+    path = tmp_path / "set.txt"
+    write_sample_set(path, cloud)
+    lines = path.read_text().splitlines()
+    p = cloud.dims.p
+    line = 2 + len(cloud) * (p + 1) + row  # 1-based: header, then center first
+    parts = lines[line - 1].split()
+    parts[col] = token
+    lines[line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    return path, line
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1.0x", "could not parse '1.0x' as a number"),
+    ("nan", "non-finite value 'nan'"),
+    ("-inf", "non-finite value '-inf'"),
+])
+def test_bad_value_in_last_block_reports_line_and_column(tmp_path, cloud, token, message):
+    path, line = _last_block_file(tmp_path, cloud, row=5, col=2, token=token)
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(path)
+    assert (err.value.line, err.value.column) == (line, 3)
+    assert message in str(err.value)
+
+
+def test_bad_value_reported_before_later_layout_error(tmp_path):
+    text = "2 1 2 0.0 7\n1.0\nabc\n\n1.0\n"  # the second block is short
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, text))
+    assert (err.value.line, err.value.column) == (3, 1)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+.5", "0.1_2", "-0", "5e-324", "1e-400"])
+def test_edge_tokens_parse_as_float_does(tmp_path, token):
+    _, blocks = read_matrix_blocks(_write(tmp_path, f"1 1 1 0.0 7\n{token}\n"))
+    assert blocks[0].tobytes() == np.array([[float(token)]]).tobytes()
+
+
+@pytest.mark.parametrize("token, message", [
+    ("nan", "non-finite"), ("-inf", "non-finite"), ("1e400", "non-finite"),
+    ("infinity", "non-finite"), ("1d0", "could not parse"), ("0x10", "could not parse"),
+])
+def test_edge_tokens_rejected_as_float_rejects(tmp_path, token, message):
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, f"1 1 1 0.0 7\n{token}\n"))
+    assert (err.value.line, err.value.column) == (2, 1)
+    assert message in str(err.value)
