@@ -33,6 +33,12 @@ from .maps import DOMAIN_GUARD, MIXED_POLAR_ORTHO, LiftingKind, MapPair, lift, r
 
 WeightSpec = Union[None, Sequence[float], Callable[..., Sequence[float]]]
 
+# The locality screen clears a sample only when its bound on the discrepancy
+# is below DOMAIN_GUARD by this much. The margin covers the rounding of the
+# iterate's defect e and of the scalar steps of the test, so a cleared sample
+# is also below the guard as the exact check computes it.
+_SCREEN_MARGIN = 1e-9
+
 
 @dataclass
 class AveragingConfig:
@@ -41,14 +47,13 @@ class AveragingConfig:
     ``weights`` may be ``None`` (unweighted), a sequence of N positive reals,
     or a callable ``(iteration, point, samples) -> sequence`` evaluated once
     per iteration for adaptive schemes; ``fixed_point_mean`` runs the
-    weighted rule whenever it is set. ``epsilon_init`` is the scale of the
-    random rotation used when an initial guess is derived from a sample.
+    weighted rule whenever it is set. The initial guess is the caller's:
+    ``perturb_initial_guess`` derives one from a sample.
     """
 
     pair: MapPair = MIXED_POLAR_ORTHO
     max_iters: int = 100
     conv_tol: float = 1e-10
-    epsilon_init: float = 0.01
     weights: WeightSpec = None
 
     def __post_init__(self):
@@ -116,18 +121,27 @@ def _resolve_weights(
 
 
 class _Cloud:
-    """The samples of one run side by side, [Q_1 ... Q_N], built once.
+    """The samples of one run as one contiguous (N, p, n) stack, built once.
 
     The orthographic lifting Q - X sym(X^T Q) is linear in Q, so the
     combined tangent of an orthographic-lifting pair is the lifting of the
     weighted ambient mean Q_w = (1/N) sum_k w_k Q_k. The per-sample domain
-    guard needs X^T Q_k for every k, which one product X^T [Q_1 ... Q_N]
-    gives.
+    guard is screened with one matrix-vector product over the (N, p n) rows
+    of the stack, which gives every ||X - Q_k||_F; see ``check_locality``.
     """
 
     def __init__(self, samples: SampleSet):
         self.samples = samples
-        self.side_by_side = np.concatenate([s.X for s in samples.samples], axis=1)
+        p, n = samples.dims.p, samples.dims.n
+        self.stack = np.concatenate([s.X for s in samples.samples]).reshape(-1, p, n)
+        self.rows = self.stack.reshape(len(samples), p * n)
+        self.sq_norms = np.einsum("ki,ki->k", self.rows, self.rows)
+        # Bound on the rounding error of ||X||^2 + ||Q_k||^2 - 2 <X, Q_k>
+        # per unit of ||X||^2 + max_k ||Q_k||^2: three dot products of
+        # length p n and two additions, each within (p n + 2) u of the sum
+        # of the magnitudes, with u = eps / 2.
+        self._rounding = (p * n + 2) * np.finfo(float).eps
+        self._max_sq_norm = float(self.sq_norms.max())
         self._weights = None
         self._mean = None
 
@@ -135,29 +149,53 @@ class _Cloud:
         """(1/N) sum_k w_k Q_k, accumulated in sample order; kept while the
         same weight array comes back."""
         if w is not self._weights:
-            p, n = self.samples.dims.p, self.samples.dims.n
-            blocks = self.side_by_side.reshape(p, len(w), n)
-            acc = np.zeros((p, n))
-            for k, wk in enumerate(w):
-                acc += wk * blocks[:, k]
+            # one (p, n) row at a time: a single reduction over the stack
+            # would need an (N, p, n) temporary on every run
+            acc = np.zeros(self.stack.shape[1:])
+            for wk, q in zip(w, self.stack):
+                acc += wk * q
             acc /= len(w)
             self._weights, self._mean = w, acc
         return self._mean
 
     def check_locality(self, x: np.ndarray, iteration: Optional[int]) -> None:
         """Raise ``DomainError`` for the first sample at or beyond
-        ``DOMAIN_GUARD`` from ``x``."""
+        ``DOMAIN_GUARD`` from ``x``.
+
+        Since I - X^T Q = X^T (X - Q) + (I - X^T X),
+
+            ||I - X^T Q_k||_F <= ||X||_2 ||X - Q_k||_F + e,
+            e = ||I - X^T X||_F,  ||X||_2 <= sqrt(1 + e),
+
+        and ||X - Q_k||_F^2 = ||X||^2 + ||Q_k||^2 - 2 <X, Q_k> comes from one
+        matrix-vector product. A sample whose bound, with the rounding of
+        that expansion added, is below the guard by ``_SCREEN_MARGIN`` is
+        cleared; the discrepancy of every other sample is computed exactly.
+        """
         n = x.shape[1]
-        m = (x.T @ self.side_by_side).reshape(n, len(self.samples), n)
-        m -= np.eye(n)[:, None, :]
-        d = np.sqrt(np.einsum("ikj,ikj->k", m, m))
+        xv = x.ravel()
+        xx = float(xv @ xv)
+        gram = x.T @ x
+        gram.flat[:: n + 1] -= 1.0
+        e = float(np.sqrt(np.einsum("ij,ij->", gram, gram)))
+        d2 = self.sq_norms - 2.0 * (self.rows @ xv)
+        d2 += xx + self._rounding * (xx + self._max_sq_norm)
+        # bound < DOMAIN_GUARD - margin, squared; a NaN is not cleared
+        limit = max(DOMAIN_GUARD - _SCREEN_MARGIN - e, 0.0)
+        near = np.flatnonzero(~(d2 < limit * limit / (1.0 + e)))
+        if not near.size:
+            return
+        m = x.T @ self.stack[near]
+        m -= np.eye(n)
+        d = np.sqrt(np.einsum("kij,kij->k", m, m))
         far = np.flatnonzero(d >= DOMAIN_GUARD)
         if far.size:
-            k = int(far[0])
+            j = far[0]
+            k = int(near[j])
             raise DomainError(
                 f"lifting failed at iteration {iteration}, sample {k}: "
                 f"orthographic lifting: arguments too far apart (discrepancy "
-                f"{d[k]:.3f} >= {DOMAIN_GUARD})",
+                f"{d[j]:.3f} >= {DOMAIN_GUARD})",
                 iteration=iteration,
                 sample_index=k,
             )

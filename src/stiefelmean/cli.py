@@ -152,13 +152,12 @@ def _cmd_mean(args) -> int:
     if args.weights is not None:
         weights = _read_weights(args.weights, len(cloud))
     config = AveragingConfig(
-        pair=pair, max_iters=args.max_iters, conv_tol=args.conv_tol,
-        epsilon_init=args.epsilon_init, weights=weights,
+        pair=pair, max_iters=args.max_iters, conv_tol=args.conv_tol, weights=weights,
     )
     init_seed = args.init_seed
     if init_seed is None:
         init_seed = derive_seed(cloud.seed, 1)
-    initial = perturb_initial_guess(cloud.samples[0], config.epsilon_init, init_seed)
+    initial = perturb_initial_guess(cloud.samples[0], args.epsilon_init, init_seed)
     report = fixed_point_mean(cloud, config, initial)
 
     out = args.out or f"{args.infile}.mean.txt"

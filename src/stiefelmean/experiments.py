@@ -12,8 +12,9 @@ Four experiment kinds are built in:
   Trials are paired: each trial draws one fresh sample cloud and initial
   guess, and every pair is timed on it back to back, in an order that
   rotates with the trial, so slow drift of the machine's speed hits all
-  pairs alike. One untimed warm-up run precedes each timed run; medians
-  are reported.
+  pairs alike. Each trial cycles through the whole sweep, so the drift
+  also hits every dimension alike. One untimed warm-up run precedes each
+  timed run; medians are reported.
 
 Desk-scale defaults keep every run in the minutes range; ``paper_scale=True``
 switches to the full-size protocols (bigger sample counts, wider sweeps, 100
@@ -24,6 +25,7 @@ with '#' comment lines recording the complete spec and seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -73,8 +75,8 @@ class ExperimentSpec:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.sigma < 0.0:
-            raise ValidationError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not self.pairs:
             raise ValidationError("at least one map pair is required")
         if self.kind in ("runtime_vs_n", "runtime_vs_p"):
@@ -274,8 +276,9 @@ class RuntimeResult:
         summary = [
             "timing protocol: paired trials; each trial draws one cloud and "
             "initial guess shared by every pair, and times the pairs on it in "
-            "an order that rotates with the trial; one untimed warm-up run "
-            "precedes each timed run; medians over trials",
+            "an order that rotates with the trial; trials cycle through the "
+            "sweep; one untimed warm-up run precedes each timed run; medians "
+            "over trials",
         ]
         for (label, dim), med in sorted(self.medians.items()):
             summary.append(f"median pair={label} dim={dim} wall_time_s={med:.17g}")
@@ -323,9 +326,12 @@ def _run_runtime(spec: ExperimentSpec, vary: str) -> RuntimeResult:
     records: List[TimingRecord] = []
     failures: Dict[Tuple[str, int], int] = {}
 
-    for dim_index, dim in enumerate(spec.sweep):
-        dims = Dims(dim, spec.n) if vary == "p" else Dims(spec.p, dim)
-        for trial in range(spec.trials):
+    # Each trial cycles through the whole sweep, so slow drift of the
+    # machine's speed hits every dimension alike instead of bending the
+    # runtime curve the sweep is meant to show.
+    for trial in range(spec.trials):
+        for dim_index, dim in enumerate(spec.sweep):
+            dims = Dims(dim, spec.n) if vary == "p" else Dims(spec.p, dim)
             try:
                 timed = _timed_trial(spec, dims, dim_index, trial)
             except StiefelMeanError:  # the shared cloud itself failed

@@ -18,6 +18,7 @@ round-trips float64 exactly.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -67,6 +68,10 @@ def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
         seed = int(tokens[4])
     except ValueError as exc:
         raise FileFormatError(f"bad header value: {exc}", line=1) from exc
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise FileFormatError(
+            f"sigma must be finite and nonnegative, got '{tokens[3]}'", line=1
+        )
     has_center = False
     if len(tokens) == 6:
         if tokens[5] != "C":

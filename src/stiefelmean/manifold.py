@@ -13,6 +13,7 @@ writes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -149,8 +150,8 @@ class SampleSet:
         object.__setattr__(self, "samples", tuple(self.samples))
         if len(self.samples) < 1:
             raise ValidationError("a sample set needs at least one sample")
-        if self.sigma < 0.0:
-            raise ValidationError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
         for k, s in enumerate(self.samples):
             if (s.dims.p, s.dims.n) != (self.dims.p, self.dims.n):
                 raise ValidationError(f"sample {k} has dims {s.dims}, expected {self.dims}")
@@ -230,8 +231,8 @@ def generate_samples(
     Draws are consumed in sample order from a fresh ``default_rng(seed)``,
     so the set is bit-identical across runs for a fixed seed.
     """
-    if sigma < 0.0:
-        raise ValidationError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
@@ -251,8 +252,8 @@ def perturb_initial_guess(x1: StiefelPoint, epsilon: float, seed: int) -> Stiefe
     """Slightly rotate ``x1`` by exp(epsilon * skew_part(A)) with A a fresh
     standard-normal p x p draw. Used to produce the starting point of the
     fixed-point iteration from the first sample."""
-    if epsilon <= 0.0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((x1.dims.p, x1.dims.p))
     rotation = skew_expm(skew_part(a), epsilon)

@@ -322,12 +322,12 @@ def test_criterion_7_runtime_scaling_in_rows(runtime_n_run, runtime_p_run):
     orthographic pair 5, in every one of the 20 trials. The composition
     mismatch inflates the mixed pair's early steps roughly threefold, so its
     fifth step is 1.4e-10 against conv_tol=1e-10. One iteration of either
-    pair is one shared product X^T [Q_1 ... Q_N] plus its retraction, and
-    the mixed pair's retraction is cheaper by about what the sixth iteration
-    costs, so strict dominance at p=200 passes or fails with timing noise
-    (1.43 vs 1.58 ms, 1.94 vs 1.56 ms and 2.16 vs 2.06 ms were all measured
-    on one 2-core host). The assertion is kept as stated; see the repository
-    notes.
+    pair is the shared screened locality guard and combined tangent plus its
+    retraction, and the mixed pair's retraction is cheaper by about what the
+    sixth iteration costs, so strict dominance at p=200 passes or fails with
+    timing noise (1.43 vs 1.58 ms, 1.94 vs 1.56 ms and 2.16 vs 2.06 ms were
+    all measured on one 2-core host). The assertion is kept as stated; see
+    the repository notes.
     """
     spec_n, result_n, _ = runtime_n_run
     spec_p, result_p, elapsed = runtime_p_run

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stiefelmean.averaging import (
     AveragingConfig,
@@ -23,7 +25,13 @@ from stiefelmean.manifold import (
     orthonormality_defect,
     perturb_initial_guess,
 )
-from stiefelmean.maps import ALL_PAIRS, MIXED_POLAR_ORTHO, ORTHO_ORTHO, orthographic_lifting
+from stiefelmean.maps import (
+    ALL_PAIRS,
+    DOMAIN_GUARD,
+    MIXED_POLAR_ORTHO,
+    ORTHO_ORTHO,
+    orthographic_lifting,
+)
 
 
 def circle_point(theta):
@@ -156,7 +164,99 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
-# ---------------------------------------------------------------- residual
+# ---------------------------------------------------------------- locality guard
+
+def exact_discrepancies(x, points):
+    n = x.shape[1]
+    return [float(np.linalg.norm(np.eye(n) - x.T @ q)) for q in points]
+
+
+def cloud_of(points):
+    samples = tuple(StiefelPoint(q) for q in points)
+    return _Cloud(SampleSet(dims=samples[0].dims, center=None, sigma=0.0, seed=0,
+                            samples=samples))
+
+
+def guard_crossing(x, a):
+    """Smallest t with ||I - X^T exp(tA) X||_F = DOMAIN_GUARD, to rounding, or
+    None when t in [0, 8] does not reach the guard."""
+    def disc(t):
+        return exact_discrepancies(x, [skew_expm(a, t) @ x])[0]
+    grid = np.linspace(0.0, 8.0, 161)
+    above = [t for t in grid if disc(t) >= DOMAIN_GUARD]
+    if not above:
+        return None
+    lo, hi = above[0] - grid[1], above[0]
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if disc(mid) >= DOMAIN_GUARD else (mid, hi)
+    return hi
+
+
+@st.composite
+def clouds_near_the_guard(draw):
+    """An iterate X and a cloud: samples spread around X, plus samples placed
+    just inside and just outside discrepancy DOMAIN_GUARD from X."""
+    p = draw(st.integers(1, 12))
+    n = draw(st.integers(1, p))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    center = generate_center(Dims(p, n), seed)
+    spread = generate_samples(center, draw(st.floats(0.0, 0.4)), draw(st.integers(1, 6)), seed)
+    # an iterate carries an orthonormality defect below TOL_ORTH
+    x = center.X * (1.0 + draw(st.floats(0.0, 1e-10)))
+    points = [s.X for s in spread.samples]
+    for _ in range(draw(st.integers(0, 4))):
+        a = skew_part(rng.standard_normal((p, p)))
+        t_star = guard_crossing(center.X, a)
+        if t_star is None:
+            continue
+        offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -3.0))
+        q = skew_expm(a, t_star * (1.0 + offset)) @ center.X
+        points.insert(draw(st.integers(0, len(points))), q)
+    return x, points
+
+
+@given(clouds_near_the_guard())
+def test_screened_guard_matches_the_exact_discrepancies(case):
+    x, points = case
+    cloud = cloud_of(points)
+    exact = exact_discrepancies(x, points)
+    far = [k for k, d in enumerate(exact) if d >= DOMAIN_GUARD]
+    if not far:
+        cloud.check_locality(x, 3)
+        return
+    with pytest.raises(DomainError) as err:
+        cloud.check_locality(x, 3)
+    k = far[0]
+    assert (err.value.iteration, err.value.sample_index) == (3, k)
+    assert f"sample {k}:" in str(err.value)
+    assert f"(discrepancy {exact[k]:.3f} >= {DOMAIN_GUARD})" in str(err.value)
+
+
+def test_screen_defers_to_the_exact_check():
+    # One column turned by 100 degrees out of the span of X: the screen's
+    # bound ||X - Q||_F = sqrt(2 - 2 cos 100deg) = 1.53 cannot clear the
+    # sample, while its discrepancy 1 - cos 100deg = 1.17 is inside the guard.
+    # At 125 degrees the discrepancy 1.57 is outside.
+    x = generate_center(Dims(6, 3), 41).X
+    u = np.linalg.qr(np.hstack([x, np.eye(6)[:, :1]]))[0][:, 3]
+    points = []
+    for degrees in (100.0, 125.0):
+        theta = math.radians(degrees)
+        q = x.copy()
+        q[:, 1] = math.cos(theta) * x[:, 1] + math.sin(theta) * u
+        points.append(q)
+    near, outside = exact_discrepancies(x, points)
+    assert np.linalg.norm(x - points[0]) > DOMAIN_GUARD > near
+    assert outside > DOMAIN_GUARD
+    cloud_of(points[:1] * 3).check_locality(x, 0)
+    with pytest.raises(DomainError) as err:
+        cloud_of(points[:1] + points).check_locality(x, 0)
+    assert err.value.sample_index == 2
+    assert f"(discrepancy {outside:.3f} >= {DOMAIN_GUARD})" in str(err.value)
+
+
 # ---------------------------------------------------------------- residual
 
 def test_residual_zero_at_single_sample():

@@ -119,6 +119,30 @@ def test_validate_malformed_file_exits_1(tmp_path, capsys):
     assert "file format error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma", "nan"), ("--sigma", "inf"),
+    ("--epsilon-init", "nan"), ("--epsilon-init", "inf"),
+])
+def test_non_finite_spread_exits_2_with_one_line(sample_file, tmp_path, capsys, flag, value):
+    if flag == "--sigma":
+        code = run("gen", "--p", 4, "--n", 2, "--N", 3, "--sigma", value,
+                   "--seed", 1, "--out", tmp_path / "x.txt")
+    else:
+        code = run("mean", "--in", sample_file, flag, value)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("numerical validation error:") and value in err
+
+
+def test_validate_non_finite_header_sigma_exits_1(tmp_path, capsys):
+    bad = tmp_path / "nan_sigma.txt"
+    bad.write_text("1 1 1 nan 7\n1.0\n")
+    assert run("validate", bad) == 1
+    err = capsys.readouterr().err
+    assert err == "file format error: line 1: sigma must be finite and nonnegative, got 'nan'\n"
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run("frobnicate") == 1
 

@@ -49,6 +49,8 @@ def test_spec_validation():
         default_spec("convergence", seed=1, trials=0)
     with pytest.raises(ValidationError):
         ExperimentSpec(kind="nope", p=4, n=2, n_samples=3, sigma=0.1, seed=1)
+    with pytest.raises(ValidationError):
+        default_spec("convergence", seed=1, sigma=float("nan"))
 
 
 def test_csv_filename():
@@ -189,14 +191,17 @@ def test_runtime_trials_time_every_pair_on_one_cloud(monkeypatch):
     result = run_runtime_vs_n(spec)
     assert len(result.records) == len(ALL_PAIRS) * 2 * 3
     # per (dim, trial): a warm-up and a timed call for each pair, all on the
-    # same cloud and initial guess, in a pair order rotating with the trial
+    # same cloud and initial guess, in a pair order rotating with the trial;
+    # each trial cycles through the sweep
     per_trial = [calls[i:i + 6] for i in range(0, len(calls), 6)]
     assert len(per_trial) == 2 * 3
     labels = [pair.label for pair in ALL_PAIRS]
     for index, block in enumerate(per_trial):
+        trial, dim_index = divmod(index, len(spec.sweep))
+        assert block[0][0].dims.n == spec.sweep[dim_index]
         assert all(c[0] is block[0][0] and c[1] is block[0][1] for c in block)
         order = [c[2] for c in block[::2]]
-        shift = (index % spec.trials) % len(labels)
+        shift = trial % len(labels)
         assert order == labels[shift:] + labels[:shift]
         assert [c[2] for c in block[1::2]] == order
 

@@ -120,6 +120,14 @@ def test_trailing_garbage(tmp_path):
         read_matrix_blocks(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-0.1"])
+def test_bad_header_sigma_reported_at_line_1(tmp_path, token):
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, f"1 1 1 {token} 7\n1.0\n"))
+    assert err.value.line == 1
+    assert f"got '{token}'" in str(err.value)
+
+
 def test_invalid_dims_in_header(tmp_path):
     with pytest.raises(FileFormatError):
         read_matrix_blocks(_write(tmp_path, "2 3 1 0.0 7\n1.0 0.0 0.0\n0.0 1.0 0.0\n"))

@@ -218,10 +218,13 @@ def test_generate_samples_positive_bounded_discrepancies():
 
 def test_generate_samples_rejects_bad_args():
     c = generate_center(Dims(6, 2), 11)
-    with pytest.raises(ValidationError):
-        generate_samples(c, -0.1, 3, 0)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            generate_samples(c, sigma, 3, 0)
     with pytest.raises(ValidationError):
         generate_samples(c, 0.1, 0, 0)
+    with pytest.raises(ValidationError):
+        SampleSet(dims=c.dims, center=c, sigma=float("nan"), seed=0, samples=(c,))
 
 
 # ---------------------------------------------------------------- perturb
@@ -242,8 +245,9 @@ def test_perturb_output_on_manifold_and_order_epsilon():
 
 def test_perturb_rejects_nonpositive_epsilon():
     x1 = random_point(6, 2, 23)
-    with pytest.raises(ValidationError):
-        perturb_initial_guess(x1, 0.0, 0)
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            perturb_initial_guess(x1, epsilon, 0)
 
 
 # ---------------------------------------------------------------- seeds
