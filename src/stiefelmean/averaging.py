@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .manifold import SampleSet, StiefelPoint, TangentVector, discrepancy
-from .maps import DOMAIN_GUARD, MIXED_POLAR_ORTHO, LiftingKind, MapPair, lift, retract
+from .maps import DOMAIN_GUARD, MapPair, lift, retract
 
 WeightSpec = Union[None, Sequence[float], Callable[..., Sequence[float]]]
 
@@ -40,27 +40,29 @@ WeightSpec = Union[None, Sequence[float], Callable[..., Sequence[float]]]
 _SCREEN_MARGIN = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class AveragingConfig:
     """Knobs of the fixed-point iteration.
 
-    ``weights`` may be ``None`` (unweighted), a sequence of N positive reals,
-    or a callable ``(iteration, point, samples) -> sequence`` evaluated once
-    per iteration for adaptive schemes; ``fixed_point_mean`` runs the
+    ``weights`` may be ``None`` (unweighted), a sequence of N finite positive
+    reals, or a callable ``(iteration, point, samples) -> sequence`` evaluated
+    once per iteration for adaptive schemes; ``fixed_point_mean`` runs the
     weighted rule whenever it is set. The initial guess is the caller's:
     ``perturb_initial_guess`` derives one from a sample.
     """
 
-    pair: MapPair = MIXED_POLAR_ORTHO
+    pair: MapPair = MapPair.MIXED
     max_iters: int = 100
     conv_tol: float = 1e-10
     weights: WeightSpec = None
 
     def __post_init__(self):
-        if self.conv_tol <= 0.0:
-            raise ValidationError(f"conv_tol must be positive, got {self.conv_tol}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.pair, MapPair):
+            raise ValidationError(f"pair must be a MapPair member, got {self.pair!r}")
+        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+            raise ValidationError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
+        if not (np.isfinite(self.conv_tol) and self.conv_tol > 0.0):
+            raise ValidationError(f"conv_tol must be finite and positive, got {self.conv_tol}")
 
 
 @dataclass
@@ -72,8 +74,8 @@ class AveragingReport:
     (including the initial guess) to the sample set's center when that is
     known, else ``None``. ``residual_field_norm`` is the norm of the combined
     lifted-sample tangent at the final point divided by N, using the same
-    weighting the run used. ``converged`` implies the last step size is below
-    the configured tolerance.
+    weighting the run used; the mean is a zero of that field. ``converged``
+    implies the last step size is below the configured tolerance.
     """
 
     final_point: StiefelPoint
@@ -115,8 +117,10 @@ def _resolve_weights(
         raise ValidationError(
             f"need one weight per sample ({len(samples)}), got shape {w.shape}"
         )
-    if not np.all(w > 0.0):
-        raise ValidationError("weights must all be positive")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(f"weights must be finite and positive, got {w[k]} at index {k}")
     return w
 
 
@@ -208,12 +212,7 @@ def _combined_tangent(
     weights: np.ndarray,
     iteration: Optional[int],
 ) -> TangentVector:
-    if pair.lifting is LiftingKind.ORTHOGRAPHIC:
-        cloud.check_locality(point.X, iteration)
-        qbar = cloud.ambient_mean(weights)
-        xtq = point.X.T @ qbar
-        acc = qbar - point.X @ (0.5 * (xtq + xtq.T))
-    else:
+    if pair is MapPair.POLAR:
         # Samples are combined in index order into a single accumulator so
         # the result is deterministic regardless of how callers schedule the
         # lifts.
@@ -229,6 +228,11 @@ def _combined_tangent(
                 ) from exc
             acc += weights[k] * vk.V
         acc /= len(cloud.samples)
+    else:
+        cloud.check_locality(point.X, iteration)
+        qbar = cloud.ambient_mean(weights)
+        xtq = point.X.T @ qbar
+        acc = qbar - point.X @ (0.5 * (xtq + xtq.T))
     # a convex-style combination of tangents at one anchor stays tangent
     return TangentVector._unchecked(point, acc)
 
@@ -302,12 +306,3 @@ def weighted_fixed_point_mean(
         raise ValidationError("weighted_fixed_point_mean needs config.weights")
     return fixed_point_mean(samples, config, initial)
 
-
-def residual_vector_field(
-    point: StiefelPoint, samples: SampleSet, pair: MapPair
-) -> float:
-    """Norm of the lifted-sample field at ``point``:
-    ``|| sum_k lift(point, X_k) ||_F / N`` under the pair's lifting.
-    The fixed-point mean is a zero of this field."""
-    cloud = _Cloud(samples)
-    return _combined_tangent(pair, point, cloud, np.ones(len(samples)), None).norm()

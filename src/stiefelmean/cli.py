@@ -17,6 +17,7 @@ evaluated outside their domain), with context on standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -132,8 +133,8 @@ def _read_weights(path, expected: int):
                 raise _UsageError(
                     f"{path}: line {lineno}: could not parse weight '{token}'"
                 ) from None
-            if w <= 0.0:
-                raise _UsageError(f"{path}: line {lineno}: weight must be positive")
+            if not 0.0 < w < math.inf:
+                raise _UsageError(f"{path}: line {lineno}: weight must be finite and positive")
             weights.append(w)
     if len(weights) != expected:
         raise _UsageError(

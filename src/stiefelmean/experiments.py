@@ -79,6 +79,8 @@ class ExperimentSpec:
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not self.pairs:
             raise ValidationError("at least one map pair is required")
+        if not all(isinstance(pair, MapPair) for pair in self.pairs):
+            raise ValidationError(f"pairs must be MapPair members, got {self.pairs!r}")
         if self.kind in ("runtime_vs_n", "runtime_vs_p"):
             if not self.sweep:
                 raise ValidationError(f"{self.kind} needs a dimension sweep")

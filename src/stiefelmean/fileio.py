@@ -19,7 +19,7 @@ round-trips float64 exactly.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -149,17 +149,16 @@ def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
     raise AssertionError("float() accepted what NumPy rejected")
 
 
-def read_sample_set(path, tol: Optional[float] = None) -> SampleSet:
+def read_sample_set(path) -> SampleSet:
     """Read and validate a sample set; every block must satisfy the Stiefel
     orthonormality invariant (``ValidationError`` otherwise)."""
     header, blocks = read_matrix_blocks(path)
     dims = Dims(header["p"], header["n"])
-    kwargs = {} if tol is None else {"tol": tol}
     center = None
     if header["has_center"]:
-        center = StiefelPoint(blocks[0], dims=dims, **kwargs)
+        center = StiefelPoint(blocks[0], dims=dims)
         blocks = blocks[1:]
-    samples = tuple(StiefelPoint(b, dims=dims, **kwargs) for b in blocks)
+    samples = tuple(StiefelPoint(b, dims=dims) for b in blocks)
     return SampleSet(
         dims=dims, center=center, sigma=header["sigma"], seed=header["seed"],
         samples=samples,

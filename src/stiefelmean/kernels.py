@@ -18,6 +18,15 @@ from .errors import DomainError, RankDeficientError, ValidationError
 # Error threshold on eigenvalues of a matrix that must be positive definite.
 EPS_SPD = 1e-14
 
+# Relative tolerance of the symmetric and skew input checks of spd_inv_sqrt,
+# skew_expm and solve_lyapunov_sym, and of the Lyapunov residual check.
+CHECK_RTOL = 1e-10
+# Absolute residual target and step cap of solve_ortho_retraction_eq.
+ORTHO_EQ_TOL = 1e-12
+ORTHO_EQ_MAX_ITERS = 100
+# Rank threshold of thin_qr_q_factor, relative to the largest |R_ii|.
+RANK_RTOL = 1e-12
+
 # spd_inv_sqrt sums the binomial series of (I + G)^(-1/2) when
 # ||G||_F <= SERIES_RADIUS, stopping once the tail bound is below SERIES_TAIL.
 SERIES_RADIUS = 0.25
@@ -56,7 +65,7 @@ def skew_part(a) -> np.ndarray:
     return 0.5 * (a.T - a)
 
 
-def thin_qr_q_factor(a, rank_rtol: float = 1e-12) -> np.ndarray:
+def thin_qr_q_factor(a) -> np.ndarray:
     """Q-factor of the thin QR decomposition with a nonnegative R diagonal.
 
     Forcing the R diagonal nonnegative makes the factor unique, so repeated
@@ -64,7 +73,7 @@ def thin_qr_q_factor(a, rank_rtol: float = 1e-12) -> np.ndarray:
     orthonormal frame from the same input.
 
     Raises ``RankDeficientError`` naming the first column whose R-diagonal
-    magnitude falls below ``rank_rtol`` times the largest one.
+    magnitude falls below ``RANK_RTOL`` times the largest one.
     """
     a = _as_matrix(a, "thin_qr_q_factor input")
     if a.shape[0] < a.shape[1]:
@@ -74,7 +83,7 @@ def thin_qr_q_factor(a, rank_rtol: float = 1e-12) -> np.ndarray:
     q, r = np.linalg.qr(a)
     diag = np.diag(r)
     scale = np.max(np.abs(diag))
-    bad = np.flatnonzero(np.abs(diag) <= rank_rtol * scale)
+    bad = np.flatnonzero(np.abs(diag) <= RANK_RTOL * scale)
     if scale == 0.0 or bad.size:
         column = 0 if scale == 0.0 else int(bad[0])
         raise RankDeficientError(
@@ -84,7 +93,7 @@ def thin_qr_q_factor(a, rank_rtol: float = 1e-12) -> np.ndarray:
     return q * signs
 
 
-def spd_inv_sqrt(s, eps_spd: float = EPS_SPD, sym_tol: float = 1e-10) -> np.ndarray:
+def spd_inv_sqrt(s) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
     Near the identity, S = I + G with ||G||_F <= 1/4 (every retraction in
@@ -97,14 +106,14 @@ def spd_inv_sqrt(s, eps_spd: float = EPS_SPD, sym_tol: float = 1e-10) -> np.ndar
     rounding and satisfies R S R = I to roughly machine precision times the
     condition number of S.
 
-    Raises ``ValidationError`` if ``s`` is not symmetric within ``sym_tol``
+    Raises ``ValidationError`` if ``s`` is not symmetric within ``CHECK_RTOL``
     (relative to its norm) and ``DomainError`` if any eigenvalue is at or
-    below ``eps_spd``.
+    below ``EPS_SPD``.
     """
     s = _require_square(_as_matrix(s, "spd_inv_sqrt input"), "spd_inv_sqrt input")
     nrm = np.linalg.norm(s)
     asym = np.linalg.norm(s - s.T)
-    if asym > sym_tol * max(1.0, nrm):
+    if asym > CHECK_RTOL * max(1.0, nrm):
         raise ValidationError(
             f"matrix is not symmetric: asymmetry {asym:.3e}", defect=asym
         )
@@ -112,7 +121,7 @@ def spd_inv_sqrt(s, eps_spd: float = EPS_SPD, sym_tol: float = 1e-10) -> np.ndar
     eye = np.eye(s.shape[0])
     g = s - eye
     gnrm = float(np.linalg.norm(g))
-    if gnrm <= SERIES_RADIUS and 1.0 - gnrm > eps_spd:
+    if gnrm <= SERIES_RADIUS and 1.0 - gnrm > EPS_SPD:
         # coefficients binom(-1/2, k) up to the first degree whose tail
         # bound is below SERIES_TAIL, then Horner's rule in G
         coeffs = [1.0]
@@ -125,16 +134,16 @@ def spd_inv_sqrt(s, eps_spd: float = EPS_SPD, sym_tol: float = 1e-10) -> np.ndar
             r.flat[:: r.shape[0] + 1] += c
         return 0.5 * (r + r.T)
     w, u = np.linalg.eigh(s)
-    if w[0] <= eps_spd:
+    if w[0] <= EPS_SPD:
         raise DomainError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e} "
-            f"<= {eps_spd:.1e}"
+            f"<= {EPS_SPD:.1e}"
         )
     r = (u / np.sqrt(w)) @ u.T
     return 0.5 * (r + r.T)
 
 
-def skew_expm(omega, scale: float = 1.0, skew_tol: float = 1e-10) -> np.ndarray:
+def skew_expm(omega, scale: float = 1.0) -> np.ndarray:
     """Matrix exponential exp(scale * omega) of a skew-symmetric matrix.
 
     Scaling and squaring with a degree-6 diagonal Pade core. The squaring
@@ -146,7 +155,7 @@ def skew_expm(omega, scale: float = 1.0, skew_tol: float = 1e-10) -> np.ndarray:
     """
     omega = _require_square(_as_matrix(omega, "skew_expm input"), "skew_expm input")
     defect = np.linalg.norm(omega + omega.T)
-    if defect > skew_tol * max(1.0, np.linalg.norm(omega)):
+    if defect > CHECK_RTOL * max(1.0, np.linalg.norm(omega)):
         raise ValidationError(
             f"matrix is not skew-symmetric: defect {defect:.3e}", defect=defect
         )
@@ -170,7 +179,7 @@ def skew_expm(omega, scale: float = 1.0, skew_tol: float = 1e-10) -> np.ndarray:
     return result
 
 
-def solve_lyapunov_sym(m, b, rel_tol: float = 1e-10) -> np.ndarray:
+def solve_lyapunov_sym(m, b) -> np.ndarray:
     """Solve M S + S M^T = B for symmetric S, with B symmetric.
 
     Dense Kronecker vectorization: (I (x) M + M (x) I) vec(S) = vec(B) in
@@ -182,7 +191,7 @@ def solve_lyapunov_sym(m, b, rel_tol: float = 1e-10) -> np.ndarray:
     solution (every eigenvalue pair sum has positive real part); its failure
     is reported as ``DomainError`` since it means the lifting's arguments sit
     too far apart. The returned S is symmetrized and its residual is checked
-    against ``rel_tol * ||B||_F``.
+    against ``CHECK_RTOL * ||B||_F``.
     """
     m = _require_square(_as_matrix(m, "solve_lyapunov_sym M"), "solve_lyapunov_sym M")
     b = _require_square(_as_matrix(b, "solve_lyapunov_sym B"), "solve_lyapunov_sym B")
@@ -190,7 +199,7 @@ def solve_lyapunov_sym(m, b, rel_tol: float = 1e-10) -> np.ndarray:
     if b.shape[0] != n:
         raise ValidationError(f"M and B sizes differ: {m.shape} vs {b.shape}")
     bnrm = np.linalg.norm(b)
-    if np.linalg.norm(b - b.T) > 1e-10 * max(1.0, bnrm):
+    if np.linalg.norm(b - b.T) > CHECK_RTOL * max(1.0, bnrm):
         raise ValidationError("right-hand side B must be symmetric")
     sym_eigs = np.linalg.eigvalsh(m + m.T)
     if sym_eigs[0] <= 0.0:
@@ -209,17 +218,15 @@ def solve_lyapunov_sym(m, b, rel_tol: float = 1e-10) -> np.ndarray:
     s = vec_s.reshape((n, n), order="F")
     s = 0.5 * (s + s.T)
     residual = np.linalg.norm(m @ s + s @ m.T - b)
-    if residual > rel_tol * max(bnrm, np.finfo(float).tiny):
+    if residual > CHECK_RTOL * max(bnrm, np.finfo(float).tiny):
         raise DomainError(
             f"Lyapunov solve residual {residual:.3e} exceeds "
-            f"{rel_tol:.1e} * ||B||; arguments too far apart"
+            f"{CHECK_RTOL:.1e} * ||B||; arguments too far apart"
         )
     return s
 
 
-def solve_ortho_retraction_eq(
-    omega, g, tol: float = 1e-12, max_inner_iters: int = 100
-) -> np.ndarray:
+def solve_ortho_retraction_eq(omega, g) -> np.ndarray:
     """Solve 2S + S^2 + G + S Omega - Omega S = 0 for the symmetric S near 0.
 
     This is the normal-space correction of the orthographic retraction:
@@ -229,7 +236,7 @@ def solve_ortho_retraction_eq(
     fixed-point iteration S <- -(S^2 + G + S Omega - Omega S) / 2 started
     from S = 0, which contracts for small G and Omega and keeps every
     iterate symmetric. Iteration stops once the equation residual drops
-    below ``tol``.
+    below ``ORTHO_EQ_TOL``.
     """
     omega = _require_square(
         _as_matrix(omega, "solve_ortho_retraction_eq Omega"),
@@ -248,10 +255,10 @@ def solve_ortho_retraction_eq(
 
     s = np.zeros((n, n))
     first_res = None
-    for _ in range(max_inner_iters):
+    for _ in range(ORTHO_EQ_MAX_ITERS):
         rhs = s @ s + g + s @ omega - omega @ s
         res = np.linalg.norm(2.0 * s + rhs)
-        if res < tol:
+        if res < ORTHO_EQ_TOL:
             return 0.5 * (s + s.T)
         if first_res is None:
             first_res = res
@@ -259,7 +266,7 @@ def solve_ortho_retraction_eq(
             break  # diverging, no point burning the remaining iterations
         s = -0.5 * rhs
     raise DomainError(
-        f"inner iteration did not reach residual {tol:.1e} within "
-        f"{max_inner_iters} steps; tangent too large for the orthographic "
+        f"inner iteration did not reach residual {ORTHO_EQ_TOL:.1e} within "
+        f"{ORTHO_EQ_MAX_ITERS} steps; tangent too large for the orthographic "
         "retraction"
     )

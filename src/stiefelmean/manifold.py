@@ -58,13 +58,13 @@ class StiefelPoint:
     """A point on St(p, n): a p x n matrix with orthonormal columns.
 
     Construction validates shape, finiteness and the orthonormality defect
-    against ``tol`` (default ``TOL_ORTH``); rejected input reports the defect.
-    The wrapped array is treated as read-only.
+    against ``TOL_ORTH``; rejected input reports the defect. The wrapped
+    array is treated as read-only.
     """
 
     __slots__ = ("dims", "X")
 
-    def __init__(self, x, dims: Optional[Dims] = None, tol: float = TOL_ORTH):
+    def __init__(self, x, dims: Optional[Dims] = None):
         x = np.ascontiguousarray(x, dtype=float)
         if x.ndim != 2:
             raise ValidationError(f"a Stiefel point must be a 2-D array, got shape {x.shape}")
@@ -76,9 +76,9 @@ class StiefelPoint:
         if not np.all(np.isfinite(x)):
             raise ValidationError("entries must be finite")
         defect = orthonormality_defect(x)
-        if defect >= tol:
+        if defect >= TOL_ORTH:
             raise ValidationError(
-                f"orthonormality defect {defect:.3e} >= {tol:.1e}", defect=defect
+                f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}", defect=defect
             )
         object.__setattr__(self, "dims", inferred)
         object.__setattr__(self, "X", x)
@@ -91,20 +91,20 @@ class StiefelPoint:
 
 
 class TangentVector:
-    """A tangent vector at a Stiefel point: X^T V + V^T X = 0 within ``tol``."""
+    """A tangent vector at a Stiefel point: X^T V + V^T X = 0 within ``TOL_TAN``."""
 
     __slots__ = ("anchor", "V")
 
-    def __init__(self, anchor: StiefelPoint, v, tol: float = TOL_TAN):
+    def __init__(self, anchor: StiefelPoint, v):
         v = np.ascontiguousarray(v, dtype=float)
         if v.shape != anchor.X.shape:
             raise ValidationError(
                 f"tangent shape {v.shape} does not match anchor shape {anchor.X.shape}"
             )
         defect = tangency_defect(anchor.X, v)
-        if defect >= tol:
+        if defect >= TOL_TAN:
             raise ValidationError(
-                f"tangency defect {defect:.3e} >= {tol:.1e}", defect=defect
+                f"tangency defect {defect:.3e} >= {TOL_TAN:.1e}", defect=defect
             )
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "V", v)
@@ -165,11 +165,11 @@ class SampleSet:
         return len(self.samples)
 
 
-def validate_point(x, dims: Optional[Dims] = None, tol: float = TOL_ORTH) -> StiefelPoint:
+def validate_point(x, dims: Optional[Dims] = None) -> StiefelPoint:
     """Wrap a matrix as a StiefelPoint, rejecting it if the orthonormality
-    defect is ``tol`` or larger. The raised ``ValidationError`` carries the
-    measured defect."""
-    return StiefelPoint(x, dims=dims, tol=tol)
+    defect is ``TOL_ORTH`` or larger. The raised ``ValidationError`` carries
+    the measured defect."""
+    return StiefelPoint(x, dims=dims)
 
 
 def project_to_tangent(point: StiefelPoint, a) -> TangentVector:

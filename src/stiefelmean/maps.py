@@ -10,8 +10,8 @@ Two families are implemented, each locally inverse to its associate:
                 normal space, Q = X + V + X S with symmetric S from the
                 quadratic equation solved in ``kernels``.
 
-The supported pair configurations are polar/polar, orthographic/orthographic
-and the mixed polar-retraction with orthographic-lifting. Composing maps from
+``MapPair`` names the three configurations: polar, orthographic and the
+mixed polar-retraction with orthographic-lifting. Composing maps from
 different families is not an exact identity; ``composition_discrepancy_*``
 quantify the mismatch, in both a direct and a closed-form evaluation driven
 only by M = Q^T X.
@@ -37,48 +37,17 @@ from .manifold import StiefelPoint, TangentVector
 DOMAIN_GUARD = 1.5
 
 
-class RetractionKind(Enum):
+class MapPair(Enum):
+    """The retraction/lifting pair of the averaging iteration: the two
+    associated pairs and the mixed polar-retraction/orthographic-lifting one."""
+
     POLAR = "polar"
-    ORTHOGRAPHIC = "orthographic"
-
-
-class LiftingKind(Enum):
-    POLAR = "polar"
-    ORTHOGRAPHIC = "orthographic"
-
-
-@dataclass(frozen=True)
-class MapPair:
-    """A retraction/lifting configuration for the averaging iteration.
-
-    Three configurations are supported: the two associated pairs and the
-    mixed polar-retraction/orthographic-lifting pair. The remaining
-    combination (orthographic retraction with polar lifting) is rejected.
-    """
-
-    retraction: RetractionKind
-    lifting: LiftingKind
-
-    def __post_init__(self):
-        if (
-            self.retraction is RetractionKind.ORTHOGRAPHIC
-            and self.lifting is LiftingKind.POLAR
-        ):
-            raise ValidationError(
-                "unsupported configuration: orthographic retraction with "
-                "polar lifting"
-            )
+    ORTHO = "ortho"
+    MIXED = "mixed"
 
     @property
     def label(self) -> str:
-        if self.retraction is RetractionKind.POLAR and self.lifting is LiftingKind.POLAR:
-            return "polar"
-        if (
-            self.retraction is RetractionKind.ORTHOGRAPHIC
-            and self.lifting is LiftingKind.ORTHOGRAPHIC
-        ):
-            return "ortho"
-        return "mixed"
+        return self.value
 
     @classmethod
     def from_name(cls, name: str) -> "MapPair":
@@ -87,13 +56,13 @@ class MapPair:
         the unsupported 'ortho-polar'."""
         key = name.strip().lower().replace("_", "-")
         table = {
-            "polar": POLAR_POLAR,
-            "polar-polar": POLAR_POLAR,
-            "ortho": ORTHO_ORTHO,
-            "ortho-ortho": ORTHO_ORTHO,
-            "orthographic": ORTHO_ORTHO,
-            "mixed": MIXED_POLAR_ORTHO,
-            "polar-ortho": MIXED_POLAR_ORTHO,
+            "polar": cls.POLAR,
+            "polar-polar": cls.POLAR,
+            "ortho": cls.ORTHO,
+            "ortho-ortho": cls.ORTHO,
+            "orthographic": cls.ORTHO,
+            "mixed": cls.MIXED,
+            "polar-ortho": cls.MIXED,
         }
         if key not in table:
             raise ValidationError(
@@ -102,10 +71,10 @@ class MapPair:
         return table[key]
 
 
-POLAR_POLAR = MapPair(RetractionKind.POLAR, LiftingKind.POLAR)
-ORTHO_ORTHO = MapPair(RetractionKind.ORTHOGRAPHIC, LiftingKind.ORTHOGRAPHIC)
-MIXED_POLAR_ORTHO = MapPair(RetractionKind.POLAR, LiftingKind.ORTHOGRAPHIC)
-ALL_PAIRS = (POLAR_POLAR, ORTHO_ORTHO, MIXED_POLAR_ORTHO)
+POLAR_POLAR = MapPair.POLAR
+ORTHO_ORTHO = MapPair.ORTHO
+MIXED_POLAR_ORTHO = MapPair.MIXED
+ALL_PAIRS = tuple(MapPair)
 
 
 @dataclass(frozen=True)
@@ -128,14 +97,13 @@ def _check_anchor(x: StiefelPoint, v: TangentVector):
         raise ValidationError("tangent vector is anchored at a different point")
 
 
-def _guard_locality(xtq: np.ndarray, guard: float, what: str) -> float:
+def _guard_locality(xtq: np.ndarray, what: str) -> None:
     # delta(X, Q) falls out of the n x n product the liftings need anyway.
     d = float(np.linalg.norm(np.eye(xtq.shape[0]) - xtq))
-    if d >= guard:
+    if d >= DOMAIN_GUARD:
         raise DomainError(
-            f"{what}: arguments too far apart (discrepancy {d:.3f} >= {guard})"
+            f"{what}: arguments too far apart (discrepancy {d:.3f} >= {DOMAIN_GUARD})"
         )
-    return d
 
 
 def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -152,9 +120,7 @@ def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     return StiefelPoint(y @ spd_inv_sqrt(y.T @ y), dims=x.dims)
 
 
-def polar_lifting(
-    x: StiefelPoint, q: StiefelPoint, guard: float = DOMAIN_GUARD
-) -> TangentVector:
+def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     """Inverse of the polar retraction: the tangent V with P_X(V) = Q.
 
     Writing V = Q S - X with S symmetric, tangency forces the linear system
@@ -163,16 +129,14 @@ def polar_lifting(
     """
     _check_same_dims(x, q)
     xtq = x.X.T @ q.X
-    _guard_locality(xtq, guard, "polar lifting")
+    _guard_locality(xtq, "polar lifting")
     n = x.dims.n
     s = solve_lyapunov_sym(xtq, 2.0 * np.eye(n))
     # tangency defect of Q S - X equals the solver residual, already bounded
     return TangentVector._unchecked(x, q.X @ s - x.X)
 
 
-def orthographic_lifting(
-    x: StiefelPoint, q: StiefelPoint, guard: float = DOMAIN_GUARD
-) -> TangentVector:
+def orthographic_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     """Tangent projection of Q - X, evaluated as Q - X sym(X^T Q).
 
     Algebraically identical to projecting Q - X with the tangent projector;
@@ -181,7 +145,7 @@ def orthographic_lifting(
     """
     _check_same_dims(x, q)
     xtq = x.X.T @ q.X
-    _guard_locality(xtq, guard, "orthographic lifting")
+    _guard_locality(xtq, "orthographic lifting")
     # X^T V + V^T X = -(E S + S E) with E = X^T X - I, so the defect is
     # bounded by twice the anchor's construction tolerance; skip the re-check
     return TangentVector._unchecked(x, q.X - x.X @ (0.5 * (xtq + xtq.T)))
@@ -205,19 +169,17 @@ def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
 
 
 def retract(pair: MapPair, x: StiefelPoint, v: TangentVector) -> StiefelPoint:
-    """Apply the pair's retraction."""
-    if pair.retraction is RetractionKind.POLAR:
-        return polar_retraction(x, v)
-    return orthographic_retraction(x, v)
+    """Apply the pair's retraction: orthographic for ``ORTHO``, else polar."""
+    if pair is MapPair.ORTHO:
+        return orthographic_retraction(x, v)
+    return polar_retraction(x, v)
 
 
-def lift(
-    pair: MapPair, x: StiefelPoint, q: StiefelPoint, guard: float = DOMAIN_GUARD
-) -> TangentVector:
-    """Apply the pair's lifting."""
-    if pair.lifting is LiftingKind.POLAR:
-        return polar_lifting(x, q, guard=guard)
-    return orthographic_lifting(x, q, guard=guard)
+def lift(pair: MapPair, x: StiefelPoint, q: StiefelPoint) -> TangentVector:
+    """Apply the pair's lifting: polar for ``POLAR``, else orthographic."""
+    if pair is MapPair.POLAR:
+        return polar_lifting(x, q)
+    return orthographic_lifting(x, q)
 
 
 def composition_discrepancy_direct(

@@ -10,7 +10,6 @@ from stiefelmean.averaging import (
     _Cloud,
     _combined_tangent,
     fixed_point_mean,
-    residual_vector_field,
     weighted_fixed_point_mean,
 )
 from stiefelmean.errors import DomainError, ValidationError
@@ -30,6 +29,7 @@ from stiefelmean.maps import (
     DOMAIN_GUARD,
     MIXED_POLAR_ORTHO,
     ORTHO_ORTHO,
+    lift,
     orthographic_lifting,
 )
 
@@ -164,6 +164,23 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("p, n, n_samples", [(1, 1, 9), (1, 1, 200), (2, 1, 33),
+                                             (20, 4, 50), (40, 4, 1000)])
+def test_ambient_mean_sums_in_sample_order(weighted, p, n, n_samples):
+    # Bitwise equal to the sequential loop. NumPy's reductions sum pairwise
+    # over a contiguous axis, which differs in the last bits once p n = 1.
+    rng = np.random.default_rng(p * 1000 + n_samples)
+    center = generate_center(Dims(p, n), n_samples)
+    cloud = generate_samples(center, 0.3, n_samples, n_samples + 1)
+    w = rng.uniform(0.2, 3.0, n_samples) if weighted else np.ones(n_samples)
+    acc = np.zeros((p, n))
+    for wk, q in zip(w, cloud.samples):
+        acc += wk * q.X
+    acc /= n_samples
+    assert np.array_equal(_Cloud(cloud).ambient_mean(w), acc)
+
+
 # ---------------------------------------------------------------- locality guard
 
 def exact_discrepancies(x, points):
@@ -259,18 +276,26 @@ def test_screen_defers_to_the_exact_check():
 
 # ---------------------------------------------------------------- residual
 
+def lifted_field_norm(x, cloud, pair):
+    """|| sum_k lift(x, X_k) ||_F / N with one lifting per sample."""
+    acc = np.zeros_like(x.X)
+    for q in cloud.samples:
+        acc += lift(pair, x, q).V
+    return float(np.linalg.norm(acc / len(cloud)))
+
+
 def test_residual_zero_at_single_sample():
     x = generate_center(Dims(10, 3), 15)
     cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, samples=(x,))
     for pair in ALL_PAIRS:
-        assert residual_vector_field(x, cloud, pair) < 1e-13
+        assert lifted_field_norm(x, cloud, pair) < 1e-13
 
 
 def test_residual_cancels_at_circle_center():
     cloud = circle_set([0.5, -0.5])
     x = circle_point(0.0)
     for pair in ALL_PAIRS:
-        assert residual_vector_field(x, cloud, pair) < 1e-15
+        assert lifted_field_norm(x, cloud, pair) < 1e-15
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label)
@@ -280,7 +305,7 @@ def test_residual_small_at_converged_mean(pair):
     config = AveragingConfig(pair=pair)
     report = fixed_point_mean(cloud, config, initial)
     assert report.converged
-    res = residual_vector_field(report.final_point, cloud, pair)
+    res = lifted_field_norm(report.final_point, cloud, pair)
     assert res < 10.0 * config.conv_tol
     assert report.residual_field_norm == pytest.approx(res, rel=1e-9)
 
@@ -447,6 +472,14 @@ def test_weight_validation():
         weighted_fixed_point_mean(
             cloud, AveragingConfig(weights=[1.0, 1.0]), initial
         )
+    # the first weight that is not finite and positive is named
+    for bad in (math.inf, -math.inf, math.nan, 0.0):
+        config = AveragingConfig(weights=[1.0, 1.0, bad, bad])
+        with pytest.raises(ValidationError) as err:
+            fixed_point_mean(cloud, config, initial)
+        assert str(err.value) == (
+            f"weights must be finite and positive, got {bad} at index 2"
+        )
 
 
 # ---------------------------------------------------------------- trace CSV
@@ -481,7 +514,13 @@ def test_trace_csv_without_center(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        AveragingConfig(conv_tol=0.0)
-    with pytest.raises(ValidationError):
-        AveragingConfig(max_iters=0)
+    for name, value in [
+        ("conv_tol", 0.0), ("conv_tol", -1e-10), ("conv_tol", math.nan),
+        ("conv_tol", math.inf), ("max_iters", 0), ("max_iters", 2.5),
+        ("max_iters", "10"), ("pair", "mixed"), ("pair", None),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            AveragingConfig(**{name: value})
+    # frozen, so an assignment cannot skip the checks
+    with pytest.raises(AttributeError):
+        AveragingConfig().pair = "polar"

@@ -98,6 +98,23 @@ def test_mean_bad_weights(sample_file, tmp_path, capsys):
     assert run("mean", "--in", sample_file, "--weights", wfile) == 1
 
 
+@pytest.mark.parametrize("token", ["inf", "nan", "-inf"])
+def test_mean_non_finite_weight_exits_1_at_its_line(sample_file, tmp_path, capsys, token):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text("1.0\n1.0\n" + token + "\n" + "\n".join(["1.0"] * 7) + "\n")
+    assert run("mean", "--in", sample_file, "--weights", wfile) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {wfile}: line 3: weight must be finite and positive\n"
+    )
+
+
+def test_mean_nan_conv_tol_exits_2_with_one_line(sample_file, capsys):
+    assert run("mean", "--in", sample_file, "--conv-tol", "nan") == 2
+    assert capsys.readouterr().err == (
+        "numerical validation error: conv_tol must be finite and positive, got nan\n"
+    )
+
+
 def test_validate_scaled_point_exits_2(sample_file, tmp_path, capsys):
     cloud = read_sample_set(sample_file)
     bad = tmp_path / "bad.txt"

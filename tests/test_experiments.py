@@ -51,6 +51,8 @@ def test_spec_validation():
         ExperimentSpec(kind="nope", p=4, n=2, n_samples=3, sigma=0.1, seed=1)
     with pytest.raises(ValidationError):
         default_spec("convergence", seed=1, sigma=float("nan"))
+    with pytest.raises(ValidationError, match="pairs must be MapPair members"):
+        default_spec("convergence", seed=1, pairs=("polar", "mixed"))
 
 
 def test_csv_filename():

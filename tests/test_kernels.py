@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stiefelmean import kernels
 from stiefelmean.errors import DomainError, RankDeficientError, ValidationError
 from stiefelmean.kernels import (
     frobenius_norm,
@@ -233,13 +234,14 @@ def test_spd_inv_sqrt_series_matches_eigh_near_identity(n, monkeypatch):
         assert np.linalg.norm(r @ s @ r - np.eye(n)) < tol
 
 
-def test_spd_inv_sqrt_series_keeps_positive_definiteness_check():
-    # eigenvalues at or below eps_spd still reach the eigh path and its
+def test_spd_inv_sqrt_series_keeps_positive_definiteness_check(monkeypatch):
+    # eigenvalues at or below EPS_SPD still reach the eigh path and its
     # DomainError, however close to the identity the input is
     s = np.diag([1.0, 1.0 - 0.2])
     assert np.allclose(spd_inv_sqrt(s), np.diag([1.0, 1.0 / math.sqrt(0.8)]), atol=1e-15)
-    with pytest.raises(DomainError):
-        spd_inv_sqrt(s, eps_spd=0.9)
+    monkeypatch.setattr(kernels, "EPS_SPD", 0.9)
+    with pytest.raises(DomainError, match=r"<= 9\.0e-01$"):
+        spd_inv_sqrt(s)
 
 
 def test_spd_inv_sqrt_rejects_asymmetric():

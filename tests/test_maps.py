@@ -21,9 +21,7 @@ from stiefelmean.maps import (
     MIXED_POLAR_ORTHO,
     ORTHO_ORTHO,
     POLAR_POLAR,
-    LiftingKind,
     MapPair,
-    RetractionKind,
     composition_discrepancy_closed_form,
     composition_discrepancy_direct,
     lift,
@@ -68,23 +66,31 @@ def circle_tangent(x, t):
 
 # ---------------------------------------------------------------- MapPair
 
-def test_map_pair_rejects_ortho_retraction_polar_lifting():
-    with pytest.raises(ValidationError):
-        MapPair(RetractionKind.ORTHOGRAPHIC, LiftingKind.POLAR)
-
-
 def test_map_pair_labels():
     assert POLAR_POLAR.label == "polar"
     assert ORTHO_ORTHO.label == "ortho"
     assert MIXED_POLAR_ORTHO.label == "mixed"
+    assert ALL_PAIRS == (POLAR_POLAR, ORTHO_ORTHO, MIXED_POLAR_ORTHO) == tuple(MapPair)
 
 
 def test_map_pair_from_name():
     assert MapPair.from_name("mixed") is MIXED_POLAR_ORTHO
     assert MapPair.from_name("polar") is POLAR_POLAR
     assert MapPair.from_name("ORTHO") is ORTHO_ORTHO
-    with pytest.raises(ValidationError):
+    for pair in MapPair:
+        assert MapPair.from_name(pair.label) is pair
+    aliases = {
+        "polar-polar": POLAR_POLAR, "ortho-ortho": ORTHO_ORTHO,
+        "orthographic": ORTHO_ORTHO, "polar-ortho": MIXED_POLAR_ORTHO,
+    }
+    for alias, pair in aliases.items():
+        for spelling in (alias, alias.upper(), alias.replace("-", "_"), f" {alias}\n"):
+            assert MapPair.from_name(spelling) is pair
+    with pytest.raises(ValidationError) as err:
         MapPair.from_name("ortho-polar")
+    assert str(err.value) == (
+        "unknown map pair 'ortho-polar' (choose from: polar, ortho, mixed)"
+    )
 
 
 # ---------------------------------------------------------------- polar maps
@@ -203,6 +209,12 @@ def test_retract_lift_dispatch():
         v = lift(pair, x, q)
         out = retract(pair, x, v)
         assert orthonormality_defect(out.X) < 1e-9
+        # the polar pair alone lifts polarly, the ortho pair alone retracts
+        # orthographically
+        lifting = polar_lifting if pair is POLAR_POLAR else orthographic_lifting
+        retraction = orthographic_retraction if pair is ORTHO_ORTHO else polar_retraction
+        assert np.array_equal(v.V, lifting(x, q).V)
+        assert np.array_equal(out.X, retraction(x, v).X)
 
 
 def test_lifting_domain_guard():
