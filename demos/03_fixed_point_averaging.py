@@ -16,7 +16,6 @@ from stiefelmean import (
     generate_center,
     generate_samples,
     perturb_initial_guess,
-    weighted_fixed_point_mean,
 )
 
 dims = Dims(20, 4)
@@ -42,7 +41,7 @@ weights = np.ones(len(cloud))
 weights[0] = 1e4
 weights *= len(cloud) / weights.sum()
 config = AveragingConfig(weights=weights)
-report = weighted_fixed_point_mean(cloud, config, initial)
+report = fixed_point_mean(cloud, config, initial)
 print(f"weighted run (weight ratio 1e4 on sample 0): "
       f"delta(mean, X_0) = {discrepancy(report.final_point, cloud.samples[0]):.2e}")
 print(f"unweighted mean sits at delta(mean, X_0) = "

@@ -9,12 +9,7 @@ orthographic-lifting), together with discrepancy diagnostics, seeded
 experiment drivers and a small CLI.
 """
 
-from .averaging import (
-    AveragingConfig,
-    AveragingReport,
-    fixed_point_mean,
-    weighted_fixed_point_mean,
-)
+from .averaging import AveragingConfig, AveragingReport, fixed_point_mean
 from .errors import (
     DomainError,
     FileFormatError,
@@ -35,7 +30,6 @@ from .experiments import (
 )
 from .fileio import read_matrix_blocks, read_sample_set, write_point, write_sample_set
 from .kernels import (
-    frobenius_norm,
     skew_expm,
     skew_part,
     solve_lyapunov_sym,
@@ -58,7 +52,6 @@ from .manifold import (
     perturb_initial_guess,
     project_to_tangent,
     tangency_defect,
-    validate_point,
 )
 from .maps import (
     ALL_PAIRS,
@@ -84,7 +77,6 @@ __all__ = [
     "AveragingConfig",
     "AveragingReport",
     "fixed_point_mean",
-    "weighted_fixed_point_mean",
     "StiefelMeanError",
     "ValidationError",
     "RankDeficientError",
@@ -103,7 +95,6 @@ __all__ = [
     "read_matrix_blocks",
     "write_sample_set",
     "write_point",
-    "frobenius_norm",
     "skew_part",
     "thin_qr_q_factor",
     "spd_inv_sqrt",
@@ -116,7 +107,6 @@ __all__ = [
     "SampleSet",
     "TOL_ORTH",
     "TOL_TAN",
-    "validate_point",
     "orthonormality_defect",
     "tangency_defect",
     "project_to_tangent",

@@ -38,7 +38,7 @@ def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -
     blocks = []
     if with_center:
         blocks.append(sample_set.center.X)
-    blocks.extend(s.X for s in sample_set.samples)
+    blocks.extend(sample_set.stack)
     # one %-operation per block; "%.16e" % v is the same text as f"{v:.16e}"
     block_format = (" ".join(["%.16e"] * dims.n) + "\n") * dims.p
     with open(path, "w", encoding="utf-8") as fh:
@@ -151,17 +151,16 @@ def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
 
 def read_sample_set(path) -> SampleSet:
     """Read and validate a sample set; every block must satisfy the Stiefel
-    orthonormality invariant (``ValidationError`` otherwise)."""
+    orthonormality invariant (a ``ValidationError`` names the first that does not)."""
     header, blocks = read_matrix_blocks(path)
     dims = Dims(header["p"], header["n"])
     center = None
     if header["has_center"]:
         center = StiefelPoint(blocks[0], dims=dims)
         blocks = blocks[1:]
-    samples = tuple(StiefelPoint(b, dims=dims) for b in blocks)
     return SampleSet(
         dims=dims, center=center, sigma=header["sigma"], seed=header["seed"],
-        samples=samples,
+        samples=blocks,
     )
 
 

@@ -49,11 +49,6 @@ def _require_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def frobenius_norm(a) -> float:
-    """Frobenius norm of ``a``: the square root of the sum of squared entries."""
-    return float(np.linalg.norm(_as_matrix(a)))
-
-
 def skew_part(a) -> np.ndarray:
     """Skew-symmetric part ``(a.T - a) / 2`` of a square matrix.
 

@@ -83,6 +83,14 @@ class StiefelPoint:
         object.__setattr__(self, "dims", inferred)
         object.__setattr__(self, "X", x)
 
+    @classmethod
+    def _unchecked(cls, x: np.ndarray, dims: Dims) -> "StiefelPoint":
+        # Internal fast path for the rows of a SampleSet's validated stack.
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "X", x)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("StiefelPoint is immutable")
 
@@ -135,6 +143,10 @@ class TangentVector:
 class SampleSet:
     """An ordered collection of Stiefel points with its generation metadata.
 
+    ``samples`` (``StiefelPoint``s or p x n arrays) are copied once into
+    ``stack``, a read-only (N, p, n) array, and validated there in one batch;
+    ``samples`` then holds ``StiefelPoint`` views of the rows of ``stack``.
+
     ``center`` is the point the samples were scattered around when known
     (``None`` for sets loaded from files that omit it). ``seed`` is the
     64-bit integer that reproduces the set through ``generate_samples``.
@@ -145,31 +157,35 @@ class SampleSet:
     sigma: float
     seed: int
     samples: tuple = field(default_factory=tuple)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
         if len(self.samples) < 1:
             raise ValidationError("a sample set needs at least one sample")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        for k, s in enumerate(self.samples):
-            if (s.dims.p, s.dims.n) != (self.dims.p, self.dims.n):
-                raise ValidationError(f"sample {k} has dims {s.dims}, expected {self.dims}")
-        if self.center is not None and (self.center.dims.p, self.center.dims.n) != (
-            self.dims.p,
-            self.dims.n,
-        ):
+        p, n = self.dims.p, self.dims.n
+        blocks = [s.X if isinstance(s, StiefelPoint) else s for s in self.samples]
+        for k, b in enumerate(blocks):
+            if np.shape(b) != (p, n):
+                raise ValidationError(f"sample {k} has shape {np.shape(b)}, expected {(p, n)}")
+        if self.center is not None and self.center.dims != self.dims:
             raise ValidationError("center dims do not match the sample set dims")
+        stack = np.array(blocks, dtype=float)
+        gram = np.swapaxes(stack, 1, 2) @ stack - np.eye(n)
+        # a sample that fails this screen, NaN included, gets the full check
+        for k in np.flatnonzero(~(np.linalg.norm(gram, axis=(1, 2)) < TOL_ORTH)):
+            try:
+                StiefelPoint(stack[k])
+            except ValidationError as exc:
+                raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        views = tuple(StiefelPoint._unchecked(x, self.dims) for x in stack)
+        object.__setattr__(self, "samples", views)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-
-def validate_point(x, dims: Optional[Dims] = None) -> StiefelPoint:
-    """Wrap a matrix as a StiefelPoint, rejecting it if the orthonormality
-    defect is ``TOL_ORTH`` or larger. The raised ``ValidationError`` carries
-    the measured defect."""
-    return StiefelPoint(x, dims=dims)
+        return len(self.stack)
 
 
 def project_to_tangent(point: StiefelPoint, a) -> TangentVector:
@@ -241,10 +257,10 @@ def generate_samples(
     for _ in range(n_samples):
         a = rng.standard_normal((p, p))
         rotation = skew_expm(skew_part(a), sigma)
-        samples.append(StiefelPoint(rotation @ center.X, dims=center.dims))
+        samples.append(rotation @ center.X)
     return SampleSet(
         dims=center.dims, center=center, sigma=float(sigma), seed=int(seed),
-        samples=tuple(samples),
+        samples=samples,
     )
 
 

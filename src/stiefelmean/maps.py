@@ -169,17 +169,21 @@ def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
 
 
 def retract(pair: MapPair, x: StiefelPoint, v: TangentVector) -> StiefelPoint:
-    """Apply the pair's retraction: orthographic for ``ORTHO``, else polar."""
+    """Apply the pair's retraction: orthographic for ``ORTHO``, polar for the others."""
     if pair is MapPair.ORTHO:
         return orthographic_retraction(x, v)
-    return polar_retraction(x, v)
+    if pair is MapPair.POLAR or pair is MapPair.MIXED:
+        return polar_retraction(x, v)
+    raise ValidationError(f"pair must be a MapPair member, got {pair!r}")
 
 
 def lift(pair: MapPair, x: StiefelPoint, q: StiefelPoint) -> TangentVector:
-    """Apply the pair's lifting: polar for ``POLAR``, else orthographic."""
+    """Apply the pair's lifting: polar for ``POLAR``, orthographic for the others."""
     if pair is MapPair.POLAR:
         return polar_lifting(x, q)
-    return orthographic_lifting(x, q)
+    if pair is MapPair.ORTHO or pair is MapPair.MIXED:
+        return orthographic_lifting(x, q)
+    raise ValidationError(f"pair must be a MapPair member, got {pair!r}")
 
 
 def composition_discrepancy_direct(

@@ -22,7 +22,6 @@ from scipy import stats
 from stiefelmean.averaging import (
     AveragingConfig,
     fixed_point_mean,
-    weighted_fixed_point_mean,
 )
 from stiefelmean.experiments import (
     default_spec,
@@ -392,7 +391,7 @@ def test_criterion_8_degenerate_and_symmetry_suite():
     cloud = generate_samples(center, 0.1, 8, derive_seed(SEED, 33))
     start2 = perturb_initial_guess(cloud.samples[0], 0.01, derive_seed(SEED, 34))
     plain = fixed_point_mean(cloud, AveragingConfig(), start2)
-    ones = weighted_fixed_point_mean(
+    ones = fixed_point_mean(
         cloud, AveragingConfig(weights=[1.0] * len(cloud)), start2
     )
     assert plain.step_sizes == ones.step_sizes

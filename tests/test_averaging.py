@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from stiefelmean.averaging import (
     AveragingConfig,
-    _Cloud,
+    _ambient_mean,
+    _check_locality,
     _combined_tangent,
     fixed_point_mean,
-    weighted_fixed_point_mean,
 )
 from stiefelmean.errors import DomainError, ValidationError
 from stiefelmean.kernels import skew_expm, skew_part
@@ -160,7 +160,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(ORTHO_ORTHO, x, _Cloud(cloud), w, 0).V
+    batched = _combined_tangent(ORTHO_ORTHO, cloud, w)(x, 0).V
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
@@ -178,7 +178,7 @@ def test_ambient_mean_sums_in_sample_order(weighted, p, n, n_samples):
     for wk, q in zip(w, cloud.samples):
         acc += wk * q.X
     acc /= n_samples
-    assert np.array_equal(_Cloud(cloud).ambient_mean(w), acc)
+    assert np.array_equal(_ambient_mean(cloud.stack, w), acc)
 
 
 # ---------------------------------------------------------------- locality guard
@@ -188,10 +188,12 @@ def exact_discrepancies(x, points):
     return [float(np.linalg.norm(np.eye(n) - x.T @ q)) for q in points]
 
 
-def cloud_of(points):
-    samples = tuple(StiefelPoint(q) for q in points)
-    return _Cloud(SampleSet(dims=samples[0].dims, center=None, sigma=0.0, seed=0,
-                            samples=samples))
+def check_locality(x, points, iteration):
+    """Run the screened guard of ``x`` over a cloud of ``points``."""
+    stack = SampleSet(dims=Dims(*x.shape), center=None, sigma=0.0, seed=0,
+                      samples=points).stack
+    rows = stack.reshape(len(stack), -1)
+    _check_locality(x, stack, np.einsum("ki,ki->k", rows, rows), iteration)
 
 
 def guard_crossing(x, a):
@@ -237,14 +239,13 @@ def clouds_near_the_guard(draw):
 @given(clouds_near_the_guard())
 def test_screened_guard_matches_the_exact_discrepancies(case):
     x, points = case
-    cloud = cloud_of(points)
     exact = exact_discrepancies(x, points)
     far = [k for k, d in enumerate(exact) if d >= DOMAIN_GUARD]
     if not far:
-        cloud.check_locality(x, 3)
+        check_locality(x, points, 3)
         return
     with pytest.raises(DomainError) as err:
-        cloud.check_locality(x, 3)
+        check_locality(x, points, 3)
     k = far[0]
     assert (err.value.iteration, err.value.sample_index) == (3, k)
     assert f"sample {k}:" in str(err.value)
@@ -267,9 +268,9 @@ def test_screen_defers_to_the_exact_check():
     near, outside = exact_discrepancies(x, points)
     assert np.linalg.norm(x - points[0]) > DOMAIN_GUARD > near
     assert outside > DOMAIN_GUARD
-    cloud_of(points[:1] * 3).check_locality(x, 0)
+    check_locality(x, points[:1] * 3, 0)
     with pytest.raises(DomainError) as err:
-        cloud_of(points[:1] + points).check_locality(x, 0)
+        check_locality(x, points[:1] + points, 0)
     assert err.value.sample_index == 2
     assert f"(discrepancy {outside:.3f} >= {DOMAIN_GUARD})" in str(err.value)
 
@@ -349,9 +350,7 @@ def test_equal_weights_match_unweighted_bitwise():
     cloud = small_cloud(24, sigma=0.1, n_samples=7)
     initial = perturb_initial_guess(cloud.samples[0], 0.01, 25)
     plain = fixed_point_mean(cloud, AveragingConfig(), initial)
-    ones = weighted_fixed_point_mean(
-        cloud, AveragingConfig(weights=[1.0] * len(cloud)), initial
-    )
+    ones = fixed_point_mean(cloud, AveragingConfig(weights=[1.0] * len(cloud)), initial)
     assert plain.step_sizes == ones.step_sizes
     assert np.array_equal(plain.final_point.X, ones.final_point.X)
 
@@ -361,31 +360,11 @@ def test_fixed_point_mean_runs_the_weighted_rule():
     initial = perturb_initial_guess(cloud.samples[0], 0.01, 35)
     config = AveragingConfig(weights=[3.0, 1.0, 0.5, 0.5, 0.5, 0.5])
     direct = fixed_point_mean(cloud, config, initial)
-    strict = weighted_fixed_point_mean(cloud, config, initial)
-    assert direct.step_sizes == strict.step_sizes
-    assert direct.iterates_delta_to_center == strict.iterates_delta_to_center
-    assert np.array_equal(direct.final_point.X, strict.final_point.X)
     plain = fixed_point_mean(cloud, AveragingConfig(), initial)
     assert discrepancy(direct.final_point, plain.final_point) > 1e-6
     ones = fixed_point_mean(cloud, AveragingConfig(weights=[1.0] * 6), initial)
     assert plain.step_sizes == ones.step_sizes
     assert np.array_equal(plain.final_point.X, ones.final_point.X)
-
-
-def test_callable_weights_hook():
-    cloud = small_cloud(26, sigma=0.05, n_samples=5)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 27)
-    calls = []
-
-    def weigh(iteration, point, samples):
-        calls.append(iteration)
-        return np.ones(len(samples))
-
-    report = weighted_fixed_point_mean(
-        cloud, AveragingConfig(weights=weigh), initial
-    )
-    assert report.converged
-    assert calls[0] == 0 and len(calls) >= report.iterations_used
 
 
 def test_weighted_circle_against_scalar_oracle():
@@ -408,7 +387,7 @@ def test_weighted_circle_against_scalar_oracle():
     cloud = circle_set([theta, -theta])
     config = AveragingConfig(pair=MIXED_POLAR_ORTHO, conv_tol=conv_tol,
                              weights=weights)
-    report = weighted_fixed_point_mean(cloud, config, circle_point(0.05))
+    report = fixed_point_mean(cloud, config, circle_point(0.05))
     assert report.converged
     angle = circle_angle(report.final_point)
     assert angle == pytest.approx(phi, abs=1e-9)
@@ -429,7 +408,7 @@ def test_long_weighted_mixed_run_stays_orthonormal():
     cloud = circle_set([theta, -theta])
     config = AveragingConfig(pair=MIXED_POLAR_ORTHO, conv_tol=1e-300,
                              max_iters=300, weights=[2.0, 1.0])
-    report = weighted_fixed_point_mean(cloud, config, circle_point(0.05))
+    report = fixed_point_mean(cloud, config, circle_point(0.05))
     assert report.iterations_used > 20
     assert orthonormality_defect(report.final_point.X) < 1e-15
     # the step 1 - cos(dphi) rounds to zero once dphi is near 1e-8, which
@@ -450,9 +429,7 @@ def test_weight_limit_sweep_pulls_mean_to_sample():
         raw = np.ones(n)
         raw[0] = big
         weights = raw * (n / raw.sum())
-        report = weighted_fixed_point_mean(
-            cloud, AveragingConfig(weights=weights), initial
-        )
+        report = fixed_point_mean(cloud, AveragingConfig(weights=weights), initial)
         assert report.converged
         gaps.append(discrepancy(report.final_point, cloud.samples[0]))
     assert gaps[2] < gaps[1] < gaps[0]
@@ -463,15 +440,9 @@ def test_weight_validation():
     cloud = small_cloud(30, n_samples=4)
     initial = perturb_initial_guess(cloud.samples[0], 0.01, 31)
     with pytest.raises(ValidationError):
-        weighted_fixed_point_mean(cloud, AveragingConfig(), initial)
+        fixed_point_mean(cloud, AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0]), initial)
     with pytest.raises(ValidationError):
-        weighted_fixed_point_mean(
-            cloud, AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0]), initial
-        )
-    with pytest.raises(ValidationError):
-        weighted_fixed_point_mean(
-            cloud, AveragingConfig(weights=[1.0, 1.0]), initial
-        )
+        fixed_point_mean(cloud, AveragingConfig(weights=[1.0, 1.0]), initial)
     # the first weight that is not finite and positive is named
     for bad in (math.inf, -math.inf, math.nan, 0.0):
         config = AveragingConfig(weights=[1.0, 1.0, bad, bad])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stiefelmean import manifold
 from stiefelmean.errors import FileFormatError, ValidationError
 from stiefelmean.fileio import (
     read_matrix_blocks,
@@ -138,6 +139,32 @@ def test_read_sample_set_rejects_off_manifold_block(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_sample_set(_write(tmp_path, text))
     assert err.value.defect == pytest.approx(3.0, rel=1e-12)
+
+
+def test_read_sample_set_names_the_bad_sample(tmp_path):
+    text = "2 1 3 0.0 7 C\n1.0\n0.0\n\n0.0\n1.0\n\n1.0\n0.0\n\n0.0\n-2.0\n"
+    with pytest.raises(ValidationError) as err:
+        read_sample_set(_write(tmp_path, text))
+    assert str(err.value).startswith("sample 2: orthonormality defect")
+    assert err.value.defect == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("with_center", [True, False], ids=["center", "no-center"])
+def test_read_sample_set_validates_the_cloud_once(tmp_path, monkeypatch, cloud, with_center):
+    path = tmp_path / "set.txt"
+    write_sample_set(path, cloud, include_center=with_center)
+    calls = []
+    original = manifold.orthonormality_defect
+
+    def counted(x):
+        calls.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(manifold, "orthonormality_defect", counted)
+    loaded = read_sample_set(path)
+    assert len(loaded) == len(cloud)
+    # only the center is checked on its own
+    assert len(calls) == (1 if with_center else 0)
 
 
 def _reference_text(path, sample_set):

@@ -7,7 +7,6 @@ import scipy.linalg
 from stiefelmean import kernels
 from stiefelmean.errors import DomainError, RankDeficientError, ValidationError
 from stiefelmean.kernels import (
-    frobenius_norm,
     skew_expm,
     skew_part,
     solve_lyapunov_sym,
@@ -46,20 +45,6 @@ def lyapunov_kron_oracle(m, b):
 def random_skew(rng, p):
     a = rng.standard_normal((p, p))
     return 0.5 * (a.T - a)
-
-
-# ---------------------------------------------------------------- frobenius
-
-def test_frobenius_zero():
-    assert frobenius_norm(np.zeros((3, 2))) == 0.0
-
-
-def test_frobenius_identity():
-    assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3.0), abs=1e-15)
-
-
-def test_frobenius_three_four_five():
-    assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------- skew part

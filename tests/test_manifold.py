@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stiefelmean import manifold
 from stiefelmean.errors import ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
@@ -18,7 +19,6 @@ from stiefelmean.manifold import (
     perturb_initial_guess,
     project_to_tangent,
     tangency_defect,
-    validate_point,
 )
 
 
@@ -63,19 +63,81 @@ def test_sample_set_checks_dims():
     y = canonical_point(5, 2)
     with pytest.raises(ValidationError):
         SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, samples=(x, y))
+    with pytest.raises(ValidationError) as err:
+        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, samples=(x.X, x.X, x.X[:3]))
+    assert str(err.value) == "sample 2 has shape (3, 2), expected (4, 2)"
+
+
+def raw_cloud(seed, n_samples=6, p=7, n=3):
+    """Plain (p, n) arrays of a generated cloud, with its dims."""
+    cloud = generate_samples(generate_center(Dims(p, n), seed), 0.1, n_samples, seed + 1)
+    return cloud.dims, [np.array(s.X) for s in cloud.samples]
+
+
+def test_sample_set_names_the_first_off_manifold_array():
+    dims, blocks = raw_cloud(61)
+    blocks[3] = 2.0 * blocks[3]  # defect ||4I - I||_F = 3 sqrt(n)
+    blocks[5] = 3.0 * blocks[5]
+    with pytest.raises(ValidationError) as err:
+        SampleSet(dims, None, 0.1, 0, blocks)
+    assert str(err.value).startswith("sample 3: orthonormality defect")
+    assert err.value.defect == pytest.approx(3.0 * math.sqrt(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_set_names_the_first_non_finite_array(bad):
+    dims, blocks = raw_cloud(62)
+    blocks[4][2, 1] = bad
+    with pytest.raises(ValidationError) as err:
+        SampleSet(dims, None, 0.1, 0, blocks)
+    assert str(err.value) == "sample 4: entries must be finite"
+
+
+def test_sample_set_stack_is_read_only_and_backs_the_samples():
+    dims, blocks = raw_cloud(63)
+    cloud = SampleSet(dims, None, 0.1, 0, blocks)
+    assert cloud.stack.shape == (6, 7, 3) and cloud.stack.dtype == np.float64
+    assert cloud.stack.flags.c_contiguous
+    assert np.array_equal(cloud.stack, np.array(blocks))
+    with pytest.raises(ValueError):
+        cloud.stack[0, 0, 0] = 1.0
+    for k, s in enumerate(cloud.samples):
+        assert isinstance(s, StiefelPoint) and s.dims == dims
+        assert np.shares_memory(s.X, cloud.stack)
+        assert np.array_equal(s.X, blocks[k])
+    # points are copied in, so the caller's arrays stay the caller's
+    blocks[0][0, 0] = 5.0
+    assert cloud.stack[0, 0, 0] != 5.0
+    again = SampleSet(dims, None, 0.1, 0, cloud.samples)
+    assert np.array_equal(again.stack, cloud.stack)
+
+
+def test_generate_samples_validates_the_cloud_once(monkeypatch):
+    calls = []
+    original = manifold.orthonormality_defect
+
+    def counted(x):
+        calls.append(x.shape)
+        return original(x)
+
+    center = generate_center(Dims(9, 2), 64)
+    monkeypatch.setattr(manifold, "orthonormality_defect", counted)
+    cloud = generate_samples(center, 0.1, 40, 65)
+    assert len(cloud) == 40
+    assert calls == []
 
 
 # ---------------------------------------------------------------- validate
 
 def test_validate_accepts_canonical_columns():
-    p = validate_point(np.eye(6)[:, :3])
+    p = StiefelPoint(np.eye(6)[:, :3])
     assert p.dims == Dims(6, 3)
 
 
 def test_validate_rejects_scaled_point_with_defect():
     x = random_point(20, 4, 0)
     with pytest.raises(ValidationError) as err:
-        validate_point(2.0 * x.X)
+        StiefelPoint(2.0 * x.X)
     # ||4I - I||_F = 3 sqrt(n)
     assert err.value.defect == pytest.approx(3.0 * math.sqrt(4), rel=1e-12)
 
@@ -83,7 +145,7 @@ def test_validate_rejects_scaled_point_with_defect():
 def test_validate_accepts_qr_factor():
     rng = np.random.default_rng(1)
     q = thin_qr_q_factor(rng.standard_normal((20, 4)))
-    p = validate_point(q, dims=Dims(20, 4))
+    p = StiefelPoint(q, dims=Dims(20, 4))
     assert orthonormality_defect(p.X) < 1e-12
 
 
@@ -91,7 +153,7 @@ def test_validate_rejects_non_finite():
     x = np.eye(4)[:, :2]
     x[0, 0] = np.nan
     with pytest.raises(ValidationError):
-        validate_point(x)
+        StiefelPoint(x)
 
 
 # ---------------------------------------------------------------- projector

@@ -217,6 +217,20 @@ def test_retract_lift_dispatch():
         assert np.array_equal(out.X, retraction(x, v).X)
 
 
+@pytest.mark.parametrize("pair", ["polar", None], ids=["name", "none"])
+def test_retract_lift_reject_a_non_member(pair):
+    x = random_point(6, 2, 8)
+    q = nearby_point(x, 0.05, 9)
+    v = orthographic_lifting(x, q)
+    message = f"pair must be a MapPair member, got {pair!r}"
+    with pytest.raises(ValidationError) as err:
+        lift(pair, x, q)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        retract(pair, x, v)
+    assert str(err.value) == message
+
+
 def test_lifting_domain_guard():
     x = random_point(8, 3, 10)
     antipode = StiefelPoint(-x.X)  # discrepancy 2 sqrt(3) > guard
