@@ -2,7 +2,7 @@
 
 Times the full averaging call per pair while sweeping the column dimension n
 (rows fixed) and then the row dimension p (columns fixed), and writes the
-plot-ready CSVs. Reduced trial counts keep this demo around a minute; the
+plot-ready CSVs. Reduced trial counts keep this demo to a few seconds; the
 package defaults (and the --paper-scale flag of the CLI) run the full
 protocol.
 """
@@ -23,6 +23,7 @@ for kind, sweep in (("runtime_vs_n", (5, 10, 20)), ("runtime_vs_p", (20, 50, 100
               f"ortho={row['ortho']*1e3:7.2f} ms  mixed={row['mixed']*1e3:7.2f} ms")
     print()
 
-print("the polar lifting solves a dense n^2 x n^2 system per sample, which is")
-print("what makes the polar/polar pair blow up as n grows; the mixed pair")
-print("keeps the closed-form maps on both sides and stays nearly flat in p")
+print("the polar lifting solves an n x n matrix equation per sample (O(n^3)")
+print("each, all samples in one batched call), so the polar/polar pair stays")
+print("the slowest and grows fastest with n; the mixed pair keeps the")
+print("closed-form maps on both sides and stays nearly flat in p")

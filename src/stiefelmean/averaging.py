@@ -21,15 +21,19 @@ running past ``max_iters`` is not an error and is reported through
 
 from __future__ import annotations
 
+import reprlib
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import maps
 from .errors import DomainError, ValidationError
 from .manifold import SampleSet, StiefelPoint, TangentVector, discrepancy
-from .maps import DOMAIN_GUARD, MapPair, lift, retract
+# ``lift`` is not called here; perfbench/tracer.py rebinds
+# averaging.lift by name, so it stays bound
+from .maps import DOMAIN_GUARD, MapPair, lift, retract  # noqa: F401
 
 # The locality screen clears a sample only when its bound on the discrepancy
 # is below DOMAIN_GUARD by this much. The margin covers the rounding of the
@@ -104,7 +108,12 @@ def _resolve_weights(weights: Optional[Sequence[float]], n_samples: int) -> np.n
     # summation path, and multiplying by 1.0 is exact.
     if weights is None:
         return np.ones(n_samples)
-    w = np.asarray(weights, dtype=float)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"weights must be a sequence of reals, got {reprlib.repr(weights)}"
+        ) from None
     if w.shape != (n_samples,):
         raise ValidationError(
             f"need one weight per sample ({n_samples}), got shape {w.shape}"
@@ -125,6 +134,15 @@ def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
         acc += wk * q
     acc /= len(w)
     return acc
+
+
+def _too_far(iteration: Optional[int], k: int, what: str, d: float) -> DomainError:
+    return DomainError(
+        f"lifting failed at iteration {iteration}, sample {k}: {what}: arguments "
+        f"too far apart (discrepancy {d:.3f} >= {DOMAIN_GUARD})",
+        iteration=iteration,
+        sample_index=k,
+    )
 
 
 def _check_locality(
@@ -168,14 +186,7 @@ def _check_locality(
     far = np.flatnonzero(d >= DOMAIN_GUARD)
     if far.size:
         j = far[0]
-        k = int(near[j])
-        raise DomainError(
-            f"lifting failed at iteration {iteration}, sample {k}: "
-            f"orthographic lifting: arguments too far apart (discrepancy "
-            f"{d[j]:.3f} >= {DOMAIN_GUARD})",
-            iteration=iteration,
-            sample_index=k,
-        )
+        raise _too_far(iteration, int(near[j]), "orthographic lifting", d[j])
 
 
 def _combined_tangent(pair: MapPair, samples: SampleSet, weights: np.ndarray):
@@ -185,31 +196,49 @@ def _combined_tangent(pair: MapPair, samples: SampleSet, weights: np.ndarray):
     The orthographic lifting Q - X sym(X^T Q) is linear in Q, so for the
     orthographic-lifting pairs this is the lifting of the weighted ambient
     mean Q_w = (1/N) sum_k w_k Q_k, which is computed here once.
+
+    The polar lifting of Q_k is Q_k S_k - X with (X^T Q_k) S_k +
+    S_k (Q_k^T X) = 2I. Each iteration guards all X^T Q_k at once, solves
+    them in one batched call and returns (sum_k w_k Q_k S_k - (sum_k w_k) X)
+    / N; an error names the first failing sample, as a loop over
+    ``polar_lifting`` would.
     """
     stack = samples.stack
+    n_samples, _, n = stack.shape
     if pair is MapPair.POLAR:
+        eye = np.eye(n)
+        weight_sum = weights.sum()
+
         def tangent(point, iteration):
-            # Samples are combined in index order into a single accumulator
-            # so the result is deterministic regardless of how callers
-            # schedule the lifts.
-            acc = np.zeros_like(point.X)
-            for k, xk in enumerate(samples.samples):
-                try:
-                    vk = lift(pair, point, xk)
-                except DomainError as exc:
-                    raise DomainError(
-                        f"lifting failed at iteration {iteration}, sample {k}: {exc}",
-                        iteration=iteration,
-                        sample_index=k,
-                    ) from exc
-                acc += weights[k] * vk.V
-            acc /= len(stack)
+            x = point.X
+            m = x.T @ stack
+            e = m - eye
+            d = np.sqrt(np.einsum("kij,kij->k", e, e))
+            far = np.flatnonzero(d >= DOMAIN_GUARD)
+            first_far = int(far[0]) if far.size else n_samples
+            try:
+                # the samples before the first one past the guard, so the
+                # first failing sample is the one raised; looked up in maps
+                # at call time, where the benchmark's tracer counts calls
+                s = maps.solve_lyapunov_sym(m[:first_far], 2.0 * eye)
+            except DomainError as exc:
+                k = exc.sample_index
+                raise DomainError(
+                    f"lifting failed at iteration {iteration}, sample {k}: {exc}",
+                    iteration=iteration,
+                    sample_index=k,
+                ) from exc
+            if far.size:
+                raise _too_far(iteration, first_far, "polar lifting", d[first_far])
+            acc = (weights @ (stack @ s).reshape(n_samples, -1)).reshape(x.shape)
+            acc -= weight_sum * x
+            acc /= n_samples
             # a convex-style combination of tangents at one anchor stays tangent
             return TangentVector._unchecked(point, acc)
         return tangent
 
     qbar = _ambient_mean(stack, weights)
-    rows = stack.reshape(len(stack), -1)
+    rows = stack.reshape(n_samples, -1)
     sq_norms = np.einsum("ki,ki->k", rows, rows)
 
     def tangent(point, iteration):

@@ -1,10 +1,12 @@
 """Dense float64 matrix kernels underlying the manifold layer.
 
-All routines take and return plain 2-D ``numpy.ndarray`` objects in C order.
+All routines take and return plain 2-D ``numpy.ndarray`` objects in C order,
+except that ``solve_lyapunov_sym`` also solves an (N, n, n) stack in one
+call, which is how the polar lifting of a whole sample cloud is computed.
 Matrices in this library are small (tens of rows/columns), so the kernels
-favor robustness and determinism over asymptotic tricks: QR signs are fixed,
-symmetric outputs are explicitly symmetrized, and the structured solvers
-verify their own residuals.
+favor robustness and determinism: QR signs are fixed, symmetric outputs are
+explicitly symmetrized, and the structured solvers verify their own
+residuals.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ RANK_RTOL = 1e-12
 # ||G||_F <= SERIES_RADIUS, stopping once the tail bound is below SERIES_TAIL.
 SERIES_RADIUS = 0.25
 SERIES_TAIL = 1e-17
+
+# solve_lyapunov_sym doubles until every ||U||_F^2 is below LYAP_TAIL, at
+# most LYAP_MAX_DOUBLINGS times (2^50 terms). ||M - I||_F^2 < 1 - margin
+# certifies a slice positive definite; the margin covers its rounding.
+LYAP_TAIL = 1e-17
+LYAP_MAX_DOUBLINGS = 50
+_PD_SCREEN_MARGIN = 1e-9
 
 # Pade [6/6] numerator coefficients, constant term first.
 _PADE6 = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
@@ -177,48 +186,81 @@ def skew_expm(omega, scale: float = 1.0) -> np.ndarray:
 def solve_lyapunov_sym(m, b) -> np.ndarray:
     """Solve M S + S M^T = B for symmetric S, with B symmetric.
 
-    Dense Kronecker vectorization: (I (x) M + M (x) I) vec(S) = vec(B) in
-    column-major stacking, solved directly. The cost is O(n^6), which is
-    acceptable at this package's matrix sizes and is an intended part of the
-    runtime comparison between map pairs.
+    ``m`` is one (n, n) matrix or an (N, n, n) stack whose slices are solved
+    against the same B; S has the shape of ``m``. With W = (M + I)^-1 the
+    equation is the Stein equation S - U S U^T = 2 W B W^T, U = I - 2W,
+    whose series is summed by squared Smith doubling (S <- S + U S U^T,
+    U <- U^2) until every ||U||_F^2 < ``LYAP_TAIL``: O(n^3) per slice and
+    doubling, in batched products (Smith, SIAM J. Appl. Math. 16, 1968).
 
-    The pre-condition that M + M^T be positive definite guarantees a unique
-    solution (every eigenvalue pair sum has positive real part); its failure
-    is reported as ``DomainError`` since it means the lifting's arguments sit
-    too far apart. The returned S is symmetrized and its residual is checked
-    against ``CHECK_RTOL * ||B||_F``.
+    M + M^T must be positive definite, which makes S unique and U a strict
+    contraction, so the doubling converges; ||M - I||_F < 1 certifies it,
+    and the other slices get the smallest eigenvalue. Its failure, reaching
+    ``LYAP_MAX_DOUBLINGS``, and a residual of the symmetrized S above
+    ``CHECK_RTOL * ||B||_F`` are ``DomainError``s: the lifting's arguments
+    sit too far apart. After B's symmetry, the first failing slice is
+    reported with its first failure in that order, as a loop over the
+    slices would; for a stack, ``sample_index`` names the slice.
     """
-    m = _require_square(_as_matrix(m, "solve_lyapunov_sym M"), "solve_lyapunov_sym M")
     b = _require_square(_as_matrix(b, "solve_lyapunov_sym B"), "solve_lyapunov_sym B")
-    n = m.shape[0]
-    if b.shape[0] != n:
-        raise ValidationError(f"M and B sizes differ: {m.shape} vs {b.shape}")
+    n = b.shape[0]
+    m = np.asarray(m, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
+        raise ValidationError(
+            f"M must be ({n}, {n}) or (N, {n}, {n}) to match B, got shape {m.shape}"
+        )
     bnrm = np.linalg.norm(b)
     if np.linalg.norm(b - b.T) > CHECK_RTOL * max(1.0, bnrm):
         raise ValidationError("right-hand side B must be symmetric")
-    sym_eigs = np.linalg.eigvalsh(m + m.T)
-    if sym_eigs[0] <= 0.0:
-        raise DomainError(
+    ms = m.reshape(-1, n, n)
+    eye = np.eye(n)
+    failures = []  # (slice, message); the smallest slice is raised
+
+    e = ms - eye
+    unsure = np.flatnonzero(~(np.einsum("kij,kij->k", e, e) < 1.0 - _PD_SCREEN_MARGIN))
+    lowest = np.linalg.eigvalsh(ms[unsure] + np.swapaxes(ms[unsure], 1, 2))[:, :1]
+    bad = np.flatnonzero(lowest <= 0.0)
+    solved = len(ms)
+    if bad.size:
+        solved = int(unsure[bad[0]])
+        failures.append((solved, (
             "M + M^T is not positive definite (smallest eigenvalue "
-            f"{sym_eigs[0]:.3e}); arguments too far apart for a unique solution"
-        )
-    # I (x) M + M (x) I assembled blockwise (same layout np.kron would give):
-    # the first term is the block diagonal, the second adds M[i, j] I blocks.
-    k4 = np.zeros((n, n, n, n))
-    idx = np.arange(n)
-    k4[idx, :, idx, :] = m
-    k4[:, idx, :, idx] += m
-    kron_op = k4.reshape(n * n, n * n)
-    vec_s = np.linalg.solve(kron_op, b.flatten(order="F"))
-    s = vec_s.reshape((n, n), order="F")
-    s = 0.5 * (s + s.T)
-    residual = np.linalg.norm(m @ s + s @ m.T - b)
-    if residual > CHECK_RTOL * max(bnrm, np.finfo(float).tiny):
-        raise DomainError(
-            f"Lyapunov solve residual {residual:.3e} exceeds "
+            f"{lowest[bad[0], 0]:.3e}); arguments too far apart for a unique solution"
+        )))
+    # every slice before the first non-positive-definite one is solved
+    ms = ms[:solved]
+    w = np.linalg.inv(ms + eye)
+    u = eye - 2.0 * w
+    s = 2.0 * (w @ b @ np.swapaxes(w, 1, 2))
+    for doubling in range(LYAP_MAX_DOUBLINGS + 1):
+        tail = np.einsum("kij,kij->k", u, u)
+        # a converged slice stops where its own call would: U = 0 adds
+        # nothing to S and cannot underflow
+        u[tail < LYAP_TAIL] = 0.0
+        stuck = np.flatnonzero(~(tail < LYAP_TAIL))
+        if not stuck.size or doubling == LYAP_MAX_DOUBLINGS:
+            break
+        s += u @ s @ np.swapaxes(u, 1, 2)
+        u = u @ u
+    if stuck.size:
+        failures.append((int(stuck[0]), (
+            f"Lyapunov doubling did not converge in {LYAP_MAX_DOUBLINGS} "
+            "doublings; arguments too far apart"
+        )))
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    r = ms @ s
+    r += np.swapaxes(r, 1, 2) - b
+    residual = np.sqrt(np.einsum("kij,kij->k", r, r))
+    over = np.flatnonzero(~(residual <= CHECK_RTOL * max(bnrm, np.finfo(float).tiny)))
+    if over.size:
+        failures.append((int(over[0]), (
+            f"Lyapunov solve residual {residual[over[0]]:.3e} exceeds "
             f"{CHECK_RTOL:.1e} * ||B||; arguments too far apart"
-        )
-    return s
+        )))
+    if failures:
+        k, message = min(failures, key=lambda f: f[0])
+        raise DomainError(message, sample_index=k if m.ndim == 3 else None)
+    return s.reshape(m.shape)
 
 
 def solve_ortho_retraction_eq(omega, g) -> np.ndarray:

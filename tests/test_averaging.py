@@ -29,8 +29,10 @@ from stiefelmean.maps import (
     DOMAIN_GUARD,
     MIXED_POLAR_ORTHO,
     ORTHO_ORTHO,
+    POLAR_POLAR,
     lift,
     orthographic_lifting,
+    polar_lifting,
 )
 
 
@@ -147,6 +149,53 @@ def test_domain_violation_reports_first_far_sample(pair):
     assert err.value.iteration == 0
     assert err.value.sample_index == 2
     assert "sample 2" in str(err.value)
+
+
+def _not_positive_definite_partner(x):
+    """A point Q with delta(X, Q) = 1.2, inside the guard, whose X^T Q has
+    an indefinite symmetric part: column 0 of X becomes -0.2 x_0 plus a unit
+    vector orthogonal to X, so (X^T Q)_00 = -0.2."""
+    y = np.linalg.qr(np.hstack([x.X, np.eye(x.dims.p)[:, :1]]))[0][:, -1]
+    q = x.X.copy()
+    q[:, 0] = -0.2 * x.X[:, 0] + math.sqrt(0.96) * y
+    return StiefelPoint(q)
+
+
+@pytest.mark.parametrize("order, k", [("pd-first", 2), ("guard-first", 1)])
+def test_polar_domain_error_matches_per_sample_loop(order, k):
+    # one sample fails the solver's positive-definiteness check, another
+    # the guard; the run names whichever comes first, as a loop would
+    x = generate_center(Dims(8, 3), 41)
+    bad, far = _not_positive_definite_partner(x), StiefelPoint(-x.X)
+    samples = (x, x, bad, x, far) if order == "pd-first" else (x, far, x, bad, x)
+    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, samples=samples)
+    initial = perturb_initial_guess(x, 0.01, 42)
+    for j, q in enumerate(samples):
+        try:
+            polar_lifting(initial, q)
+        except DomainError as exc:
+            expected = f"lifting failed at iteration 0, sample {j}: {exc}"
+            break
+    assert j == k
+    with pytest.raises(DomainError) as err:
+        fixed_point_mean(cloud, AveragingConfig(pair=POLAR_POLAR), initial)
+    assert (err.value.iteration, err.value.sample_index) == (0, k)
+    assert str(err.value) == expected
+    assert ("positive definite" in expected) == (order == "pd-first")
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_batched_polar_tangent_matches_per_sample_loop(weighted):
+    cloud = small_cloud(43, sigma=0.1, n_samples=30, p=40, n=6)
+    x = perturb_initial_guess(cloud.samples[0], 0.05, 44)
+    rng = np.random.default_rng(45)
+    w = rng.uniform(0.2, 3.0, len(cloud)) if weighted else np.ones(len(cloud))
+    loop = np.zeros_like(x.X)
+    for wk, q in zip(w, cloud.samples):
+        loop += wk * polar_lifting(x, q).V
+    loop /= len(cloud)
+    batched = _combined_tangent(POLAR_POLAR, cloud, w)(x, 0).V
+    assert np.linalg.norm(batched - loop) < 1e-13
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -443,6 +492,12 @@ def test_weight_validation():
         fixed_point_mean(cloud, AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0]), initial)
     with pytest.raises(ValidationError):
         fixed_point_mean(cloud, AveragingConfig(weights=[1.0, 1.0]), initial)
+    # weights that are not reals, or a callable, are named
+    for bad in (["a", "b", "c", "d"], lambda k: 1.0):
+        with pytest.raises(ValidationError) as err:
+            fixed_point_mean(cloud, AveragingConfig(weights=bad), initial)
+        assert str(err.value).startswith("weights must be a sequence of reals, got ")
+        assert ("'a'" if isinstance(bad, list) else "<function") in str(err.value)
     # the first weight that is not finite and positive is named
     for bad in (math.inf, -math.inf, math.nan, 0.0):
         config = AveragingConfig(weights=[1.0, 1.0, bad, bad])

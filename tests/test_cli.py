@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from stiefelmean.cli import main
-from stiefelmean.fileio import read_sample_set
+from stiefelmean.fileio import read_matrix_blocks, read_sample_set
+from stiefelmean.manifold import TOL_ORTH, orthonormality_defect
 
 
 def run(*argv):
@@ -127,6 +129,31 @@ def test_validate_scaled_point_exits_2(sample_file, tmp_path, capsys):
     assert code == 2
     assert "INVALID" in captured.out
     assert "defect" in captured.out
+
+
+def test_validate_prints_each_blocks_own_defect(sample_file, tmp_path, capsys):
+    # the batched defects print exactly what orthonormality_defect gives
+    # for each block, rounding bits included
+    header, blocks = read_matrix_blocks(sample_file)
+    blocks[3] = blocks[3] + 1e-12 * np.arange(80.0).reshape(20, 4)
+    blocks[7] = 1.5 * blocks[7]
+    bad = tmp_path / "bad.txt"
+    lines = ["20 4 10 0.2 7 C"]
+    for block in blocks:
+        lines.extend(" ".join(f"{v:.17e}" for v in row) for row in block)
+        lines.append("")
+    bad.write_text("\n".join(lines))
+    assert run("validate", bad) == 2
+    labels = ["center"] + [f"sample {k}" for k in range(10)]
+    expected = []
+    for label, block in zip(labels, read_matrix_blocks(bad)[1]):
+        d = orthonormality_defect(block)
+        verdict = "ok" if d < TOL_ORTH else "INVALID"
+        expected.append(f"{label}: orthonormality defect {d:.6e} [{verdict}]\n")
+    captured = capsys.readouterr()
+    assert captured.out == "".join(expected)
+    assert captured.out.count("INVALID") == 1
+    assert captured.err.startswith("validation failed: worst defect ")
 
 
 def test_validate_malformed_file_exits_1(tmp_path, capsys):

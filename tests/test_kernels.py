@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stiefelmean import kernels
 from stiefelmean.errors import DomainError, RankDeficientError, ValidationError
@@ -353,6 +355,79 @@ def test_lyapunov_rejects_non_pd_symmetric_part():
 def test_lyapunov_rejects_asymmetric_rhs():
     with pytest.raises(ValidationError):
         solve_lyapunov_sym(np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@st.composite
+def lyapunov_stacks(draw):
+    """(N, n, n) stacks of M = P + K with P symmetric positive definite and
+    K skew, the skew part scaled up to 5 so that ||M - I||_2 > 1 is common,
+    together with a symmetric right-hand side."""
+    n = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floor = draw(st.floats(0.05, 1.0))
+    skew_scale = draw(st.floats(0.0, 5.0))
+    ms = []
+    for _ in range(count):
+        a = rng.standard_normal((n, n))
+        k = random_skew(rng, n)
+        ms.append(a @ a.T / n + floor * np.eye(n) + skew_scale * k)
+    b = rng.standard_normal((n, n))
+    return np.array(ms), b + b.T
+
+
+@given(lyapunov_stacks())
+def test_batched_lyapunov_matches_slices_and_kron_oracle(case):
+    ms, b = case
+    batched = solve_lyapunov_sym(ms, b)
+    assert batched.shape == ms.shape
+    for m, s in zip(ms, batched):
+        assert np.array_equal(s, solve_lyapunov_sym(m, b))
+        oracle = lyapunov_kron_oracle(m, b)
+        assert np.linalg.norm(s - oracle) < 1e-11 * max(1.0, np.linalg.norm(oracle))
+
+
+def _stack_with(bad, n=2):
+    """Five well-posed 2 x 2 slices with ``bad`` (index -> matrix) swapped in."""
+    rng = np.random.default_rng(5)
+    ms = np.eye(n) + 0.1 * rng.standard_normal((5, n, n))
+    for k, m in bad.items():
+        ms[k] = m
+    return ms
+
+
+NOT_PD = np.diag([1.0, -1.0])
+# M + M^T = 2e-30 I is positive definite, but U = (M + I)^-1 (M - I) is a
+# rotation in floating point, so the doubling never converges
+STUCK = np.array([[1e-30, 1.0], [-1.0, 1e-30]])
+
+
+def test_batched_lyapunov_reports_the_first_bad_slice():
+    two = 2.0 * np.eye(2)
+    for bad, k, message in [
+        ({2: NOT_PD, 4: NOT_PD}, 2, "is not positive definite"),
+        ({1: STUCK, 3: STUCK}, 1, "did not converge in 50 doublings"),
+        ({1: STUCK, 3: NOT_PD}, 1, "did not converge"),
+        ({1: NOT_PD, 3: STUCK}, 1, "not positive definite"),
+    ]:
+        with pytest.raises(DomainError, match=message) as err:
+            solve_lyapunov_sym(_stack_with(bad), two)
+        assert err.value.sample_index == k
+    # a single matrix reports no slice
+    with pytest.raises(DomainError, match="did not converge") as err:
+        solve_lyapunov_sym(STUCK, two)
+    assert err.value.sample_index is None
+    # B is checked before any slice
+    with pytest.raises(ValidationError, match="B must be symmetric"):
+        solve_lyapunov_sym(_stack_with({1: NOT_PD, 3: STUCK}),
+                           np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_batched_lyapunov_shapes():
+    assert solve_lyapunov_sym(np.zeros((0, 3, 3)), np.eye(3)).shape == (0, 3, 3)
+    for m in (np.eye(3)[None, None], np.eye(2), np.ones(3)):
+        with pytest.raises(ValidationError, match="M must be"):
+            solve_lyapunov_sym(m, np.eye(3))
 
 
 # ------------------------------------------------- orthographic inner solve
