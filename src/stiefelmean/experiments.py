@@ -36,6 +36,7 @@ from .averaging import AveragingConfig, AveragingReport, fixed_point_mean
 from .errors import DomainError, StiefelMeanError, ValidationError
 from .manifold import (
     Dims,
+    _check_seed,
     derive_seed,
     discrepancy,
     generate_center,
@@ -71,6 +72,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown experiment kind '{self.kind}'")
+        _check_seed(self.seed)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.n_samples < 1:

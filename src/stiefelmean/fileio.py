@@ -72,6 +72,8 @@ def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
         raise FileFormatError(
             f"sigma must be finite and nonnegative, got '{tokens[3]}'", line=1
         )
+    if seed < 0:
+        raise FileFormatError(f"seed must be nonnegative, got '{tokens[4]}'", line=1)
     has_center = False
     if len(tokens) == 6:
         if tokens[5] != "C":

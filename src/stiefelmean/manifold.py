@@ -4,11 +4,15 @@ The compact Stiefel manifold St(p, n) is the set of p x n real matrices with
 orthonormal columns (X^T X = I_n). Its tangent space at X consists of the
 p x n matrices V with X^T V + V^T X = 0.
 
-Randomness contract: every sampling routine takes an integer seed and draws
-from ``numpy.random.default_rng(seed)``, i.e. a PCG64 generator with normal
-variates from ``Generator.standard_normal``. Given the same seed, outputs are
-bit-identical across runs; seeds are recorded in every artifact this package
-writes.
+Randomness contract: every sampling routine takes a nonnegative integer seed
+and draws from ``numpy.random.default_rng(seed)``, i.e. a PCG64 generator with
+normal variates from ``Generator.standard_normal``. Given the same seed,
+outputs are bit-identical across runs; seeds are recorded in every artifact
+this package writes. Rotations are applied by ``skew_expm_action``, a
+Taylor action of the exponential. It replaced a per-sample p x p Pade
+exponential, which changed sample bits once, at the rounding level: a seed's
+samples moved by less than 1e-13. Files written by either sampler still
+read and validate.
 """
 
 from __future__ import annotations
@@ -20,12 +24,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import skew_expm, skew_part, thin_qr_q_factor
+from .kernels import (
+    # unused since sampling applies skew_expm_action; perfbench/tracer.py
+    # rebinds manifold.skew_expm by name, so it stays bound
+    skew_expm,  # noqa: F401
+    skew_expm_action,
+    skew_part,
+    thin_qr_q_factor,
+)
 
 # Construction tolerances. Looser than the 1e-12 kernel accuracies on purpose:
 # they must absorb rounding accumulated over long fixed-point iterations.
 TOL_ORTH = 1e-9
 TOL_TAN = 1e-9
+
+# generate_samples draws its p x p generators in chunks of about this many
+# bytes, so its working memory stays bounded for any sample count.
+SAMPLE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -218,14 +233,40 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
     return float(np.linalg.norm(np.eye(x.dims.n) - x.X.T @ y.X))
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
+def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
+    """(count, p, n) stack of exp(scale * skew_part(A_k)) @ x, with the p x p
+    standard-normal A_k drawn from ``rng`` in order, in chunks of about
+    ``SAMPLE_CHUNK_BYTES`` (the same stream as one draw per sample)."""
+    p = x.shape[0]
+    chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
+    draws = np.empty((chunk, p, p))
+    omega = np.empty_like(draws)
+    out = np.empty((count,) + x.shape)
+    for start in range(0, count, chunk):
+        k = min(chunk, count - start)
+        a, w = draws[:k], omega[:k]
+        rng.standard_normal(out=a)
+        # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
+        np.subtract(np.swapaxes(a, 1, 2), a, out=w)
+        w *= 0.5 * scale
+        out[start:start + k] = skew_expm_action(w, x)
+    return out
+
+
 def generate_center(dims: Dims, seed: int) -> StiefelPoint:
     """Random point on St(p, n): the Q-factor of a thin QR decomposition of a
     p x n matrix with independent standard-normal entries.
 
-    Deterministic for a fixed seed. Rank deficiency has probability zero;
-    if it does occur numerically the draw is retried once, then the error
-    propagates.
+    Deterministic for a fixed seed, which must be a nonnegative integer.
+    Rank deficiency has probability zero; if it does occur numerically the
+    draw is retried once, then the error propagates.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     for attempt in range(2):
         a = rng.standard_normal((dims.p, dims.n))
@@ -245,35 +286,36 @@ def generate_samples(
     Sample k is ``exp(sigma * skew_part(A_k)) @ C`` where each A_k is an
     independent p x p standard-normal draw; ``sigma`` scales the spread.
     Draws are consumed in sample order from a fresh ``default_rng(seed)``,
-    so the set is bit-identical across runs for a fixed seed.
+    so the set is bit-identical across runs for a fixed seed. They are made
+    in chunks of about ``SAMPLE_CHUNK_BYTES``, and ``skew_expm_action``
+    applies each chunk's rotations to C without forming a p x p exponential,
+    so memory stays bounded in ``n_samples`` and the first k samples are
+    those of the k-sample set. Samples agree with ``skew_expm(...) @ C`` to
+    rounding, and are those bits where a rotation is large enough for the
+    action to fall back to ``skew_expm``.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
-    if n_samples < 1:
-        raise ValidationError(f"need at least one sample, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    p = center.dims.p
-    samples = []
-    for _ in range(n_samples):
-        a = rng.standard_normal((p, p))
-        rotation = skew_expm(skew_part(a), sigma)
-        samples.append(rotation @ center.X)
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValidationError(f"need an integer number of samples >= 1, got {n_samples!r}")
+    _check_seed(seed)
+    stack = _rotate(center.X, sigma, int(n_samples), np.random.default_rng(seed))
     return SampleSet(
         dims=center.dims, center=center, sigma=float(sigma), seed=int(seed),
-        samples=samples,
+        samples=stack,
     )
 
 
 def perturb_initial_guess(x1: StiefelPoint, epsilon: float, seed: int) -> StiefelPoint:
     """Slightly rotate ``x1`` by exp(epsilon * skew_part(A)) with A a fresh
-    standard-normal p x p draw. Used to produce the starting point of the
-    fixed-point iteration from the first sample."""
+    standard-normal p x p draw, applied as ``generate_samples`` applies its
+    rotations. Used to produce the starting point of the fixed-point
+    iteration from the first sample."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((x1.dims.p, x1.dims.p))
-    rotation = skew_expm(skew_part(a), epsilon)
-    return StiefelPoint(rotation @ x1.X, dims=x1.dims)
+    _check_seed(seed)
+    rotated = _rotate(x1.X, epsilon, 1, np.random.default_rng(seed))
+    return StiefelPoint(rotated[0], dims=x1.dims)
 
 
 def derive_seed(base_seed: int, *path: int) -> int:
@@ -281,7 +323,11 @@ def derive_seed(base_seed: int, *path: int) -> int:
 
     Uses ``numpy.random.SeedSequence(base_seed, spawn_key=path)`` so distinct
     paths give statistically independent streams while remaining reproducible
-    from the base seed alone.
+    from the base seed alone. The seed and the path entries must be
+    nonnegative integers.
     """
+    _check_seed(base_seed)
+    for i in path:
+        _check_seed(i, "seed path entry")
     ss = np.random.SeedSequence(base_seed, spawn_key=tuple(int(i) for i in path))
     return int(ss.generate_state(1, np.uint64)[0])

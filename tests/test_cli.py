@@ -24,11 +24,13 @@ def sample_file(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, stiefelmean.cli; print('scipy.stats' in sys.modules)"
+    # no scipy module at all: the CLI's fixed cost stays free of it
+    code = ("import sys, stiefelmean.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_gen_writes_valid_file(sample_file):
@@ -177,6 +179,30 @@ def test_non_finite_spread_exits_2_with_one_line(sample_file, tmp_path, capsys, 
     assert code == 2
     assert err.count("\n") == 1
     assert err.startswith("numerical validation error:") and value in err
+
+
+@pytest.mark.parametrize("case", ["gen", "header", "init-seed", "exp"])
+def test_negative_seed_prints_one_line(sample_file, tmp_path, capsys, case):
+    if case == "gen":
+        code = run("gen", "--p", 4, "--n", 2, "--N", 3, "--sigma", 0.1,
+                   "--seed", -1, "--out", tmp_path / "x.txt")
+    elif case == "header":
+        text = sample_file.read_text().split("\n", 1)
+        bad = tmp_path / "negative_seed.txt"
+        bad.write_text(text[0].replace(" 7 C", " -5 C") + "\n" + text[1])
+        code = run("mean", "--in", bad)
+    elif case == "init-seed":
+        code = run("mean", "--in", sample_file, "--init-seed", -3)
+    else:
+        code = run("exp", "--kind", "convergence", "--seed", -2, "--outdir", tmp_path)
+    err = capsys.readouterr().err
+    expected = {
+        "gen": (2, "numerical validation error: seed must be a nonnegative integer, got -1\n"),
+        "header": (1, "file format error: line 1: seed must be nonnegative, got '-5'\n"),
+        "init-seed": (2, "numerical validation error: seed must be a nonnegative integer, got -3\n"),
+        "exp": (2, "numerical validation error: seed must be a nonnegative integer, got -2\n"),
+    }[case]
+    assert (code, err) == expected
 
 
 def test_validate_non_finite_header_sigma_exits_1(tmp_path, capsys):

@@ -53,6 +53,9 @@ def test_spec_validation():
         default_spec("convergence", seed=1, sigma=float("nan"))
     with pytest.raises(ValidationError, match="pairs must be MapPair members"):
         default_spec("convergence", seed=1, pairs=("polar", "mixed"))
+    for seed in (-2, 1.5, None):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            default_spec("convergence", seed=seed)
 
 
 def test_csv_filename():

@@ -129,6 +129,13 @@ def test_bad_header_sigma_reported_at_line_1(tmp_path, token):
     assert f"got '{token}'" in str(err.value)
 
 
+def test_negative_header_seed_reported_at_line_1(tmp_path):
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, "1 1 1 0.1 -5\n1.0\n"))
+    assert err.value.line == 1
+    assert "seed must be nonnegative, got '-5'" in str(err.value)
+
+
 def test_invalid_dims_in_header(tmp_path):
     with pytest.raises(FileFormatError):
         read_matrix_blocks(_write(tmp_path, "2 3 1 0.0 7\n1.0 0.0 0.0\n0.0 1.0 0.0\n"))

@@ -10,6 +10,7 @@ from stiefelmean import kernels
 from stiefelmean.errors import DomainError, RankDeficientError, ValidationError
 from stiefelmean.kernels import (
     skew_expm,
+    skew_expm_action,
     skew_part,
     solve_lyapunov_sym,
     solve_ortho_retraction_eq,
@@ -296,6 +297,88 @@ def test_skew_expm_inverse_by_negation():
 def test_skew_expm_rejects_non_skew():
     with pytest.raises(ValidationError):
         skew_expm(np.eye(3))
+
+
+# ---------------------------------------------------------------- skew_expm_action
+
+def scaled_skew(rng, p, bound):
+    """Random skew p x p matrix whose 2-norm bound ||W||_F / sqrt(2) is ``bound``."""
+    w = random_skew(rng, p)
+    nrm = np.linalg.norm(w)
+    return w * (bound * math.sqrt(2.0) / nrm) if nrm > 0.0 else w
+
+
+@st.composite
+def action_cases(draw):
+    """A frame X on St(p, n), 1 <= n <= p <= 30, and 1-4 skew generators
+    whose 2-norm bounds run from 0 to past ACTION_RADIUS, the large-spread
+    path."""
+    p = draw(st.integers(1, 30))
+    n = draw(st.integers(1, p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bounds = draw(st.lists(st.floats(0.0, 1.5 * kernels.ACTION_RADIUS),
+                           min_size=1, max_size=4))
+    x = thin_qr_q_factor(rng.standard_normal((p, n)))
+    return np.array([scaled_skew(rng, p, b) for b in bounds]), x
+
+
+def check_action(omega, x, out):
+    n = x.shape[1]
+    assert out.shape == (len(omega),) + x.shape
+    for w, y in zip(omega, out):
+        assert np.linalg.norm(y - skew_expm(w) @ x) < 1e-13
+        assert np.linalg.norm(y.T @ y - np.eye(n)) < 1e-13
+        # a slice's bits do not depend on the slices beside it
+        assert np.array_equal(y, skew_expm_action(w[None], x)[0])
+
+
+@given(action_cases())
+def test_skew_expm_action_matches_the_pade_oracle(case):
+    omega, x = case
+    check_action(omega, x, skew_expm_action(omega, x))
+
+
+def test_skew_expm_action_matches_the_pade_oracle_on_st_200_10():
+    rng = np.random.default_rng(12)
+    x = thin_qr_q_factor(rng.standard_normal((200, 10)))
+    # sigma * skew_part(A) with sigma 0, 0.01 (the tall benchmark cloud),
+    # 0.05 and 0.1, whose bound of about 10 takes the large-spread path
+    omega = np.array([sigma * skew_part(rng.standard_normal((200, 200)))
+                      for sigma in (0.0, 0.01, 0.05, 0.1)])
+    out = skew_expm_action(omega, x)
+    check_action(omega, x, out)
+    assert np.array_equal(out[0], x)
+
+
+def test_skew_expm_action_sends_only_large_spreads_to_skew_expm():
+    # the Pade path gives skew_expm's bits; the Taylor path differs from
+    # them at the rounding level
+    rng = np.random.default_rng(13)
+    x = thin_qr_q_factor(rng.standard_normal((12, 3)))
+    radius = kernels.ACTION_RADIUS
+    omega = np.array([scaled_skew(rng, 12, f * radius) for f in (0.5, 0.99, 1.01, 3.0)])
+    out = skew_expm_action(omega, x)
+    for k, pade in enumerate(skew_expm(w) @ x for w in omega):
+        assert np.array_equal(out[k], pade) == (k >= 2)
+        assert np.linalg.norm(out[k] - pade) < 1e-13
+
+
+def test_skew_expm_action_rejects_bad_input():
+    x = np.eye(3)[:, :2]
+    for omega in (np.zeros((3, 3)), np.zeros((2, 4, 4)), np.zeros((1, 1, 3, 3))):
+        with pytest.raises(ValidationError, match=r"Omega must be an \(N, 3, 3\) stack"):
+            skew_expm_action(omega, x)
+    with pytest.raises(ValidationError, match="slice 1 is not skew-symmetric") as err:
+        skew_expm_action(np.array([np.zeros((3, 3)), np.eye(3), np.eye(3)]), x)
+    assert err.value.defect == pytest.approx(2.0 * math.sqrt(3.0))
+    for bad in (math.nan, math.inf):
+        omega = np.zeros((2, 3, 3))
+        omega[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            skew_expm_action(omega, x)
+        with pytest.raises(ValidationError, match="must be finite"):
+            skew_expm_action(np.zeros((1, 3, 3)), np.full((3, 2), bad))
+    assert skew_expm_action(np.zeros((0, 3, 3)), x).shape == (0, 3, 2)
 
 
 # ---------------------------------------------------------------- Lyapunov

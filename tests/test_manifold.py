@@ -283,10 +283,55 @@ def test_generate_samples_rejects_bad_args():
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             generate_samples(c, sigma, 3, 0)
-    with pytest.raises(ValidationError):
-        generate_samples(c, 0.1, 0, 0)
+    for count in (0, 3.0, "3", None):
+        with pytest.raises(ValidationError, match="integer number of samples"):
+            generate_samples(c, 0.1, count, 0)
     with pytest.raises(ValidationError):
         SampleSet(dims=c.dims, center=c, sigma=float("nan"), seed=0, samples=(c,))
+
+
+def per_sample_pade_stack(center, sigma, count, seed):
+    """The sampling rule one draw at a time, through the p x p exponential."""
+    rng = np.random.default_rng(seed)
+    p = center.dims.p
+    return np.array([skew_expm(skew_part(rng.standard_normal((p, p))), sigma) @ center.X
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("p, n, sigma, count", [
+    (200, 10, 0.01, 7), (40, 4, 0.05, 90), (20, 4, 0.2, 30), (5, 5, 0.3, 12),
+    (200, 10, 0.1, 4), (1, 1, 0.5, 3),
+])
+def test_generate_samples_matches_the_per_sample_pade_rule(p, n, sigma, count):
+    center = generate_center(Dims(p, n), 31)
+    cloud = generate_samples(center, sigma, count, 32)
+    oracle = per_sample_pade_stack(center, sigma, count, 32)
+    assert np.linalg.norm(cloud.stack - oracle, axis=(1, 2)).max() < 1e-13
+
+
+def test_large_spread_samples_keep_the_pade_bits():
+    # every generator's 2-norm bound is far past ACTION_RADIUS, so each
+    # sample is the per-sample Pade rule's, bit for bit
+    center = generate_center(Dims(6, 2), 33)
+    cloud = generate_samples(center, 20.0, 9, 34)
+    assert np.array_equal(cloud.stack, per_sample_pade_stack(center, 20.0, 9, 34))
+
+
+@pytest.mark.parametrize("p, n, chunk", [
+    (1, 1, 3), (40, 4, 3), (200, 10, 3), (40, 4, None), (200, 10, None),
+])
+def test_generate_samples_prefix_is_the_smaller_cloud(monkeypatch, p, n, chunk):
+    """The first k samples of a cloud are the k-sample cloud, for k on both
+    sides of a chunk boundary; ``chunk`` None keeps the module's chunk size."""
+    if chunk is None:
+        chunk = manifold.SAMPLE_CHUNK_BYTES // (8 * p * p)
+    else:
+        monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", chunk * 8 * p * p)
+    center = generate_center(Dims(p, n), 35)
+    full = generate_samples(center, 0.05, 2 * chunk + 1, 36)
+    for k in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+        head = generate_samples(center, 0.05, k, 36)
+        assert np.array_equal(head.stack, full.stack[:k])
 
 
 # ---------------------------------------------------------------- perturb
@@ -312,12 +357,39 @@ def test_perturb_rejects_nonpositive_epsilon():
             perturb_initial_guess(x1, epsilon, 0)
 
 
+def test_perturb_applies_the_sampling_rotation():
+    x1 = random_point(20, 4, 26)
+    out = perturb_initial_guess(x1, 0.01, 27)
+    a = np.random.default_rng(27).standard_normal((20, 20))
+    assert np.linalg.norm(out.X - skew_expm(skew_part(a), 0.01) @ x1.X) < 1e-13
+    cloud = generate_samples(x1, 0.01, 1, 27)
+    assert np.array_equal(out.X, cloud.stack[0])
+
+
 # ---------------------------------------------------------------- seeds
 
 def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(42, 0, 1) == derive_seed(42, 0, 1)
     assert derive_seed(42, 0, 1) != derive_seed(42, 1, 0)
     assert derive_seed(42) != derive_seed(43)
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 1.0, "7", None])
+def test_seeds_must_be_nonnegative_integers(seed):
+    dims = Dims(6, 2)
+    center = generate_center(dims, 1)
+    calls = [
+        lambda: generate_center(dims, seed),
+        lambda: generate_samples(center, 0.1, 3, seed),
+        lambda: perturb_initial_guess(center, 0.01, seed),
+        lambda: derive_seed(seed, 0),
+        lambda: derive_seed(1, 0, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+            call()
+    # NumPy integers are seeds too
+    assert np.array_equal(generate_center(dims, np.uint64(1)).X, center.X)
 
 
 # ---------------------------------------------------------------- tangent
