@@ -14,13 +14,37 @@ sum(w)/N, which destabilizes the iteration (and can push the step outside the
 retraction's domain); callers who want strong emphasis on a sample should
 renormalize weights to sum approximately N.
 
-Lifting failures abort the run with the iteration and sample index attached;
+Where validation happens: ``fixed_point_mean`` checks its inputs at entry
+(the initial point is a ``StiefelPoint``, the cloud a validated
+``SampleSet``, the weights are checked once). In between, one loop serves
+all three pairs on plain (p, n) arrays, through the unchecked array cores of
+the maps and kernels that the public maps also call. Each retracted iterate's
+Gram matrix is formed once; its orthonormality defect e is both the check
+``StiefelPoint`` would make (the same ``ValidationError``) and an input of
+the locality certificate. Only the final point is wrapped as a
+``StiefelPoint``.
+
+Locality: every lifting must see each sample closer than ``DOMAIN_GUARD``.
+The polar pair forms every X^T Q_k anyway and checks them exactly. The
+orthographic-lifting pairs lift only the ambient mean, so their guard
+screens the whole cloud once, at the initial guess X_a, and keeps a bound
+r_a on max_k ||X_a - Q_k||_F. At a later iterate X, with defect e,
+
+    delta(X, Q_k) <= sqrt(1 + e) (r_a + ||X - X_a||_F) + e,
+
+so one p x n difference clears every sample when that bound is below the
+guard by the screen's margin; otherwise the cloud is screened again at X,
+which becomes the anchor. The final residual uses the same certificate.
+
+Lifting failures abort the run with the iteration and sample index attached
+(the first failing sample, with the message a per-sample loop would give);
 running past ``max_iters`` is not an error and is reported through
 ``converged=False`` with the full trace.
 """
 
 from __future__ import annotations
 
+import math
 import reprlib
 import time
 from dataclasses import dataclass, field
@@ -30,15 +54,17 @@ import numpy as np
 
 from . import maps
 from .errors import DomainError, ValidationError
-from .manifold import SampleSet, StiefelPoint, TangentVector, discrepancy
-# ``lift`` is not called here; perfbench/tracer.py rebinds
-# averaging.lift by name, so it stays bound
+from .kernels import _frobenius
+from .manifold import SampleSet, StiefelPoint, _checked_defect, _gap_to_identity
+# ``lift`` and ``retract`` are not called here; perfbench/tracer.py rebinds
+# averaging.lift and averaging.retract by name, so they stay bound
 from .maps import DOMAIN_GUARD, MapPair, lift, retract  # noqa: F401
 
 # The locality screen clears a sample only when its bound on the discrepancy
 # is below DOMAIN_GUARD by this much. The margin covers the rounding of the
-# iterate's defect e and of the scalar steps of the test, so a cleared sample
-# is also below the guard as the exact check computes it.
+# iterate's defect e and of the scalar steps of the screen and of the
+# certificate, so a cleared sample is also below the guard as the exact
+# check computes it.
 _SCREEN_MARGIN = 1e-9
 
 
@@ -127,13 +153,19 @@ def _resolve_weights(weights: Optional[Sequence[float]], n_samples: int) -> np.n
 
 def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(1/N) sum_k w_k Q_k, accumulated in sample order."""
-    # one (p, n) row at a time: a single reduction over the stack would need
-    # an (N, p, n) temporary and sums pairwise, not in sample order
-    acc = np.zeros(stack.shape[1:])
-    for wk, q in zip(w, stack):
-        acc += wk * q
+    rows = stack.reshape(len(stack), -1)
+    if rows.shape[1] == 1:
+        # NumPy sums a single contiguous column pairwise, not in sample order
+        acc = np.zeros(1)
+        for wk, q in zip(w, rows):
+            acc += wk * q
+    else:
+        # an axis-0 reduction from 0.0 adds one row at a time, in order, the
+        # same bits as the loop above; unit weights need no (N, p n) product
+        terms = rows if np.all(w == 1.0) else w[:, None] * rows
+        acc = np.add.reduce(terms, axis=0, initial=0.0)
     acc /= len(w)
-    return acc
+    return acc.reshape(stack.shape[1:])
 
 
 def _too_far(iteration: Optional[int], k: int, what: str, d: float) -> DomainError:
@@ -147,9 +179,10 @@ def _too_far(iteration: Optional[int], k: int, what: str, d: float) -> DomainErr
 
 def _check_locality(
     x: np.ndarray, stack: np.ndarray, sq_norms: np.ndarray, iteration: Optional[int]
-) -> None:
+) -> float:
     """Raise ``DomainError`` for the first sample of ``stack`` at or beyond
     ``DOMAIN_GUARD`` from ``x``; ``sq_norms`` holds every ||Q_k||_F^2.
+    Otherwise return r, an upper bound on max_k ||X - Q_k||_F.
 
     Since I - X^T Q = X^T (X - Q) + (I - X^T X),
 
@@ -175,11 +208,12 @@ def _check_locality(
     rounding = (xv.size + 2) * np.finfo(float).eps
     d2 = sq_norms - 2.0 * (stack.reshape(len(stack), -1) @ xv)
     d2 += xx + rounding * (xx + float(sq_norms.max()))
+    radius = math.sqrt(max(float(d2.max()), 0.0))
     # bound < DOMAIN_GUARD - margin, squared; a NaN is not cleared
     limit = max(DOMAIN_GUARD - _SCREEN_MARGIN - e, 0.0)
     near = np.flatnonzero(~(d2 < limit * limit / (1.0 + e)))
     if not near.size:
-        return
+        return radius
     m = x.T @ stack[near]
     m -= np.eye(n)
     d = np.sqrt(np.einsum("kij,kij->k", m, m))
@@ -187,15 +221,42 @@ def _check_locality(
     if far.size:
         j = far[0]
         raise _too_far(iteration, int(near[j]), "orthographic lifting", d[j])
+    return radius
 
 
-def _combined_tangent(pair: MapPair, samples: SampleSet, weights: np.ndarray):
-    """Set up, once per run, the combined tangent ``(point, iteration) ->
-    (1/N) sum_k w_k lift(point, X_k)``.
+def _locality_certificate(stack: np.ndarray):
+    """``check(x, e, iteration)``: raise what ``_check_locality`` at X would,
+    for an iterate X of defect e (``None`` when unknown), screening the cloud
+    only where the certificate of the last anchor (see the module docstring)
+    does not clear every sample."""
+    rows = stack.reshape(len(stack), -1)
+    sq_norms = np.einsum("ki,ki->k", rows, rows)
+    # the computed ||X - X_a||_F^2 times 1 + rounding bounds the exact one:
+    # a difference and a dot product of length p n, as in _check_locality
+    rounding = (rows.shape[1] + 2) * np.finfo(float).eps
+    anchor = radius = None
+
+    def check(x: np.ndarray, e: Optional[float], iteration: Optional[int]) -> None:
+        nonlocal anchor, radius
+        if anchor is not None and e is not None:
+            gap = (x - anchor).ravel()
+            moved = math.sqrt(gap.dot(gap) * (1.0 + rounding))
+            if (radius + moved) * math.sqrt(1.0 + e) + e < DOMAIN_GUARD - _SCREEN_MARGIN:
+                return
+        radius = _check_locality(x, stack, sq_norms, iteration)
+        anchor = x
+    return check
+
+
+def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
+    """Set up, once per run, the combined tangent ``(x, e, iteration) ->
+    (1/N) sum_k w_k lift(X, Q_k)`` on arrays, for an iterate X of
+    orthonormality defect e (``None`` when unknown).
 
     The orthographic lifting Q - X sym(X^T Q) is linear in Q, so for the
     orthographic-lifting pairs this is the lifting of the weighted ambient
-    mean Q_w = (1/N) sum_k w_k Q_k, which is computed here once.
+    mean Q_w = (1/N) sum_k w_k Q_k, which is computed here once; the
+    locality certificate guards the samples.
 
     The polar lifting of Q_k is Q_k S_k - X with (X^T Q_k) S_k +
     S_k (Q_k^T X) = 2I. Each iteration guards all X^T Q_k at once, solves
@@ -203,17 +264,15 @@ def _combined_tangent(pair: MapPair, samples: SampleSet, weights: np.ndarray):
     / N; an error names the first failing sample, as a loop over
     ``polar_lifting`` would.
     """
-    stack = samples.stack
     n_samples, _, n = stack.shape
     if pair is MapPair.POLAR:
         eye = np.eye(n)
         weight_sum = weights.sum()
 
-        def tangent(point, iteration):
-            x = point.X
+        def tangent(x, e, iteration):
             m = x.T @ stack
-            e = m - eye
-            d = np.sqrt(np.einsum("kij,kij->k", e, e))
+            gap = m - eye
+            d = np.sqrt(np.einsum("kij,kij->k", gap, gap))
             far = np.flatnonzero(d >= DOMAIN_GUARD)
             first_far = int(far[0]) if far.size else n_samples
             try:
@@ -233,18 +292,15 @@ def _combined_tangent(pair: MapPair, samples: SampleSet, weights: np.ndarray):
             acc = (weights @ (stack @ s).reshape(n_samples, -1)).reshape(x.shape)
             acc -= weight_sum * x
             acc /= n_samples
-            # a convex-style combination of tangents at one anchor stays tangent
-            return TangentVector._unchecked(point, acc)
+            return acc
         return tangent
 
     qbar = _ambient_mean(stack, weights)
-    rows = stack.reshape(n_samples, -1)
-    sq_norms = np.einsum("ki,ki->k", rows, rows)
+    check_locality = _locality_certificate(stack)
 
-    def tangent(point, iteration):
-        _check_locality(point.X, stack, sq_norms, iteration)
-        xtq = point.X.T @ qbar
-        return TangentVector._unchecked(point, qbar - point.X @ (0.5 * (xtq + xtq.T)))
+    def tangent(x, e, iteration):
+        check_locality(x, e, iteration)
+        return maps._ortho_lift(x, qbar, x.T @ qbar)
     return tangent
 
 
@@ -255,41 +311,49 @@ def fixed_point_mean(
 
     Iterates from ``initial`` until the step discrepancy falls below
     ``config.conv_tol`` or ``config.max_iters`` is exhausted. Every iterate
-    is a validated Stiefel point. When ``config.weights`` is set, the
-    combined tangent is (1/N) sum_k w_k lift(X, X_k) with the weights used
-    exactly as supplied; with all weights equal to one the trajectory
-    matches the unweighted run bit for bit.
+    is checked as a ``StiefelPoint`` would be. When ``config.weights`` is
+    set, the combined tangent is (1/N) sum_k w_k lift(X, X_k) with the
+    weights used exactly as supplied; with all weights equal to one the
+    trajectory matches the unweighted run bit for bit.
     """
     if (initial.dims.p, initial.dims.n) != (samples.dims.p, samples.dims.n):
         raise ValidationError(
             f"initial guess dims {initial.dims} do not match samples {samples.dims}"
         )
     weights = _resolve_weights(config.weights, len(samples))
-    tangent = _combined_tangent(config.pair, samples, weights)
-    center = samples.center
-    deltas = None if center is None else [discrepancy(initial, center)]
+    tangent = _combined_tangent(config.pair, samples.stack, weights)
+    if config.pair is MapPair.ORTHO:
+        step_along = maps._ortho_retract
+    else:
+        eye = np.eye(samples.dims.n)
+
+        def step_along(x, v):
+            return maps._polar_retract(x, v, eye)
+    center = None if samples.center is None else samples.center.X
+    x, e = initial.X, None
+    deltas = None if center is None else [_gap_to_identity(x, center)]
     steps: list = []
     times: list = []
-    x = initial
     converged = False
     t0 = time.perf_counter_ns()
     for i in range(config.max_iters):
-        vbar = tangent(x, i)
-        x_next = retract(config.pair, x, vbar)
-        step = discrepancy(x_next, x)
+        x_next = step_along(x, tangent(x, e, i))
+        e = _checked_defect(x_next)
+        step = _gap_to_identity(x_next, x)
         steps.append(step)
         times.append(time.perf_counter_ns() - t0)
-        if center is not None:
-            deltas.append(discrepancy(x_next, center))
+        if deltas is not None:
+            deltas.append(_gap_to_identity(x_next, center))
         x = x_next
         if step < config.conv_tol:
             converged = True
             break
     wall = (time.perf_counter_ns() - t0) / 1e9
 
-    residual = tangent(x, None).norm()
+    residual = _frobenius(tangent(x, e, None))
     return AveragingReport(
-        final_point=x,
+        # every iterate passed _checked_defect
+        final_point=StiefelPoint._unchecked(x, samples.dims),
         iterations_used=len(steps),
         converged=converged,
         step_sizes=steps,
@@ -298,4 +362,3 @@ def fixed_point_mean(
         wall_time=wall,
         residual_field_norm=residual,
     )
-

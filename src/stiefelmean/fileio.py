@@ -53,6 +53,12 @@ def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
     the raw matrix blocks (center first when present). Format problems raise
     ``FileFormatError`` with the offending line (and column for bad values).
     """
+    header, blocks = _read_stack(path)
+    return header, list(blocks)
+
+
+def _read_stack(path) -> Tuple[dict, np.ndarray]:
+    # read_matrix_blocks with the blocks as one (blocks, p, n) array
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
@@ -125,7 +131,7 @@ def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
         "p": p, "n": n, "count": count, "sigma": sigma, "seed": seed,
         "has_center": has_center,
     }
-    return header, list(values.reshape(expected, p, n))
+    return header, values.reshape(expected, p, n)
 
 
 def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
@@ -154,7 +160,7 @@ def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
 def read_sample_set(path) -> SampleSet:
     """Read and validate a sample set; every block must satisfy the Stiefel
     orthonormality invariant (a ``ValidationError`` names the first that does not)."""
-    header, blocks = read_matrix_blocks(path)
+    header, blocks = _read_stack(path)
     dims = Dims(header["p"], header["n"])
     center = None
     if header["has_center"]:

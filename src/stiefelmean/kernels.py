@@ -134,17 +134,42 @@ def spd_inv_sqrt(s) -> np.ndarray:
         raise ValidationError(
             f"matrix is not symmetric: asymmetry {asym:.3e}", defect=asym
         )
+    return _spd_inv_sqrt(s, np.eye(s.shape[0]))
+
+
+def _series_coefficients(radius: float) -> tuple:
+    # binom(-1/2, k) up to the first degree whose tail bound at ||G||_F =
+    # radius is below SERIES_TAIL; the bound grows with ||G||_F, so a
+    # smaller ||G||_F needs a prefix of these
+    coeffs = [1.0]
+    while radius ** len(coeffs) / (1.0 - radius) >= SERIES_TAIL:
+        k = len(coeffs)
+        coeffs.append(coeffs[-1] * -(2 * k - 1) / (2 * k))
+    return tuple(coeffs)
+
+
+_SERIES_COEFFS = _series_coefficients(SERIES_RADIUS)
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F as ``np.linalg.norm(a)`` computes it, the same dot product of
+    the same elements, without its argument handling."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _spd_inv_sqrt(s: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    # spd_inv_sqrt for an s symmetric to rounding, with eye = I of its size
     s = 0.5 * (s + s.T)
-    eye = np.eye(s.shape[0])
     g = s - eye
-    gnrm = float(np.linalg.norm(g))
+    gnrm = _frobenius(g)
     if gnrm <= SERIES_RADIUS and 1.0 - gnrm > EPS_SPD:
-        # coefficients binom(-1/2, k) up to the first degree whose tail
-        # bound is below SERIES_TAIL, then Horner's rule in G
-        coeffs = [1.0]
-        while gnrm ** len(coeffs) / (1.0 - gnrm) >= SERIES_TAIL:
-            k = len(coeffs)
-            coeffs.append(coeffs[-1] * -(2 * k - 1) / (2 * k))
+        # the coefficients up to the first degree whose tail bound is below
+        # SERIES_TAIL, then Horner's rule in G
+        degree = 1
+        while gnrm ** degree / (1.0 - gnrm) >= SERIES_TAIL:
+            degree += 1
+        coeffs = _SERIES_COEFFS[:degree]
         r = coeffs[-1] * eye
         for c in coeffs[-2::-1]:
             r = r @ g
@@ -310,15 +335,16 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
 
     e = ms - eye
     unsure = np.flatnonzero(~(np.einsum("kij,kij->k", e, e) < 1.0 - _PD_SCREEN_MARGIN))
-    lowest = np.linalg.eigvalsh(ms[unsure] + np.swapaxes(ms[unsure], 1, 2))[:, :1]
-    bad = np.flatnonzero(lowest <= 0.0)
     solved = len(ms)
-    if bad.size:
-        solved = int(unsure[bad[0]])
-        failures.append((solved, (
-            "M + M^T is not positive definite (smallest eigenvalue "
-            f"{lowest[bad[0], 0]:.3e}); arguments too far apart for a unique solution"
-        )))
+    if unsure.size:
+        lowest = np.linalg.eigvalsh(ms[unsure] + np.swapaxes(ms[unsure], 1, 2))[:, 0]
+        bad = np.flatnonzero(lowest <= 0.0)
+        if bad.size:
+            solved = int(unsure[bad[0]])
+            failures.append((solved, (
+                "M + M^T is not positive definite (smallest eigenvalue "
+                f"{lowest[bad[0]]:.3e}); arguments too far apart for a unique solution"
+            )))
     # every slice before the first non-positive-definite one is solved
     ms = ms[:solved]
     w = np.linalg.inv(ms + eye)
@@ -381,12 +407,16 @@ def solve_ortho_retraction_eq(omega, g) -> np.ndarray:
         raise ValidationError("Omega must be skew-symmetric")
     if np.linalg.norm(g - g.T) > 1e-9 * max(1.0, np.linalg.norm(g)):
         raise ValidationError("G must be symmetric")
+    return _solve_ortho_retraction_eq(omega, g)
 
-    s = np.zeros((n, n))
+
+def _solve_ortho_retraction_eq(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # solve_ortho_retraction_eq for a skew omega and a symmetric g
+    s = np.zeros(omega.shape)
     first_res = None
     for _ in range(ORTHO_EQ_MAX_ITERS):
         rhs = s @ s + g + s @ omega - omega @ s
-        res = np.linalg.norm(2.0 * s + rhs)
+        res = _frobenius(2.0 * s + rhs)
         if res < ORTHO_EQ_TOL:
             return 0.5 * (s + s.T)
         if first_res is None:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import (
+    _frobenius,
     # unused since sampling applies skew_expm_action; perfbench/tracer.py
     # rebinds manifold.skew_expm by name, so it stays bound
     skew_expm,  # noqa: F401
@@ -60,7 +61,28 @@ class Dims:
 def orthonormality_defect(x: np.ndarray) -> float:
     """Frobenius norm of X^T X - I."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x.T @ x - np.eye(x.shape[1])))
+    return _gap_to_identity(x, x)
+
+
+def _gap_to_identity(x: np.ndarray, y: np.ndarray) -> float:
+    # ||X^T Y - I||_F, equal bit for bit to np.linalg.norm(np.eye(n) - X^T Y):
+    # the identity is subtracted in place and a sign does not change a square
+    m = x.T @ y
+    m.flat[:: m.shape[0] + 1] -= 1.0
+    return _frobenius(m)
+
+
+def _checked_defect(x: np.ndarray) -> float:
+    """Orthonormality defect of a p x n array that must be a Stiefel point;
+    raises the ``ValidationError`` ``StiefelPoint(x)`` would."""
+    defect = _gap_to_identity(x, x)
+    if not defect < TOL_ORTH:
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("entries must be finite")
+        raise ValidationError(
+            f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}", defect=defect
+        )
+    return defect
 
 
 def tangency_defect(x: np.ndarray, v: np.ndarray) -> float:
@@ -100,7 +122,8 @@ class StiefelPoint:
 
     @classmethod
     def _unchecked(cls, x: np.ndarray, dims: Dims) -> "StiefelPoint":
-        # Internal fast path for the rows of a SampleSet's validated stack.
+        # Internal fast path for the rows of a SampleSet's validated stack
+        # and for averaging iterates that passed _checked_defect.
         out = object.__new__(cls)
         object.__setattr__(out, "dims", dims)
         object.__setattr__(out, "X", x)
@@ -158,8 +181,9 @@ class TangentVector:
 class SampleSet:
     """An ordered collection of Stiefel points with its generation metadata.
 
-    ``samples`` (``StiefelPoint``s or p x n arrays) are copied once into
-    ``stack``, a read-only (N, p, n) array, and validated there in one batch;
+    ``samples`` (``StiefelPoint``s, p x n arrays, or one (N, p, n) array,
+    which is shape-checked and copied whole) are copied once into ``stack``,
+    a read-only C-ordered (N, p, n) array, and validated there in one batch;
     ``samples`` then holds ``StiefelPoint`` views of the rows of ``stack``.
 
     ``center`` is the point the samples were scattered around when known
@@ -180,13 +204,23 @@ class SampleSet:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
         p, n = self.dims.p, self.dims.n
-        blocks = [s.X if isinstance(s, StiefelPoint) else s for s in self.samples]
-        for k, b in enumerate(blocks):
-            if np.shape(b) != (p, n):
-                raise ValidationError(f"sample {k} has shape {np.shape(b)}, expected {(p, n)}")
+        blocks = self.samples
+        if isinstance(blocks, np.ndarray):
+            # one array of samples: every row has the shape of row 0
+            if blocks.shape[1:] != (p, n):
+                raise ValidationError(
+                    f"sample 0 has shape {blocks.shape[1:]}, expected {(p, n)}"
+                )
+        else:
+            blocks = [s.X if isinstance(s, StiefelPoint) else s for s in blocks]
+            for k, b in enumerate(blocks):
+                if np.shape(b) != (p, n):
+                    raise ValidationError(
+                        f"sample {k} has shape {np.shape(b)}, expected {(p, n)}"
+                    )
         if self.center is not None and self.center.dims != self.dims:
             raise ValidationError("center dims do not match the sample set dims")
-        stack = np.array(blocks, dtype=float)
+        stack = np.array(blocks, dtype=float, order="C")
         gram = np.swapaxes(stack, 1, 2) @ stack - np.eye(n)
         # a sample that fails this screen, NaN included, gets the full check
         for k in np.flatnonzero(~(np.linalg.norm(gram, axis=(1, 2)) < TOL_ORTH)):
@@ -230,7 +264,7 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
     """
     if (x.dims.p, x.dims.n) != (y.dims.p, y.dims.n):
         raise ValidationError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    return float(np.linalg.norm(np.eye(x.dims.n) - x.X.T @ y.X))
+    return _gap_to_identity(x.X, y.X)
 
 
 def _check_seed(seed, name: str = "seed") -> None:

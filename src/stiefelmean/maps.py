@@ -30,7 +30,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .kernels import solve_lyapunov_sym, solve_ortho_retraction_eq, spd_inv_sqrt
+from .kernels import (
+    _solve_ortho_retraction_eq,
+    _spd_inv_sqrt,
+    # perfbench/tracer.py rebinds maps.solve_ortho_retraction_eq by name, so
+    # it stays bound although the retraction calls the unchecked core
+    solve_lyapunov_sym,
+    solve_ortho_retraction_eq,  # noqa: F401
+    spd_inv_sqrt,
+)
 from .manifold import StiefelPoint, TangentVector
 
 # Liftings reject pairs with discrepancy at or above this bound.
@@ -116,8 +124,14 @@ def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     tangent vector; Y^T Y = I + V^T V is always positive definite.
     """
     _check_anchor(x, v)
-    y = x.X + v.V
-    return StiefelPoint(y @ spd_inv_sqrt(y.T @ y), dims=x.dims)
+    return StiefelPoint(_polar_retract(x.X, v.V, np.eye(x.dims.n)), dims=x.dims)
+
+
+def _polar_retract(x: np.ndarray, v: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    # polar_retraction on arrays; eye is I_n. Y^T Y is symmetric by
+    # construction, so the kernel's input check is skipped
+    y = x + v
+    return y @ _spd_inv_sqrt(y.T @ y, eye)
 
 
 def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
@@ -148,7 +162,12 @@ def orthographic_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     _guard_locality(xtq, "orthographic lifting")
     # X^T V + V^T X = -(E S + S E) with E = X^T X - I, so the defect is
     # bounded by twice the anchor's construction tolerance; skip the re-check
-    return TangentVector._unchecked(x, q.X - x.X @ (0.5 * (xtq + xtq.T)))
+    return TangentVector._unchecked(x, _ortho_lift(x.X, q.X, xtq))
+
+
+def _ortho_lift(x: np.ndarray, q: np.ndarray, xtq: np.ndarray) -> np.ndarray:
+    # orthographic_lifting on arrays, given xtq = X^T Q
+    return q - x @ (0.5 * (xtq + xtq.T))
 
 
 def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -161,11 +180,16 @@ def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     projector, the associated lifting recovers V exactly.
     """
     _check_anchor(x, v)
-    w = v.V
-    xtv = x.X.T @ w
+    return StiefelPoint(_ortho_retract(x.X, v.V), dims=x.dims)
+
+
+def _ortho_retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # orthographic_retraction on arrays. Omega is skew and V^T V symmetric by
+    # construction, so the kernel's input checks are skipped
+    xtv = x.T @ v
     omega = 0.5 * (xtv - xtv.T)  # drop the rounding-level symmetric part
-    s = solve_ortho_retraction_eq(omega, w.T @ w)
-    return StiefelPoint(x.X + w + x.X @ s, dims=x.dims)
+    s = _solve_ortho_retraction_eq(omega, v.T @ v)
+    return x + v + x @ s
 
 
 def retract(pair: MapPair, x: StiefelPoint, v: TangentVector) -> StiefelPoint:

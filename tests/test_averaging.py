@@ -12,12 +12,14 @@ from stiefelmean.averaging import (
     _combined_tangent,
     fixed_point_mean,
 )
-from stiefelmean.errors import DomainError, ValidationError
-from stiefelmean.kernels import skew_expm, skew_part
+from stiefelmean.errors import DomainError, StiefelMeanError, ValidationError
+from stiefelmean.kernels import skew_expm, skew_part, solve_lyapunov_sym
 from stiefelmean.manifold import (
     Dims,
     SampleSet,
     StiefelPoint,
+    TangentVector,
+    derive_seed,
     discrepancy,
     generate_center,
     generate_samples,
@@ -33,6 +35,7 @@ from stiefelmean.maps import (
     lift,
     orthographic_lifting,
     polar_lifting,
+    retract,
 )
 
 
@@ -194,7 +197,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * polar_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(POLAR_POLAR, cloud, w)(x, 0).V
+    batched = _combined_tangent(POLAR_POLAR, cloud.stack, w)(x.X, None, 0)
     assert np.linalg.norm(batched - loop) < 1e-13
 
 
@@ -209,7 +212,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(ORTHO_ORTHO, cloud, w)(x, 0).V
+    batched = _combined_tangent(ORTHO_ORTHO, cloud.stack, w)(x.X, None, 0)
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
@@ -322,6 +325,155 @@ def test_screen_defers_to_the_exact_check():
         check_locality(x, points[:1] + points, 0)
     assert err.value.sample_index == 2
     assert f"(discrepancy {outside:.3f} >= {DOMAIN_GUARD})" in str(err.value)
+
+
+# ---------------------------------------------------------------- reference loop
+
+def reference_mean(cloud, config, initial, screen=False):
+    """The fixed-point iteration one public call at a time.
+
+    Every iteration lifts each sample with ``maps.lift``, which is the exact
+    locality guard; with ``screen``, ``_check_locality`` screens the whole
+    cloud at every iterate instead (orthographic-lifting pairs). The
+    combined tangent is, for ortho and mixed, ``lift`` of the ambient mean
+    summed in sample order; for polar, the per-sample solves of
+    ``solve_lyapunov_sym`` summed as one weighted product, the order the
+    batched tangent sums in. The step is ``retract``, every iterate a
+    ``StiefelPoint``, every discrepancy ``discrepancy``.
+    """
+    pair, samples = config.pair, cloud.samples
+    n_samples, n = len(cloud), cloud.dims.n
+    w = np.ones(n_samples) if config.weights is None else np.asarray(config.weights)
+    qbar = np.zeros(cloud.stack.shape[1:])
+    for wk, q in zip(w, samples):
+        qbar += wk * q.X
+    qbar /= n_samples
+    # the ambient mean is not a Stiefel point; the orthographic lifting is
+    # linear in Q and needs only its array
+    qbar = StiefelPoint._unchecked(qbar, cloud.dims)
+    rows = cloud.stack.reshape(n_samples, -1)
+    sq_norms = np.einsum("ki,ki->k", rows, rows)
+
+    def tangent(x, iteration):
+        if screen and pair is not POLAR_POLAR:
+            _check_locality(x.X, cloud.stack, sq_norms, iteration)
+        else:
+            for k, q in enumerate(samples):
+                try:
+                    lift(pair, x, q)
+                except DomainError as exc:
+                    raise DomainError(
+                        f"lifting failed at iteration {iteration}, sample {k}: {exc}",
+                        iteration=iteration, sample_index=k) from None
+        if pair is not POLAR_POLAR:
+            return lift(pair, x, qbar)
+        qs = [q.X @ solve_lyapunov_sym(x.X.T @ q.X, 2.0 * np.eye(n)) for q in samples]
+        acc = (w @ np.array(qs).reshape(n_samples, -1)).reshape(x.X.shape)
+        acc -= w.sum() * x.X
+        acc /= n_samples
+        return TangentVector(x, acc)
+
+    x = initial
+    center = cloud.center
+    deltas = None if center is None else [discrepancy(x, center)]
+    steps = []
+    for i in range(config.max_iters):
+        x_next = retract(pair, x, tangent(x, i))
+        steps.append(discrepancy(x_next, x))
+        if center is not None:
+            deltas.append(discrepancy(x_next, center))
+        x = x_next
+        if steps[-1] < config.conv_tol:
+            break
+    return x, steps, deltas, tangent(x, None).norm()
+
+
+def assert_same_run(cloud, config, initial, screen=False):
+    """fixed_point_mean and the reference loop give the same bits, or raise
+    the same error with the same iteration and sample."""
+    try:
+        report = fixed_point_mean(cloud, config, initial)
+    except StiefelMeanError as exc:
+        with pytest.raises(type(exc)) as err:
+            reference_mean(cloud, config, initial, screen)
+        assert (str(err.value), err.value.iteration, err.value.sample_index) == (
+            str(exc), exc.iteration, exc.sample_index)
+        return exc
+    x, steps, deltas, residual = reference_mean(cloud, config, initial, screen)
+    assert np.array_equal(report.final_point.X, x.X)
+    assert report.step_sizes == steps
+    assert report.iterates_delta_to_center == deltas
+    assert report.residual_field_norm == residual
+    assert report.iterations_used == len(steps)
+    assert report.converged == (steps[-1] < config.conv_tol)
+    return report
+
+
+def reference_cases():
+    one = StiefelPoint(np.array([[1.0]]))
+    cloud = SampleSet(dims=one.dims, center=one, sigma=0.0, seed=0, samples=(one,))
+    yield "St(1,1) N=1", cloud, StiefelPoint(np.array([[1.0]]))
+    center = generate_center(Dims(8, 3), 71)
+    cloud = SampleSet(dims=center.dims, center=center, sigma=0.0, seed=0, samples=(center,))
+    yield "St(8,3) N=1", cloud, perturb_initial_guess(center, 0.05, 72)
+    cloud = small_cloud(73, sigma=0.05, n_samples=1000, p=40, n=4)
+    yield "St(40,4) N=1000", cloud, perturb_initial_guess(cloud.samples[0], 0.01, 74)
+    # the criterion-5 cloud and initial guess: St(20,4), N=30, sigma=0.2,
+    # seed 1217, as run_convergence builds them
+    center = generate_center(Dims(20, 4), derive_seed(1217, 0))
+    cloud = generate_samples(center, 0.2, 30, derive_seed(1217, 1))
+    yield "sigma=0.2", cloud, perturb_initial_guess(cloud.samples[0], 0.01, derive_seed(1217, 2))
+
+
+REFERENCE_CASES = list(reference_cases())
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label)
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: c[0])
+def test_fixed_point_mean_matches_the_public_map_loop(case, pair, weighted):
+    _, cloud, initial = case
+    rng = np.random.default_rng(76)
+    weights = list(rng.uniform(0.5, 1.5, len(cloud))) if weighted else None
+    report = assert_same_run(cloud, AveragingConfig(pair=pair, weights=weights), initial)
+    assert report.converged
+
+
+@given(clouds_near_the_guard(), st.sampled_from([ORTHO_ORTHO, MIXED_POLAR_ORTHO]),
+       st.data())
+def test_locality_certificate_raises_what_a_screen_per_iteration_raises(case, pair, data):
+    # Multi-iteration runs from an iterate with samples on both sides of the
+    # guard: the certificate clears, re-screens and raises exactly where a
+    # screen of the whole cloud at every iterate does. A weight of up to
+    # 0.9 N on one sample pulls the iterates toward it and away from the
+    # others, so samples also cross the guard after iteration 0 and in the
+    # residual pass.
+    x, points = case
+    n_samples = len(points)
+    pull = data.draw(st.floats(0.05, 0.9)) if n_samples > 1 else 1.0
+    weights = np.full(n_samples, (1.0 - pull) * n_samples / max(n_samples - 1, 1))
+    weights[data.draw(st.integers(0, n_samples - 1))] = pull * n_samples
+    cloud = SampleSet(dims=Dims(*x.shape), center=None, sigma=0.0, seed=0,
+                      samples=points)
+    config = AveragingConfig(pair=pair, max_iters=6, weights=list(weights))
+    assert_same_run(cloud, config, StiefelPoint(x), screen=True)
+
+
+@pytest.mark.parametrize("max_iters, iteration", [(100, 1), (1, None)])
+def test_locality_certificate_follows_the_iterate_across_the_guard(max_iters, iteration):
+    # Samples at +-90 degrees on the circle sit at discrepancy 1 and
+    # ||X_0 - Q||_F = sqrt(2) < DOMAIN_GUARD from X_0 = 0 degrees, so the
+    # screen at X_0 bounds every sample inside the guard. The weights pull
+    # X_1 to 38.7 degrees (mixed) or 53.1 degrees (ortho), 128.7 or 143.1
+    # degrees from the second sample: discrepancy 1.63 or 1.80. Only a
+    # certificate that adds ||X_1 - X_0||_F to its bound catches that, at
+    # iteration 1 or, with one iteration, in the residual pass.
+    cloud = circle_set([math.pi / 2.0, -math.pi / 2.0])
+    for pair in (ORTHO_ORTHO, MIXED_POLAR_ORTHO):
+        config = AveragingConfig(pair=pair, max_iters=max_iters, weights=[1.8, 0.2])
+        err = assert_same_run(cloud, config, circle_point(0.0), screen=True)
+        assert isinstance(err, DomainError)
+        assert (err.iteration, err.sample_index) == (iteration, 1)
 
 
 # ---------------------------------------------------------------- residual

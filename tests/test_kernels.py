@@ -197,11 +197,30 @@ def eigh_inv_sqrt(s):
     return 0.5 * (r + r.T)
 
 
+def series_inv_sqrt(s):
+    """The binomial series of (I + G)^(-1/2), G = S - I, with its
+    coefficients built by the recurrence for each call, as spd_inv_sqrt
+    built them before it tabulated them."""
+    eye = np.eye(s.shape[0])
+    g = s - eye
+    gnrm = float(np.linalg.norm(g))
+    coeffs = [1.0]
+    while gnrm ** len(coeffs) / (1.0 - gnrm) >= kernels.SERIES_TAIL:
+        k = len(coeffs)
+        coeffs.append(coeffs[-1] * -(2 * k - 1) / (2 * k))
+    r = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
+        r = r @ g
+        r.flat[:: r.shape[0] + 1] += c
+    return 0.5 * (r + r.T)
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_spd_inv_sqrt_series_matches_eigh_near_identity(n, monkeypatch):
     # S = I + G with ||G||_F on both sides of the series radius 1/4: inside
-    # it the series runs (eigh is patched away to prove it), outside it the
-    # eigendecomposition does; both agree with the eigh oracle.
+    # it the series runs (eigh is patched away to prove it) and gives the
+    # bits of the per-call recurrence, outside it the eigendecomposition
+    # does; both agree with the eigh oracle.
     rng = np.random.default_rng(500 + n)
     a = rng.standard_normal((n, n))
     direction = (a + a.T) / np.linalg.norm(a + a.T)
@@ -217,6 +236,8 @@ def test_spd_inv_sqrt_series_matches_eigh_near_identity(n, monkeypatch):
             if series:
                 m.setattr(np.linalg, "eigh", None)
             r = spd_inv_sqrt(s)
+        if series:
+            assert np.array_equal(r, series_inv_sqrt(s))
         assert np.array_equal(r, r.T)
         assert np.linalg.norm(r - oracle) < tol
         assert np.linalg.norm(r @ s @ r - np.eye(n)) < tol
@@ -427,6 +448,17 @@ def test_lyapunov_residual_and_symmetry():
     assert np.array_equal(s, s.T)
     res = np.linalg.norm(m @ s + s @ m.T - b)
     assert res < 1e-10 * np.linalg.norm(b)
+
+
+def test_lyapunov_needs_no_eigenvalues_when_every_slice_is_certified(monkeypatch):
+    # ||M - I||_F < 1 certifies every slice positive definite, so the
+    # eigenvalue check is not called at all, and the bits do not change
+    rng = np.random.default_rng(23)
+    ms = np.eye(4) + 0.1 * rng.standard_normal((5, 4, 4))
+    b = 2.0 * np.eye(4)
+    expected = [solve_lyapunov_sym(m, b) for m in ms]
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert np.array_equal(solve_lyapunov_sym(ms, b), np.array(expected))
 
 
 def test_lyapunov_rejects_non_pd_symmetric_part():

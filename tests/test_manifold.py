@@ -112,6 +112,26 @@ def test_sample_set_stack_is_read_only_and_backs_the_samples():
     assert np.array_equal(again.stack, cloud.stack)
 
 
+def test_sample_set_takes_one_stack_whole():
+    dims, blocks = raw_cloud(64)
+    stack = np.array(blocks)
+    cloud = SampleSet(dims, None, 0.1, 0, stack)
+    assert np.array_equal(cloud.stack, stack)
+    assert not np.shares_memory(cloud.stack, stack)
+    assert np.array_equal(SampleSet(dims, None, 0.1, 0, blocks).stack, cloud.stack)
+    # a stack in another memory order is copied into C order
+    fortran = SampleSet(dims, None, 0.1, 0, np.asfortranarray(stack))
+    assert fortran.stack.flags.c_contiguous
+    assert np.array_equal(fortran.stack, stack)
+    with pytest.raises(ValidationError) as err:
+        SampleSet(dims, None, 0.1, 0, stack[:, :5])
+    assert str(err.value) == "sample 0 has shape (5, 3), expected (7, 3)"
+    stack[2] *= 2.0
+    with pytest.raises(ValidationError) as err:
+        SampleSet(dims, None, 0.1, 0, stack)
+    assert str(err.value).startswith("sample 2: orthonormality defect")
+
+
 def test_generate_samples_validates_the_cloud_once(monkeypatch):
     calls = []
     original = manifold.orthonormality_defect
