@@ -25,10 +25,12 @@ the locality certificate. Only the final point is wrapped as a
 ``StiefelPoint``.
 
 Locality: every lifting must see each sample closer than ``DOMAIN_GUARD``.
-The polar pair forms every X^T Q_k anyway and checks them exactly. The
-orthographic-lifting pairs lift only the ambient mean, so their guard
-screens the whole cloud once, at the initial guess X_a, and keeps a bound
-r_a on max_k ||X_a - Q_k||_F. At a later iterate X, with defect e,
+The exact guard and the polar lifting core live in ``maps``, where the
+public liftings call them too. The polar pair forms every X^T Q_k anyway
+and hands the stack to that core. The orthographic-lifting pairs lift only
+the ambient mean, so their guard screens the whole cloud once, at the
+initial guess X_a, and keeps a bound r_a on max_k ||X_a - Q_k||_F. At a
+later iterate X, with defect e,
 
     delta(X, Q_k) <= sqrt(1 + e) (r_a + ||X - X_a||_F) + e,
 
@@ -36,10 +38,11 @@ so one p x n difference clears every sample when that bound is below the
 guard by the screen's margin; otherwise the cloud is screened again at X,
 which becomes the anchor. The final residual uses the same certificate.
 
-Lifting failures abort the run with the iteration and sample index attached
-(the first failing sample, with the message a per-sample loop would give);
-running past ``max_iters`` is not an error and is reported through
-``converged=False`` with the full trace.
+A ``DomainError`` aborts the run, and ``fixed_point_mean`` attaches its
+iteration in one place (``None`` in the residual pass): a lifting failure
+names the first failing sample, with the message a per-sample loop would
+give, a retraction failure no sample. Running past ``max_iters`` is not an
+error; it is reported through ``converged=False`` with the full trace.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 from . import maps
 from .errors import DomainError, ValidationError
 from .kernels import _frobenius
-from .manifold import SampleSet, StiefelPoint, _checked_defect, _gap_to_identity
+from .manifold import SampleSet, StiefelPoint, _checked_defect, _gap_to_identity, _sq_norm_bound
 # ``lift`` and ``retract`` are not called here; perfbench/tracer.py rebinds
 # averaging.lift and averaging.retract by name, so they stay bound
 from .maps import DOMAIN_GUARD, MapPair, lift, retract  # noqa: F401
@@ -168,127 +171,78 @@ def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc.reshape(stack.shape[1:])
 
 
-def _too_far(iteration: Optional[int], k: int, what: str, d: float) -> DomainError:
-    return DomainError(
-        f"lifting failed at iteration {iteration}, sample {k}: {what}: arguments "
-        f"too far apart (discrepancy {d:.3f} >= {DOMAIN_GUARD})",
-        iteration=iteration,
-        sample_index=k,
-    )
+def _check_locality(x: np.ndarray, e: float, stack: np.ndarray) -> float:
+    """Raise the ``maps`` guard's ``DomainError`` for the first sample of
+    ``stack`` at or beyond ``DOMAIN_GUARD`` from ``x``, of defect e; else
+    return r, an upper bound on max_k ||X - Q_k||_F.
 
-
-def _check_locality(
-    x: np.ndarray, stack: np.ndarray, sq_norms: np.ndarray, iteration: Optional[int]
-) -> float:
-    """Raise ``DomainError`` for the first sample of ``stack`` at or beyond
-    ``DOMAIN_GUARD`` from ``x``; ``sq_norms`` holds every ||Q_k||_F^2.
-    Otherwise return r, an upper bound on max_k ||X - Q_k||_F.
-
-    Since I - X^T Q = X^T (X - Q) + (I - X^T X),
-
-        ||I - X^T Q_k||_F <= ||X||_2 ||X - Q_k||_F + e,
-        e = ||I - X^T X||_F,  ||X||_2 <= sqrt(1 + e),
-
-    and ||X - Q_k||_F^2 = ||X||^2 + ||Q_k||^2 - 2 <X, Q_k> comes from one
-    matrix-vector product over the (N, p n) rows of the stack. A sample whose
-    bound, with the rounding of that expansion added, is below the guard by
-    ``_SCREEN_MARGIN`` is cleared; the discrepancy of every other sample is
-    computed exactly.
+    Since I - X^T Q = X^T (X - Q) + (I - X^T X) and ||X||_2 <= sqrt(1 + e),
+    ||I - X^T Q_k||_F <= sqrt(1 + e) ||X - Q_k||_F + e, and ||X - Q_k||_F^2
+    <= ||X||^2 + b - 2 <X, Q_k>, b = ``_sq_norm_bound``, takes one
+    matrix-vector product over the (N, p n) rows of the stack. A sample
+    whose bound, rounding added, is below the guard by ``_SCREEN_MARGIN`` is
+    cleared; every other one goes through the exact guard.
     """
-    n = x.shape[1]
     xv = x.ravel()
     xx = float(xv @ xv)
-    gram = x.T @ x
-    gram.flat[:: n + 1] -= 1.0
-    e = float(np.sqrt(np.einsum("ij,ij->", gram, gram)))
-    # Bound on the rounding error of ||X||^2 + ||Q_k||^2 - 2 <X, Q_k> per
-    # unit of ||X||^2 + max_k ||Q_k||^2: three dot products of length p n and
-    # two additions, each within (p n + 2) u of the sum of the magnitudes,
-    # with u = eps / 2.
+    qq = _sq_norm_bound(*x.shape)
+    # Bound on the rounding error of ||X||^2 + b - 2 <X, Q_k> per unit of
+    # ||X||^2 + b: two dot products of length p n and two additions, each
+    # within (p n + 2) u of the sum of the magnitudes, with u = eps / 2.
     rounding = (xv.size + 2) * np.finfo(float).eps
-    d2 = sq_norms - 2.0 * (stack.reshape(len(stack), -1) @ xv)
-    d2 += xx + rounding * (xx + float(sq_norms.max()))
+    d2 = qq - 2.0 * (stack.reshape(len(stack), -1) @ xv)
+    d2 += xx + rounding * (xx + qq)
     radius = math.sqrt(max(float(d2.max()), 0.0))
     # bound < DOMAIN_GUARD - margin, squared; a NaN is not cleared
     limit = max(DOMAIN_GUARD - _SCREEN_MARGIN - e, 0.0)
     near = np.flatnonzero(~(d2 < limit * limit / (1.0 + e)))
-    if not near.size:
-        return radius
-    m = x.T @ stack[near]
-    m -= np.eye(n)
-    d = np.sqrt(np.einsum("kij,kij->k", m, m))
-    far = np.flatnonzero(d >= DOMAIN_GUARD)
-    if far.size:
-        j = far[0]
-        raise _too_far(iteration, int(near[j]), "orthographic lifting", d[j])
+    if near.size:
+        _, far = maps._first_far(x.T @ stack[near], "orthographic lifting", near)
+        if far is not None:
+            raise far
     return radius
 
 
 def _locality_certificate(stack: np.ndarray):
-    """``check(x, e, iteration)``: raise what ``_check_locality`` at X would,
-    for an iterate X of defect e (``None`` when unknown), screening the cloud
-    only where the certificate of the last anchor (see the module docstring)
-    does not clear every sample."""
-    rows = stack.reshape(len(stack), -1)
-    sq_norms = np.einsum("ki,ki->k", rows, rows)
+    """``check(x, e)``: raise what ``_check_locality`` at X would, for an
+    iterate X of defect e, screening the cloud only where the certificate
+    of the last anchor (see the module docstring) does not clear every
+    sample."""
     # the computed ||X - X_a||_F^2 times 1 + rounding bounds the exact one:
     # a difference and a dot product of length p n, as in _check_locality
-    rounding = (rows.shape[1] + 2) * np.finfo(float).eps
+    rounding = (stack[0].size + 2) * np.finfo(float).eps
     anchor = radius = None
 
-    def check(x: np.ndarray, e: Optional[float], iteration: Optional[int]) -> None:
+    def check(x: np.ndarray, e: float) -> None:
         nonlocal anchor, radius
-        if anchor is not None and e is not None:
+        if anchor is not None:
             gap = (x - anchor).ravel()
             moved = math.sqrt(gap.dot(gap) * (1.0 + rounding))
             if (radius + moved) * math.sqrt(1.0 + e) + e < DOMAIN_GUARD - _SCREEN_MARGIN:
                 return
-        radius = _check_locality(x, stack, sq_norms, iteration)
+        radius = _check_locality(x, e, stack)
         anchor = x
     return check
 
 
 def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
-    """Set up, once per run, the combined tangent ``(x, e, iteration) ->
+    """Set up, once per run, the combined tangent ``(x, e) ->
     (1/N) sum_k w_k lift(X, Q_k)`` on arrays, for an iterate X of
-    orthonormality defect e (``None`` when unknown).
+    orthonormality defect e; a ``DomainError`` names the first failing
+    sample in ``sample_index``.
 
     The orthographic lifting Q - X sym(X^T Q) is linear in Q, so for the
     orthographic-lifting pairs this is the lifting of the weighted ambient
-    mean Q_w = (1/N) sum_k w_k Q_k, which is computed here once; the
-    locality certificate guards the samples.
-
-    The polar lifting of Q_k is Q_k S_k - X with (X^T Q_k) S_k +
-    S_k (Q_k^T X) = 2I. Each iteration guards all X^T Q_k at once, solves
-    them in one batched call and returns (sum_k w_k Q_k S_k - (sum_k w_k) X)
-    / N; an error names the first failing sample, as a loop over
-    ``polar_lifting`` would.
+    mean Q_w = (1/N) sum_k w_k Q_k, computed here once; the locality
+    certificate guards the samples. The polar tangent is (sum_k w_k Q_k S_k
+    - (sum_k w_k) X) / N, with every S_k from the polar core of ``maps``.
     """
-    n_samples, _, n = stack.shape
+    n_samples = len(stack)
     if pair is MapPair.POLAR:
-        eye = np.eye(n)
         weight_sum = weights.sum()
 
-        def tangent(x, e, iteration):
-            m = x.T @ stack
-            gap = m - eye
-            d = np.sqrt(np.einsum("kij,kij->k", gap, gap))
-            far = np.flatnonzero(d >= DOMAIN_GUARD)
-            first_far = int(far[0]) if far.size else n_samples
-            try:
-                # the samples before the first one past the guard, so the
-                # first failing sample is the one raised; looked up in maps
-                # at call time, where the benchmark's tracer counts calls
-                s = maps.solve_lyapunov_sym(m[:first_far], 2.0 * eye)
-            except DomainError as exc:
-                k = exc.sample_index
-                raise DomainError(
-                    f"lifting failed at iteration {iteration}, sample {k}: {exc}",
-                    iteration=iteration,
-                    sample_index=k,
-                ) from exc
-            if far.size:
-                raise _too_far(iteration, first_far, "polar lifting", d[first_far])
+        def tangent(x, e):
+            s = maps._polar_factors(x.T @ stack)
             acc = (weights @ (stack @ s).reshape(n_samples, -1)).reshape(x.shape)
             acc -= weight_sum * x
             acc /= n_samples
@@ -298,8 +252,8 @@ def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
     qbar = _ambient_mean(stack, weights)
     check_locality = _locality_certificate(stack)
 
-    def tangent(x, e, iteration):
-        check_locality(x, e, iteration)
+    def tangent(x, e):
+        check_locality(x, e)
         return maps._ortho_lift(x, qbar, x.T @ qbar)
     return tangent
 
@@ -330,27 +284,37 @@ def fixed_point_mean(
         def step_along(x, v):
             return maps._polar_retract(x, v, eye)
     center = None if samples.center is None else samples.center.X
-    x, e = initial.X, None
+    x = initial.X
+    e = _gap_to_identity(x, x)
     deltas = None if center is None else [_gap_to_identity(x, center)]
     steps: list = []
     times: list = []
     converged = False
     t0 = time.perf_counter_ns()
-    for i in range(config.max_iters):
-        x_next = step_along(x, tangent(x, e, i))
-        e = _checked_defect(x_next)
-        step = _gap_to_identity(x_next, x)
-        steps.append(step)
-        times.append(time.perf_counter_ns() - t0)
-        if deltas is not None:
-            deltas.append(_gap_to_identity(x_next, center))
-        x = x_next
-        if step < config.conv_tol:
-            converged = True
-            break
-    wall = (time.perf_counter_ns() - t0) / 1e9
-
-    residual = _frobenius(tangent(x, e, None))
+    try:
+        for i in range(config.max_iters):
+            x_next = step_along(x, tangent(x, e))
+            e = _checked_defect(x_next)
+            step = _gap_to_identity(x_next, x)
+            steps.append(step)
+            times.append(time.perf_counter_ns() - t0)
+            if deltas is not None:
+                deltas.append(_gap_to_identity(x_next, center))
+            x = x_next
+            if step < config.conv_tol:
+                converged = True
+                break
+        wall = (time.perf_counter_ns() - t0) / 1e9
+        i = None  # the residual pass
+        residual = _frobenius(tangent(x, e))
+    except DomainError as exc:
+        # the tangent names its failing sample, a retraction none
+        k = exc.sample_index
+        where = "retraction" if k is None else "lifting"
+        sample = "" if k is None else f", sample {k}"
+        raise DomainError(
+            f"{where} failed at iteration {i}{sample}: {exc}", iteration=i, sample_index=k
+        ) from exc
     return AveragingReport(
         # every iterate passed _checked_defect
         final_point=StiefelPoint._unchecked(x, samples.dims),

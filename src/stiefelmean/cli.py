@@ -29,6 +29,7 @@ from .errors import DomainError, FileFormatError, StiefelMeanError, ValidationEr
 from .manifold import (
     TOL_ORTH,
     Dims,
+    _orthonormality_defects,
     derive_seed,
     discrepancy,
     generate_center,
@@ -187,12 +188,7 @@ def _cmd_validate(args) -> int:
     if header["has_center"]:
         labels.append("center")
     labels.extend(f"sample {k}" for k in range(header["count"]))
-    stack = np.array(blocks)
-    gram = np.swapaxes(stack, 1, 2) @ stack - np.eye(header["n"])
-    # a batch of vector-vector products is the dot product np.linalg.norm
-    # takes of one block, so every defect equals orthonormality_defect's
-    rows = gram.reshape(len(stack), 1, -1)
-    defects = np.sqrt(rows @ np.swapaxes(rows, 1, 2)).ravel()
+    defects = _orthonormality_defects(np.array(blocks))
     print("\n".join(
         f"{label}: orthonormality defect {d:.6e} [{'ok' if d < TOL_ORTH else 'INVALID'}]"
         for label, d in zip(labels, defects)
@@ -269,10 +265,9 @@ def main(argv=None) -> int:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
-        context = ""
-        if exc.iteration is not None or exc.sample_index is not None:
-            context = (f" (iteration {exc.iteration}, "
-                       f"sample {exc.sample_index})")
+        context = ", ".join(f"{name} {value}" for name, value in (
+            ("iteration", exc.iteration), ("sample", exc.sample_index)) if value is not None)
+        context = f" ({context})" if context else ""
         print(f"numerical domain error: {exc}{context}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -72,6 +72,25 @@ def _gap_to_identity(x: np.ndarray, y: np.ndarray) -> float:
     return _frobenius(m)
 
 
+def _orthonormality_defects(stack: np.ndarray) -> np.ndarray:
+    # the defect of every slice of an (N, p, n) stack, each the bits
+    # orthonormality_defect gives: a batch of vector-vector products is the
+    # dot product _frobenius takes of one block
+    gram = np.swapaxes(stack, 1, 2) @ stack - np.eye(stack.shape[2])
+    rows = gram.reshape(len(stack), 1, -1)
+    return np.sqrt(rows @ np.swapaxes(rows, 1, 2)).ravel()
+
+
+def _sq_norm_bound(p: int, n: int) -> float:
+    """A bound on ||Q||_F^2 = n + tr(Q^T Q - I) <= n + sqrt(n) TOL_ORTH for
+    every p x n Q that passed the orthonormality check, as every sample of a
+    ``SampleSet`` has. Slack for the check's rounding (u = eps / 2): each
+    ||q_i||^2 is a dot product of length p, within p u, and the norm of
+    Q^T Q - I one of length n^2 and a square root, within (n^2 + 3) u; the
+    factor 1 + (p + n^2 + 4) eps covers both and this expression's own."""
+    return (n + math.sqrt(n) * TOL_ORTH) * (1.0 + (p + n * n + 4) * np.finfo(float).eps)
+
+
 def _checked_defect(x: np.ndarray) -> float:
     """Orthonormality defect of a p x n array that must be a Stiefel point;
     raises the ``ValidationError`` ``StiefelPoint(x)`` would."""
@@ -221,9 +240,9 @@ class SampleSet:
         if self.center is not None and self.center.dims != self.dims:
             raise ValidationError("center dims do not match the sample set dims")
         stack = np.array(blocks, dtype=float, order="C")
-        gram = np.swapaxes(stack, 1, 2) @ stack - np.eye(n)
-        # a sample that fails this screen, NaN included, gets the full check
-        for k in np.flatnonzero(~(np.linalg.norm(gram, axis=(1, 2)) < TOL_ORTH)):
+        # a sample that fails the batched check, NaN included, gets the
+        # check of StiefelPoint, which raises its message
+        for k in np.flatnonzero(~(_orthonormality_defects(stack) < TOL_ORTH)):
             try:
                 StiefelPoint(stack[k])
             except ValidationError as exc:

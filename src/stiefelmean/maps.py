@@ -105,13 +105,35 @@ def _check_anchor(x: StiefelPoint, v: TangentVector):
         raise ValidationError("tangent vector is anchored at a different point")
 
 
-def _guard_locality(xtq: np.ndarray, what: str) -> None:
-    # delta(X, Q) falls out of the n x n product the liftings need anyway.
-    d = float(np.linalg.norm(np.eye(xtq.shape[0]) - xtq))
-    if d >= DOMAIN_GUARD:
-        raise DomainError(
-            f"{what}: arguments too far apart (discrepancy {d:.3f} >= {DOMAIN_GUARD})"
-        )
+def _first_far(xtq: np.ndarray, what: str, samples=None):
+    """The locality guard of one X^T Q or an (N, n, n) stack of X^T Q_k, by
+    the exact discrepancies: ``(k, error)`` for the first slice k at or past
+    ``DOMAIN_GUARD``, error naming sample ``samples[k]`` (k by default,
+    ``None`` for one matrix); ``(N, None)`` when every slice is inside."""
+    gap = xtq.reshape(-1, *xtq.shape[-2:]) - np.eye(xtq.shape[-1])
+    d = np.sqrt(np.einsum("kij,kij->k", gap, gap))
+    far = np.flatnonzero(d >= DOMAIN_GUARD)
+    if not far.size:
+        return len(d), None
+    k = int(far[0])
+    index = None if xtq.ndim == 2 else k if samples is None else int(samples[k])
+    return k, DomainError(
+        f"{what}: arguments too far apart (discrepancy {d[k]:.3f} >= {DOMAIN_GUARD})",
+        sample_index=index,
+    )
+
+
+def _polar_factors(xtq: np.ndarray) -> np.ndarray:
+    """The symmetric S_k with (X^T Q_k) S_k + S_k (Q_k^T X) = 2I of the polar
+    liftings Q_k S_k - X, for one X^T Q or an (N, n, n) stack: the guard, then
+    one solve of the slices before the first far one, so an error names the
+    first failing slice with its message, as a per-sample loop would."""
+    first, far = _first_far(xtq, "polar lifting")
+    rhs = 2.0 * np.eye(xtq.shape[-1])
+    if far is None:
+        return solve_lyapunov_sym(xtq, rhs)
+    solve_lyapunov_sym(xtq.reshape(-1, *rhs.shape)[:first], rhs)
+    raise far
 
 
 def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -142,10 +164,7 @@ def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     round trip through ``polar_retraction`` reproduces Q to solver accuracy.
     """
     _check_same_dims(x, q)
-    xtq = x.X.T @ q.X
-    _guard_locality(xtq, "polar lifting")
-    n = x.dims.n
-    s = solve_lyapunov_sym(xtq, 2.0 * np.eye(n))
+    s = _polar_factors(x.X.T @ q.X)
     # tangency defect of Q S - X equals the solver residual, already bounded
     return TangentVector._unchecked(x, q.X @ s - x.X)
 
@@ -159,7 +178,9 @@ def orthographic_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     """
     _check_same_dims(x, q)
     xtq = x.X.T @ q.X
-    _guard_locality(xtq, "orthographic lifting")
+    _, far = _first_far(xtq, "orthographic lifting")
+    if far is not None:
+        raise far
     # X^T V + V^T X = -(E S + S E) with E = X^T X - I, so the defect is
     # bounded by twice the anchor's construction tolerance; skip the re-check
     return TangentVector._unchecked(x, _ortho_lift(x.X, q.X, xtq))

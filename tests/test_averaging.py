@@ -187,6 +187,34 @@ def test_polar_domain_error_matches_per_sample_loop(order, k):
     assert ("positive definite" in expected) == (order == "pd-first")
 
 
+def test_retraction_failure_names_its_iteration():
+    # At 0 degrees the weighted tangent of the samples at +-90 degrees has
+    # length (3.0 - 0.2) / 2 = 1.4, beyond the reach 1 of the orthographic
+    # retraction on the circle: its inner iteration fails at iteration 0,
+    # and no sample is to blame.
+    cloud = circle_set([math.pi / 2.0, -math.pi / 2.0])
+    config = AveragingConfig(pair=ORTHO_ORTHO, weights=[3.0, 0.2])
+    with pytest.raises(DomainError) as err:
+        fixed_point_mean(cloud, config, circle_point(0.0))
+    assert (err.value.iteration, err.value.sample_index) == (0, None)
+    assert str(err.value).startswith(
+        "retraction failed at iteration 0: inner iteration did not reach residual")
+
+
+def test_public_polar_lifting_keeps_the_solver_error():
+    # inside the guard, the solver's own error, with no sample named
+    x = generate_center(Dims(8, 3), 47)
+    q = _not_positive_definite_partner(x)
+    xtq = x.X.T @ q.X
+    lowest = np.linalg.eigvalsh(xtq + xtq.T)[0]
+    with pytest.raises(DomainError) as err:
+        polar_lifting(x, q)
+    assert str(err.value) == (
+        f"M + M^T is not positive definite (smallest eigenvalue {lowest:.3e}); "
+        "arguments too far apart for a unique solution")
+    assert (err.value.iteration, err.value.sample_index) == (None, None)
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     cloud = small_cloud(43, sigma=0.1, n_samples=30, p=40, n=6)
@@ -197,7 +225,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * polar_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(POLAR_POLAR, cloud.stack, w)(x.X, None, 0)
+    batched = _combined_tangent(POLAR_POLAR, cloud.stack, w)(x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-13
 
 
@@ -212,7 +240,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(ORTHO_ORTHO, cloud.stack, w)(x.X, None, 0)
+    batched = _combined_tangent(ORTHO_ORTHO, cloud.stack, w)(x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
@@ -240,12 +268,21 @@ def exact_discrepancies(x, points):
     return [float(np.linalg.norm(np.eye(n) - x.T @ q)) for q in points]
 
 
+def screened_guard(x, stack, iteration):
+    """Run the screened guard of ``x`` over ``stack``; a failure is located
+    at ``iteration`` as ``fixed_point_mean`` locates it."""
+    try:
+        _check_locality(x, orthonormality_defect(x), stack)
+    except DomainError as exc:
+        k = exc.sample_index
+        raise DomainError(f"lifting failed at iteration {iteration}, sample {k}: {exc}",
+                          iteration=iteration, sample_index=k) from None
+
+
 def check_locality(x, points, iteration):
     """Run the screened guard of ``x`` over a cloud of ``points``."""
-    stack = SampleSet(dims=Dims(*x.shape), center=None, sigma=0.0, seed=0,
-                      samples=points).stack
-    rows = stack.reshape(len(stack), -1)
-    _check_locality(x, stack, np.einsum("ki,ki->k", rows, rows), iteration)
+    screened_guard(x, SampleSet(dims=Dims(*x.shape), center=None, sigma=0.0, seed=0,
+                                samples=points).stack, iteration)
 
 
 def guard_crossing(x, a):
@@ -351,12 +388,10 @@ def reference_mean(cloud, config, initial, screen=False):
     # the ambient mean is not a Stiefel point; the orthographic lifting is
     # linear in Q and needs only its array
     qbar = StiefelPoint._unchecked(qbar, cloud.dims)
-    rows = cloud.stack.reshape(n_samples, -1)
-    sq_norms = np.einsum("ki,ki->k", rows, rows)
 
     def tangent(x, iteration):
         if screen and pair is not POLAR_POLAR:
-            _check_locality(x.X, cloud.stack, sq_norms, iteration)
+            screened_guard(x.X, cloud.stack, iteration)
         else:
             for k, q in enumerate(samples):
                 try:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,14 @@ import numpy as np
 import pytest
 
 from stiefelmean.cli import main
-from stiefelmean.fileio import read_matrix_blocks, read_sample_set
-from stiefelmean.manifold import TOL_ORTH, orthonormality_defect
+from stiefelmean.fileio import read_matrix_blocks, read_sample_set, write_sample_set
+from stiefelmean.manifold import (
+    TOL_ORTH,
+    Dims,
+    SampleSet,
+    StiefelPoint,
+    orthonormality_defect,
+)
 
 
 def run(*argv):
@@ -94,6 +101,25 @@ def test_mean_weighted(sample_file, tmp_path):
     wfile.write_text("\n".join(["1.0"] * 10) + "\n")
     assert run("mean", "--in", sample_file, "--weights", wfile,
                "--out", tmp_path / "wm.txt", "--trace", tmp_path / "wt.csv") == 0
+
+
+def test_mean_retraction_failure_prints_its_iteration_only(tmp_path, capsys):
+    # samples at 0 and +-90 degrees on the circle; the initial guess is
+    # sample 0 turned slightly, where the weights make the orthographic
+    # tangent about (3.5 - 0.2) / 3 = 1.1 long, past the retraction's reach
+    points = [StiefelPoint(np.array([[math.cos(t)], [math.sin(t)]]))
+              for t in (0.0, math.pi / 2.0, -math.pi / 2.0)]
+    cloud = SampleSet(dims=Dims(2, 1), center=points[0], sigma=0.0, seed=5,
+                      samples=tuple(points))
+    infile, wfile = tmp_path / "circle.txt", tmp_path / "weights.txt"
+    write_sample_set(infile, cloud)
+    wfile.write_text("0.3\n3.5\n0.2\n")
+    assert run("mean", "--in", infile, "--pair", "ortho", "--weights", wfile) == 2
+    assert capsys.readouterr().err == (
+        "numerical domain error: retraction failed at iteration 0: inner iteration "
+        "did not reach residual 1.0e-12 within 100 steps; tangent too large for "
+        "the orthographic retraction (iteration 0)\n"
+    )
 
 
 def test_mean_bad_weights(sample_file, tmp_path, capsys):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from stiefelmean import manifold
 from stiefelmean.errors import ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
+    TOL_ORTH,
     Dims,
     SampleSet,
     StiefelPoint,
@@ -19,6 +22,8 @@ from stiefelmean.manifold import (
     perturb_initial_guess,
     project_to_tangent,
     tangency_defect,
+    _orthonormality_defects,
+    _sq_norm_bound,
 )
 
 
@@ -145,6 +150,36 @@ def test_generate_samples_validates_the_cloud_once(monkeypatch):
     cloud = generate_samples(center, 0.1, 40, 65)
     assert len(cloud) == 40
     assert calls == []
+
+
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.floats(-12.0, -7.0))
+def test_batched_defects_are_the_per_slice_bits(p, n, seed, log_spread):
+    n = min(n, p)
+    rng = np.random.default_rng(seed)
+    stack = np.linalg.qr(rng.standard_normal((5, p, n)))[0]
+    stack = stack * (1.0 + 10.0 ** log_spread * rng.standard_normal((5, 1, n)))
+    expected = [orthonormality_defect(x) for x in stack]
+    assert np.array_equal(_orthonormality_defects(np.ascontiguousarray(stack)), expected)
+
+
+@given(st.integers(1, 60), st.integers(1, 20), st.integers(0, 2**32 - 1),
+       st.floats(1.0 - 1e-7, 1.0))
+def test_square_norm_bound_covers_samples_just_inside_the_tolerance(p, n, seed, share):
+    # Columns scaled by 1 + delta put the whole defect on the diagonal, where
+    # tr(Q^T Q - I) <= sqrt(n) ||Q^T Q - I||_F is tight, so ||Q||_F^2 sits
+    # at n + sqrt(n) TOL_ORTH up to the check's rounding.
+    n = min(n, p)
+    delta = math.sqrt(1.0 + share * TOL_ORTH / math.sqrt(n)) - 1.0
+    q = thin_qr_q_factor(np.random.default_rng(seed).standard_normal((p, n)))
+    q = q * (1.0 + delta)
+    # the row order changes the rounding of the check and of the norm; the
+    # check sees the C-ordered copy the stack holds
+    samples = [s for s in map(np.ascontiguousarray, (q, q[::-1]))
+               if orthonormality_defect(s) < TOL_ORTH]
+    assume(samples)
+    rows = SampleSet(Dims(p, n), None, 0.0, 0, samples).stack.reshape(len(samples), -1)
+    assert np.all(np.einsum("ki,ki->k", rows, rows) <= _sq_norm_bound(p, n))
 
 
 # ---------------------------------------------------------------- validate

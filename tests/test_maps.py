@@ -18,6 +18,7 @@ from stiefelmean.manifold import (
 )
 from stiefelmean.maps import (
     ALL_PAIRS,
+    DOMAIN_GUARD,
     MIXED_POLAR_ORTHO,
     ORTHO_ORTHO,
     POLAR_POLAR,
@@ -234,10 +235,15 @@ def test_retract_lift_reject_a_non_member(pair):
 def test_lifting_domain_guard():
     x = random_point(8, 3, 10)
     antipode = StiefelPoint(-x.X)  # discrepancy 2 sqrt(3) > guard
-    with pytest.raises(DomainError):
-        orthographic_lifting(x, antipode)
-    with pytest.raises(DomainError):
-        polar_lifting(x, antipode)
+    d = float(np.linalg.norm(np.eye(3) - x.X.T @ antipode.X))
+    for lifting, what in ((orthographic_lifting, "orthographic lifting"),
+                          (polar_lifting, "polar lifting")):
+        with pytest.raises(DomainError) as err:
+            lifting(x, antipode)
+        # a public lifting words the guard's error and names no sample
+        assert str(err.value) == (
+            f"{what}: arguments too far apart (discrepancy {d:.3f} >= {DOMAIN_GUARD})")
+        assert (err.value.iteration, err.value.sample_index) == (None, None)
 
 
 # ------------------------------------------------- first-order agreement
