@@ -26,8 +26,8 @@ for sigma in (0.05, 0.02, 0.01, 0.005):
         direct = composition_discrepancy_direct(center, sample)
         closed = composition_discrepancy_closed_form(center, sample)
         deltas.append(discrepancy(center, sample))
-        comps.append(direct.value)
-        gaps.append(abs(direct.value - closed.value))
+        comps.append(direct)
+        gaps.append(abs(direct - closed))
     print(f"{sigma:6.3f}   {np.median(deltas):18.6f}   {np.median(comps):19.3e}"
           f"   {max(gaps):19.2e}")
 

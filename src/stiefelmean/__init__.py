@@ -57,10 +57,6 @@ from .manifold import (
 from .maps import (
     ALL_PAIRS,
     DOMAIN_GUARD,
-    MIXED_POLAR_ORTHO,
-    ORTHO_ORTHO,
-    POLAR_POLAR,
-    CompositionDiscrepancy,
     MapPair,
     composition_discrepancy_closed_form,
     composition_discrepancy_direct,
@@ -118,12 +114,8 @@ __all__ = [
     "perturb_initial_guess",
     "derive_seed",
     "MapPair",
-    "POLAR_POLAR",
-    "ORTHO_ORTHO",
-    "MIXED_POLAR_ORTHO",
     "ALL_PAIRS",
     "DOMAIN_GUARD",
-    "CompositionDiscrepancy",
     "polar_retraction",
     "polar_lifting",
     "orthographic_retraction",

@@ -21,8 +21,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments, fileio
 from .averaging import AveragingConfig, fixed_point_mean
 from .errors import DomainError, FileFormatError, StiefelMeanError, ValidationError
@@ -188,7 +186,7 @@ def _cmd_validate(args) -> int:
     if header["has_center"]:
         labels.append("center")
     labels.extend(f"sample {k}" for k in range(header["count"]))
-    defects = _orthonormality_defects(np.array(blocks))
+    defects = _orthonormality_defects(blocks)
     print("\n".join(
         f"{label}: orthonormality defect {d:.6e} [{'ok' if d < TOL_ORTH else 'INVALID'}]"
         for label, d in zip(labels, defects)

@@ -46,19 +46,14 @@ def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -
         fh.write("\n".join(block_format % tuple(b.ravel().tolist()) for b in blocks))
 
 
-def read_matrix_blocks(path) -> Tuple[dict, List[np.ndarray]]:
+def read_matrix_blocks(path) -> Tuple[dict, np.ndarray]:
     """Parse a sample-set file without enforcing manifold invariants.
 
     Returns the header as a dict (p, n, count, sigma, seed, has_center) and
-    the raw matrix blocks (center first when present). Format problems raise
-    ``FileFormatError`` with the offending line (and column for bad values).
+    the raw matrix blocks as one (blocks, p, n) array (center first when
+    present). Format problems raise ``FileFormatError`` with the offending
+    line (and column for bad values).
     """
-    header, blocks = _read_stack(path)
-    return header, list(blocks)
-
-
-def _read_stack(path) -> Tuple[dict, np.ndarray]:
-    # read_matrix_blocks with the blocks as one (blocks, p, n) array
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
@@ -160,7 +155,7 @@ def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
 def read_sample_set(path) -> SampleSet:
     """Read and validate a sample set; every block must satisfy the Stiefel
     orthonormality invariant (a ``ValidationError`` names the first that does not)."""
-    header, blocks = _read_stack(path)
+    header, blocks = read_matrix_blocks(path)
     dims = Dims(header["p"], header["n"])
     center = None
     if header["has_center"]:

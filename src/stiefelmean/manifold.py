@@ -59,8 +59,9 @@ class Dims:
 
 
 def orthonormality_defect(x: np.ndarray) -> float:
-    """Frobenius norm of X^T X - I."""
-    x = np.asarray(x, dtype=float)
+    """Frobenius norm of X^T X - I, of a C-ordered copy of X when X is not
+    C-ordered: the bits ``StiefelPoint`` and ``SampleSet`` check."""
+    x = np.ascontiguousarray(x, dtype=float)
     return _gap_to_identity(x, x)
 
 
@@ -72,13 +73,18 @@ def _gap_to_identity(x: np.ndarray, y: np.ndarray) -> float:
     return _frobenius(m)
 
 
+def _gaps_to_identity(m: np.ndarray) -> np.ndarray:
+    # ||M_k - I||_F of every slice of an (N, n, n) stack, each the bits
+    # _frobenius gives of one slice: a batch of vector-vector products is
+    # the dot product it takes
+    rows = (m - np.eye(m.shape[-1])).reshape(len(m), 1, -1)
+    return np.sqrt(rows @ np.swapaxes(rows, 1, 2)).ravel()
+
+
 def _orthonormality_defects(stack: np.ndarray) -> np.ndarray:
     # the defect of every slice of an (N, p, n) stack, each the bits
-    # orthonormality_defect gives: a batch of vector-vector products is the
-    # dot product _frobenius takes of one block
-    gram = np.swapaxes(stack, 1, 2) @ stack - np.eye(stack.shape[2])
-    rows = gram.reshape(len(stack), 1, -1)
-    return np.sqrt(rows @ np.swapaxes(rows, 1, 2)).ravel()
+    # orthonormality_defect gives
+    return _gaps_to_identity(np.swapaxes(stack, 1, 2) @ stack)
 
 
 def _sq_norm_bound(p: int, n: int) -> float:

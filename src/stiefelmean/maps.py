@@ -13,8 +13,10 @@ Two families are implemented, each locally inverse to its associate:
 ``MapPair`` names the three configurations: polar, orthographic and the
 mixed polar-retraction with orthographic-lifting. Composing maps from
 different families is not an exact identity; ``composition_discrepancy_*``
-quantify the mismatch, in both a direct and a closed-form evaluation driven
-only by M = Q^T X.
+return the mismatch ||I - Q^T P_X(lift_X(Q))||_F as a float, evaluated
+directly or by a closed form driven only by M = Q^T X. The direct one is one
+slice of an array core that composes the maps over a whole (N, p, n) stack
+of samples at one anchor, which is how the discrepancy experiment runs.
 
 All maps are local: liftings reject argument pairs whose discrepancy reaches
 ``DOMAIN_GUARD``. The guard is an engineering bound, not a theoretical
@@ -24,7 +26,6 @@ radius; it is sized so that the sample clouds used by the bundled experiments
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,7 +40,13 @@ from .kernels import (
     solve_ortho_retraction_eq,  # noqa: F401
     spd_inv_sqrt,
 )
-from .manifold import StiefelPoint, TangentVector
+from .manifold import (
+    TOL_ORTH,
+    StiefelPoint,
+    TangentVector,
+    _gaps_to_identity,
+    _orthonormality_defects,
+)
 
 # Liftings reject pairs with discrepancy at or above this bound.
 DOMAIN_GUARD = 1.5
@@ -59,40 +66,18 @@ class MapPair(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "MapPair":
-        """Parse a pair name: 'polar', 'ortho' or 'mixed' (a few aliases
-        accepted). Raises ``ValidationError`` for anything else, including
-        the unsupported 'ortho-polar'."""
-        key = name.strip().lower().replace("_", "-")
-        table = {
-            "polar": cls.POLAR,
-            "polar-polar": cls.POLAR,
-            "ortho": cls.ORTHO,
-            "ortho-ortho": cls.ORTHO,
-            "orthographic": cls.ORTHO,
-            "mixed": cls.MIXED,
-            "polar-ortho": cls.MIXED,
-        }
-        if key not in table:
+        """Parse a pair name, 'polar', 'ortho' or 'mixed', in any case and
+        with surrounding blanks. Raises ``ValidationError`` for anything
+        else, including the unsupported 'ortho-polar'."""
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
             raise ValidationError(
                 f"unknown map pair '{name}' (choose from: polar, ortho, mixed)"
-            )
-        return table[key]
+            ) from None
 
 
-POLAR_POLAR = MapPair.POLAR
-ORTHO_ORTHO = MapPair.ORTHO
-MIXED_POLAR_ORTHO = MapPair.MIXED
 ALL_PAIRS = tuple(MapPair)
-
-
-@dataclass(frozen=True)
-class CompositionDiscrepancy:
-    """Mismatch of the mixed composition at one argument pair: the value
-    ||I - Q^T P_X(lift_X(Q))||_F together with the product M = Q^T X that
-    drives its closed form."""
-
-    value: float
-    m: np.ndarray
 
 
 def _check_same_dims(x: StiefelPoint, q: StiefelPoint):
@@ -110,8 +95,7 @@ def _first_far(xtq: np.ndarray, what: str, samples=None):
     the exact discrepancies: ``(k, error)`` for the first slice k at or past
     ``DOMAIN_GUARD``, error naming sample ``samples[k]`` (k by default,
     ``None`` for one matrix); ``(N, None)`` when every slice is inside."""
-    gap = xtq.reshape(-1, *xtq.shape[-2:]) - np.eye(xtq.shape[-1])
-    d = np.sqrt(np.einsum("kij,kij->k", gap, gap))
+    d = _gaps_to_identity(xtq.reshape(-1, *xtq.shape[-2:]))
     far = np.flatnonzero(d >= DOMAIN_GUARD)
     if not far.size:
         return len(d), None
@@ -187,8 +171,9 @@ def orthographic_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
 
 
 def _ortho_lift(x: np.ndarray, q: np.ndarray, xtq: np.ndarray) -> np.ndarray:
-    # orthographic_lifting on arrays, given xtq = X^T Q
-    return q - x @ (0.5 * (xtq + xtq.T))
+    # orthographic_lifting on arrays, given xtq = X^T Q; also of every slice
+    # of an (N, p, n) stack q with its (N, n, n) stack xtq
+    return q - x @ (0.5 * (xtq + xtq.swapaxes(-1, -2)))
 
 
 def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -231,22 +216,51 @@ def lift(pair: MapPair, x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     raise ValidationError(f"pair must be a MapPair member, got {pair!r}")
 
 
-def composition_discrepancy_direct(
-    x: StiefelPoint, q: StiefelPoint
-) -> CompositionDiscrepancy:
-    """Mismatch of the mixed composition, evaluated by actually composing the
-    maps: lift Q orthographically at X, retract polarly, and measure the
-    discrepancy to Q."""
+def _mixed_composition(c: np.ndarray, q: np.ndarray):
+    """``(delta, comp)``: delta(C, Q_k) = ||I - C^T Q_k||_F and Delta_C(Q_k)
+    = ||I - R_k^T Q_k||_F, with R_k the polar retraction at C of the
+    orthographic lifting of Q_k, for one p x n Q or every slice of an
+    (N, p, n) stack, as arrays of shape ``q.shape[:-2]``.
+
+    The guard names the first far slice of a stack in ``sample_index``, and
+    the R_k are checked as ``StiefelPoint`` checks a point, as the public
+    maps in a loop over the slices would. Each R_k is the polar factor of Y_k = C +
+    V_k; Y_k^T Y_k = I + V_k^T V_k has no eigenvalue below 1, so one
+    batched ``eigh`` gives every inverse square root. delta has the bits of
+    ``discrepancy``.
+    """
+    ctq = c.T @ q
+    _, far = _first_far(ctq, "orthographic lifting")
+    if far is not None:
+        raise far
+    n = c.shape[1]
+    stack = q.reshape(-1, *c.shape)
+    ctq = ctq.reshape(-1, n, n)
+    y = c + _ortho_lift(c, stack, ctq)
+    w, u = np.linalg.eigh(np.swapaxes(y, 1, 2) @ y)
+    r = y @ ((u / np.sqrt(w)[:, None, :]) @ np.swapaxes(u, 1, 2))
+    defects = _orthonormality_defects(r)
+    bad = np.flatnonzero(~(defects < TOL_ORTH))
+    if bad.size:
+        k = int(bad[0])
+        where = f"sample {k}: " if q.ndim == 3 else ""
+        raise ValidationError(
+            f"{where}orthonormality defect {defects[k]:.3e} >= {TOL_ORTH:.1e}",
+            defect=defects[k],
+        )
+    comp = _gaps_to_identity(np.swapaxes(r, 1, 2) @ stack)
+    return _gaps_to_identity(ctq).reshape(q.shape[:-2]), comp.reshape(q.shape[:-2])
+
+
+def composition_discrepancy_direct(x: StiefelPoint, q: StiefelPoint) -> float:
+    """Mismatch ||I - Q^T P_X(lift_X(Q))||_F of the mixed composition,
+    evaluated by actually composing the maps: lift Q orthographically at X,
+    retract polarly, and measure the discrepancy to Q."""
     _check_same_dims(x, q)
-    v = orthographic_lifting(x, q)
-    retracted = polar_retraction(x, v)
-    value = float(np.linalg.norm(np.eye(x.dims.n) - retracted.X.T @ q.X))
-    return CompositionDiscrepancy(value=value, m=q.X.T @ x.X)
+    return float(_mixed_composition(x.X, q.X)[1])
 
 
-def composition_discrepancy_closed_form(
-    x: StiefelPoint, q: StiefelPoint
-) -> CompositionDiscrepancy:
+def composition_discrepancy_closed_form(x: StiefelPoint, q: StiefelPoint) -> float:
     """Same mismatch computed purely from M = Q^T X:
 
         Delta = || I - [I + M - M(M + M^T)/2]
@@ -274,5 +288,4 @@ def composition_discrepancy_closed_form(
             "closed-form composition discrepancy: arguments too far apart "
             f"({exc})"
         ) from exc
-    value = float(np.linalg.norm(eye - left @ inv_sqrt))
-    return CompositionDiscrepancy(value=value, m=m)
+    return float(np.linalg.norm(eye - left @ inv_sqrt))

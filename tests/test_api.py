@@ -10,21 +10,27 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_are_gone():
-    # the pair is a three-member Enum, the residual field is reported by
-    # fixed_point_mean, fixed_point_mean is the one averaging entry point,
-    # and the last two are StiefelPoint(x, dims) and np.linalg.norm, so none
-    # of these has a replacement to export
+    # the pair is a three-member Enum with one name per member, the residual
+    # field is reported by fixed_point_mean, fixed_point_mean is the one
+    # averaging entry point, validate_point and frobenius_norm are
+    # StiefelPoint(x, dims) and np.linalg.norm, and the composition
+    # functions return a float, so none of these has a replacement to export
     import stiefelmean.averaging
     import stiefelmean.kernels
     import stiefelmean.manifold
     import stiefelmean.maps
 
     for name in ("RetractionKind", "LiftingKind", "residual_vector_field",
-                 "weighted_fixed_point_mean", "validate_point", "frobenius_norm"):
+                 "weighted_fixed_point_mean", "validate_point", "frobenius_norm",
+                 "CompositionDiscrepancy", "POLAR_POLAR", "ORTHO_ORTHO",
+                 "MIXED_POLAR_ORTHO"):
         assert name not in stiefelmean.__all__
         assert not hasattr(stiefelmean, name)
     assert not hasattr(stiefelmean.maps, "RetractionKind")
     assert not hasattr(stiefelmean.maps, "LiftingKind")
+    # both composition functions return a float; each pair has one name
+    for name in ("CompositionDiscrepancy", "POLAR_POLAR", "ORTHO_ORTHO", "MIXED_POLAR_ORTHO"):
+        assert not hasattr(stiefelmean.maps, name)
     assert not hasattr(stiefelmean.averaging, "residual_vector_field")
     assert not hasattr(stiefelmean.averaging, "weighted_fixed_point_mean")
     assert not hasattr(stiefelmean.averaging, "_Cloud")

@@ -29,9 +29,7 @@ from stiefelmean.manifold import (
 from stiefelmean.maps import (
     ALL_PAIRS,
     DOMAIN_GUARD,
-    MIXED_POLAR_ORTHO,
-    ORTHO_ORTHO,
-    POLAR_POLAR,
+    MapPair,
     lift,
     orthographic_lifting,
     polar_lifting,
@@ -71,7 +69,7 @@ def test_singleton_mean_is_the_sample(pair):
     assert report.converged
     assert discrepancy(report.final_point, center) < 1e-10
     # associated pairs snap back in one step; the mixed pair needs one more
-    budget = 3 if pair is MIXED_POLAR_ORTHO else 2
+    budget = 3 if pair is MapPair.MIXED else 2
     assert report.iterations_used <= budget
     assert report.iterates_delta_to_center[min(2, report.iterations_used)] < 1e-9
 
@@ -140,7 +138,7 @@ def test_domain_violation_carries_context():
     assert err.value.sample_index == 1
 
 
-@pytest.mark.parametrize("pair", [ORTHO_ORTHO, MIXED_POLAR_ORTHO], ids=lambda p: p.label)
+@pytest.mark.parametrize("pair", [MapPair.ORTHO, MapPair.MIXED], ids=lambda p: p.label)
 def test_domain_violation_reports_first_far_sample(pair):
     x = generate_center(Dims(8, 3), 36)
     far = StiefelPoint(-x.X)
@@ -181,7 +179,7 @@ def test_polar_domain_error_matches_per_sample_loop(order, k):
             break
     assert j == k
     with pytest.raises(DomainError) as err:
-        fixed_point_mean(cloud, AveragingConfig(pair=POLAR_POLAR), initial)
+        fixed_point_mean(cloud, AveragingConfig(pair=MapPair.POLAR), initial)
     assert (err.value.iteration, err.value.sample_index) == (0, k)
     assert str(err.value) == expected
     assert ("positive definite" in expected) == (order == "pd-first")
@@ -193,7 +191,7 @@ def test_retraction_failure_names_its_iteration():
     # retraction on the circle: its inner iteration fails at iteration 0,
     # and no sample is to blame.
     cloud = circle_set([math.pi / 2.0, -math.pi / 2.0])
-    config = AveragingConfig(pair=ORTHO_ORTHO, weights=[3.0, 0.2])
+    config = AveragingConfig(pair=MapPair.ORTHO, weights=[3.0, 0.2])
     with pytest.raises(DomainError) as err:
         fixed_point_mean(cloud, config, circle_point(0.0))
     assert (err.value.iteration, err.value.sample_index) == (0, None)
@@ -225,7 +223,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * polar_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(POLAR_POLAR, cloud.stack, w)(x.X, orthonormality_defect(x.X))
+    batched = _combined_tangent(MapPair.POLAR, cloud.stack, w)(x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-13
 
 
@@ -240,7 +238,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
     loop /= len(cloud)
-    batched = _combined_tangent(ORTHO_ORTHO, cloud.stack, w)(x.X, orthonormality_defect(x.X))
+    batched = _combined_tangent(MapPair.ORTHO, cloud.stack, w)(x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
@@ -390,7 +388,7 @@ def reference_mean(cloud, config, initial, screen=False):
     qbar = StiefelPoint._unchecked(qbar, cloud.dims)
 
     def tangent(x, iteration):
-        if screen and pair is not POLAR_POLAR:
+        if screen and pair is not MapPair.POLAR:
             screened_guard(x.X, cloud.stack, iteration)
         else:
             for k, q in enumerate(samples):
@@ -400,7 +398,7 @@ def reference_mean(cloud, config, initial, screen=False):
                     raise DomainError(
                         f"lifting failed at iteration {iteration}, sample {k}: {exc}",
                         iteration=iteration, sample_index=k) from None
-        if pair is not POLAR_POLAR:
+        if pair is not MapPair.POLAR:
             return lift(pair, x, qbar)
         qs = [q.X @ solve_lyapunov_sym(x.X.T @ q.X, 2.0 * np.eye(n)) for q in samples]
         acc = (w @ np.array(qs).reshape(n_samples, -1)).reshape(x.X.shape)
@@ -474,7 +472,7 @@ def test_fixed_point_mean_matches_the_public_map_loop(case, pair, weighted):
     assert report.converged
 
 
-@given(clouds_near_the_guard(), st.sampled_from([ORTHO_ORTHO, MIXED_POLAR_ORTHO]),
+@given(clouds_near_the_guard(), st.sampled_from([MapPair.ORTHO, MapPair.MIXED]),
        st.data())
 def test_locality_certificate_raises_what_a_screen_per_iteration_raises(case, pair, data):
     # Multi-iteration runs from an iterate with samples on both sides of the
@@ -504,7 +502,7 @@ def test_locality_certificate_follows_the_iterate_across_the_guard(max_iters, it
     # certificate that adds ||X_1 - X_0||_F to its bound catches that, at
     # iteration 1 or, with one iteration, in the residual pass.
     cloud = circle_set([math.pi / 2.0, -math.pi / 2.0])
-    for pair in (ORTHO_ORTHO, MIXED_POLAR_ORTHO):
+    for pair in (MapPair.ORTHO, MapPair.MIXED):
         config = AveragingConfig(pair=pair, max_iters=max_iters, weights=[1.8, 0.2])
         err = assert_same_run(cloud, config, circle_point(0.0), screen=True)
         assert isinstance(err, DomainError)
@@ -621,7 +619,7 @@ def test_weighted_circle_against_scalar_oracle():
             break
 
     cloud = circle_set([theta, -theta])
-    config = AveragingConfig(pair=MIXED_POLAR_ORTHO, conv_tol=conv_tol,
+    config = AveragingConfig(pair=MapPair.MIXED, conv_tol=conv_tol,
                              weights=weights)
     report = fixed_point_mean(cloud, config, circle_point(0.05))
     assert report.converged
@@ -642,7 +640,7 @@ def test_long_weighted_mixed_run_stays_orthonormal():
     # at rounding level however long the run.
     theta = 0.5
     cloud = circle_set([theta, -theta])
-    config = AveragingConfig(pair=MIXED_POLAR_ORTHO, conv_tol=1e-300,
+    config = AveragingConfig(pair=MapPair.MIXED, conv_tol=1e-300,
                              max_iters=300, weights=[2.0, 1.0])
     report = fixed_point_mean(cloud, config, circle_point(0.05))
     assert report.iterations_used > 20

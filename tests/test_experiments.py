@@ -1,7 +1,7 @@
 import pytest
 
 import stiefelmean.experiments as experiments
-from stiefelmean.errors import ValidationError
+from stiefelmean.errors import DomainError, ValidationError
 from stiefelmean.experiments import (
     ExperimentSpec,
     csv_filename,
@@ -12,7 +12,8 @@ from stiefelmean.experiments import (
     run_runtime_vs_n,
     run_runtime_vs_p,
 )
-from stiefelmean.maps import ALL_PAIRS
+from stiefelmean.manifold import Dims, derive_seed, generate_center, generate_samples
+from stiefelmean.maps import ALL_PAIRS, orthographic_lifting
 
 
 # ---------------------------------------------------------------- specs
@@ -105,6 +106,28 @@ def test_discrepancy_stats_reproducible():
     a = run_discrepancy_stats(spec)
     b = run_discrepancy_stats(spec)
     assert a.rows == b.rows
+
+
+def test_discrepancy_stats_names_the_first_far_sample():
+    # at sigma = 1.0 on St(4, 2) the samples straddle the guard; the cloud
+    # is rebuilt as the experiment builds it, and the public lifting, one
+    # sample at a time, finds the first far one
+    spec = default_spec("discrepancy_stats", seed=3, p=4, n=2, n_samples=10, sigma=1.0)
+    center = generate_center(Dims(4, 2), derive_seed(3, 0))
+    cloud = generate_samples(center, 1.0, 10, derive_seed(3, 1))
+    for k, q in enumerate(cloud.samples):
+        try:
+            orthographic_lifting(center, q)
+        except DomainError as exc:
+            expected = exc
+            break
+    else:
+        pytest.fail("no sample past the guard")
+    assert k > 0
+    with pytest.raises(DomainError) as err:
+        run_discrepancy_stats(spec)
+    assert err.value.sample_index == k
+    assert str(err.value) == str(expected)
 
 
 def test_discrepancy_stats_rejects_wrong_kind():

@@ -42,7 +42,9 @@ def test_round_trip_without_center(tmp_path, cloud):
     write_sample_set(path, cloud, include_center=False)
     header, blocks = read_matrix_blocks(path)
     assert not header["has_center"]
-    assert len(blocks) == len(cloud)
+    # the parsed blocks come back as one array
+    assert isinstance(blocks, np.ndarray)
+    assert np.array_equal(blocks, cloud.stack)
     loaded = read_sample_set(path)
     assert loaded.center is None
 

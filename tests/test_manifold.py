@@ -163,6 +163,26 @@ def test_batched_defects_are_the_per_slice_bits(p, n, seed, log_spread):
     assert np.array_equal(_orthonormality_defects(np.ascontiguousarray(stack)), expected)
 
 
+def test_defect_of_a_view_is_the_bits_the_constructors_check():
+    # columns scaled to a defect within rounding of TOL_ORTH, read through a
+    # reversed view: the function checks the C-ordered copy, as StiefelPoint
+    # and SampleSet do, so all three accept and reject the same columns
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal((2000, 27, 1))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q *= np.sqrt(1.0 + TOL_ORTH * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, (2000, 1, 1))))
+    views = [col[::-1] for col in q]
+    defects = np.array([orthonormality_defect(v) for v in views])
+    assert 0 < np.count_nonzero(defects < TOL_ORTH) < len(views)
+    assert np.array_equal(defects, _orthonormality_defects(np.array(views)))
+    for v, d in zip(views, defects):
+        if d < TOL_ORTH:
+            StiefelPoint(v)
+        else:
+            with pytest.raises(ValidationError):
+                StiefelPoint(v)
+
+
 @given(st.integers(1, 60), st.integers(1, 20), st.integers(0, 2**32 - 1),
        st.floats(1.0 - 1e-7, 1.0))
 def test_square_norm_bound_covers_samples_just_inside_the_tolerance(p, n, seed, share):
@@ -173,10 +193,8 @@ def test_square_norm_bound_covers_samples_just_inside_the_tolerance(p, n, seed, 
     delta = math.sqrt(1.0 + share * TOL_ORTH / math.sqrt(n)) - 1.0
     q = thin_qr_q_factor(np.random.default_rng(seed).standard_normal((p, n)))
     q = q * (1.0 + delta)
-    # the row order changes the rounding of the check and of the norm; the
-    # check sees the C-ordered copy the stack holds
-    samples = [s for s in map(np.ascontiguousarray, (q, q[::-1]))
-               if orthonormality_defect(s) < TOL_ORTH]
+    # the row order changes the rounding of the check and of the norm
+    samples = [s for s in (q, q[::-1]) if orthonormality_defect(s) < TOL_ORTH]
     assume(samples)
     rows = SampleSet(Dims(p, n), None, 0.0, 0, samples).stack.reshape(len(samples), -1)
     assert np.all(np.einsum("ki,ki->k", rows, rows) <= _sq_norm_bound(p, n))

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
+from stiefelmean import maps
 from stiefelmean.errors import DomainError, ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
+    TOL_ORTH,
     Dims,
     StiefelPoint,
     discrepancy,
@@ -19,9 +23,6 @@ from stiefelmean.manifold import (
 from stiefelmean.maps import (
     ALL_PAIRS,
     DOMAIN_GUARD,
-    MIXED_POLAR_ORTHO,
-    ORTHO_ORTHO,
-    POLAR_POLAR,
     MapPair,
     composition_discrepancy_closed_form,
     composition_discrepancy_direct,
@@ -68,30 +69,27 @@ def circle_tangent(x, t):
 # ---------------------------------------------------------------- MapPair
 
 def test_map_pair_labels():
-    assert POLAR_POLAR.label == "polar"
-    assert ORTHO_ORTHO.label == "ortho"
-    assert MIXED_POLAR_ORTHO.label == "mixed"
-    assert ALL_PAIRS == (POLAR_POLAR, ORTHO_ORTHO, MIXED_POLAR_ORTHO) == tuple(MapPair)
+    assert MapPair.POLAR.label == "polar"
+    assert MapPair.ORTHO.label == "ortho"
+    assert MapPair.MIXED.label == "mixed"
+    assert ALL_PAIRS == (MapPair.POLAR, MapPair.ORTHO, MapPair.MIXED) == tuple(MapPair)
 
 
 def test_map_pair_from_name():
-    assert MapPair.from_name("mixed") is MIXED_POLAR_ORTHO
-    assert MapPair.from_name("polar") is POLAR_POLAR
-    assert MapPair.from_name("ORTHO") is ORTHO_ORTHO
+    assert MapPair.from_name("mixed") is MapPair.MIXED
+    assert MapPair.from_name("polar") is MapPair.POLAR
+    assert MapPair.from_name("ORTHO") is MapPair.ORTHO
     for pair in MapPair:
-        assert MapPair.from_name(pair.label) is pair
-    aliases = {
-        "polar-polar": POLAR_POLAR, "ortho-ortho": ORTHO_ORTHO,
-        "orthographic": ORTHO_ORTHO, "polar-ortho": MIXED_POLAR_ORTHO,
-    }
-    for alias, pair in aliases.items():
-        for spelling in (alias, alias.upper(), alias.replace("-", "_"), f" {alias}\n"):
+        for spelling in (pair.label, pair.label.upper(), f" {pair.label}\n"):
             assert MapPair.from_name(spelling) is pair
-    with pytest.raises(ValidationError) as err:
-        MapPair.from_name("ortho-polar")
-    assert str(err.value) == (
-        "unknown map pair 'ortho-polar' (choose from: polar, ortho, mixed)"
-    )
+    # one name per pair: the former aliases are rejected like any other name
+    for name in ("ortho-polar", "polar-polar", "ortho_ortho", "orthographic",
+                 "polar-ortho", ""):
+        with pytest.raises(ValidationError) as err:
+            MapPair.from_name(name)
+        assert str(err.value) == (
+            f"unknown map pair '{name}' (choose from: polar, ortho, mixed)"
+        )
 
 
 # ---------------------------------------------------------------- polar maps
@@ -212,8 +210,8 @@ def test_retract_lift_dispatch():
         assert orthonormality_defect(out.X) < 1e-9
         # the polar pair alone lifts polarly, the ortho pair alone retracts
         # orthographically
-        lifting = polar_lifting if pair is POLAR_POLAR else orthographic_lifting
-        retraction = orthographic_retraction if pair is ORTHO_ORTHO else polar_retraction
+        lifting = polar_lifting if pair is MapPair.POLAR else orthographic_lifting
+        retraction = orthographic_retraction if pair is MapPair.ORTHO else polar_retraction
         assert np.array_equal(v.V, lifting(x, q).V)
         assert np.array_equal(out.X, retraction(x, v).X)
 
@@ -267,11 +265,8 @@ def test_retractions_agree_to_first_order():
 
 def test_composition_identity_case():
     x = random_point(20, 4, 13)
-    out = composition_discrepancy_direct(x, x)
-    assert out.value < 1e-13
-    assert np.allclose(out.m, np.eye(4), atol=1e-13)
-    closed = composition_discrepancy_closed_form(x, x)
-    assert closed.value < 1e-13
+    assert composition_discrepancy_direct(x, x) < 1e-13
+    assert composition_discrepancy_closed_form(x, x) < 1e-13
 
 
 def test_composition_circle_against_scalar_oracle():
@@ -284,21 +279,21 @@ def test_composition_circle_against_scalar_oracle():
     x = circle_point(0.0)
     q = circle_point(theta)
     direct = composition_discrepancy_direct(x, q)
-    assert direct.value == pytest.approx(expected, abs=1e-12)
+    assert direct == pytest.approx(expected, abs=1e-12)
     closed = composition_discrepancy_closed_form(x, q)
-    assert closed.value == pytest.approx(expected, abs=1e-12)
+    assert closed == pytest.approx(expected, abs=1e-12)
     # scalar closed form |1 - (1 + m - m^2)/sqrt(2 - m^2)| with m = cos(theta)
     m = math.cos(theta)
     scalar = abs(1.0 - (1.0 + m - m * m) / math.sqrt(2.0 - m * m))
-    assert closed.value == pytest.approx(scalar, abs=1e-12)
+    assert closed == pytest.approx(scalar, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_composition_closed_form_equals_direct(seed):
     x = random_point(20, 4, 900 + seed)
     q = nearby_point(x, 0.05, 1000 + seed)
-    d1 = composition_discrepancy_direct(x, q).value
-    d2 = composition_discrepancy_closed_form(x, q).value
+    d1 = composition_discrepancy_direct(x, q)
+    d2 = composition_discrepancy_closed_form(x, q)
     assert abs(d1 - d2) < 1e-10
 
 
@@ -307,7 +302,64 @@ def test_composition_positive_correlation_with_distance():
     cloud = generate_samples(center, 0.05, 200, 15)
     ds = np.array([discrepancy(center, s) for s in cloud.samples])
     comps = np.array(
-        [composition_discrepancy_direct(center, s).value for s in cloud.samples]
+        [composition_discrepancy_direct(center, s) for s in cloud.samples]
     )
     rho = stats.spearmanr(ds, comps).statistic
     assert rho > 0.5
+
+
+def composition_loop(center, points):
+    """The oracle of the mixed-composition core: the public maps, one sample
+    at a time. ``(deltas, comps)``, or ``(k, error)`` for the first sample
+    whose lifting raises."""
+    deltas, comps = [], []
+    for k, q in enumerate(points):
+        try:
+            v = orthographic_lifting(center, q)
+        except DomainError as exc:
+            return k, exc
+        deltas.append(discrepancy(center, q))
+        comps.append(discrepancy(polar_retraction(center, v), q))
+    return np.array(deltas), np.array(comps)
+
+
+@given(st.data())
+def test_mixed_composition_core_matches_the_public_map_loop(data):
+    # spreads from 0 to far past the guard: small ones keep every sample
+    # inside, large ones scatter samples over the whole manifold
+    p = data.draw(st.integers(1, 30))
+    n = data.draw(st.integers(1, p))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    sigma = data.draw(st.just(0.0) | st.floats(-3.0, 0.5).map(lambda t: 10.0 ** t))
+    center = generate_center(Dims(p, n), seed)
+    cloud = generate_samples(center, sigma, data.draw(st.integers(1, 8)), seed)
+    expected = composition_loop(center, cloud.samples)
+    if isinstance(expected[1], DomainError):
+        k, exc = expected
+        with pytest.raises(DomainError) as err:
+            maps._mixed_composition(center.X, cloud.stack)
+        assert (str(err.value), err.value.sample_index) == (str(exc), k)
+        return
+    deltas, comps = maps._mixed_composition(center.X, cloud.stack)
+    assert np.array_equal(deltas, expected[0])
+    assert np.all(np.abs(comps - expected[1]) <= np.maximum(1e-12 * expected[1], 1e-14))
+    # the public function is the core's one-slice call
+    for q, comp in zip(cloud.samples, comps):
+        assert composition_discrepancy_direct(center, q) == maps._mixed_composition(
+            center.X, q.X)[1] == pytest.approx(comp, rel=1e-12, abs=1e-14)
+
+
+def test_mixed_composition_checks_the_retracted_points(monkeypatch):
+    center = random_point(9, 3, 16)
+    cloud = generate_samples(center, 0.05, 5, 17)
+    defects = np.array([0.0, 0.0, 2.0 * TOL_ORTH, 3.0 * TOL_ORTH, 0.0])
+    monkeypatch.setattr(maps, "_orthonormality_defects", lambda r: defects[:len(r)])
+    with pytest.raises(ValidationError) as err:
+        maps._mixed_composition(center.X, cloud.stack)
+    assert str(err.value) == f"sample 2: orthonormality defect 2.000e-09 >= {TOL_ORTH:.1e}"
+    assert err.value.defect == defects[2]
+    # one pair names no sample, as StiefelPoint would not
+    monkeypatch.setattr(maps, "_orthonormality_defects", lambda r: defects[2:3])
+    with pytest.raises(ValidationError) as err:
+        composition_discrepancy_direct(center, cloud.samples[2])
+    assert str(err.value) == f"orthonormality defect 2.000e-09 >= {TOL_ORTH:.1e}"
