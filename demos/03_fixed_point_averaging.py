@@ -21,7 +21,7 @@ from stiefelmean import (
 dims = Dims(20, 4)
 center = generate_center(dims, seed=11)
 cloud = generate_samples(center, sigma=0.2, n_samples=30, seed=12)
-initial = perturb_initial_guess(cloud.samples[0], epsilon=0.01, seed=13)
+initial = perturb_initial_guess(cloud.stack[0], epsilon=0.01, seed=13)
 print(f"averaging {len(cloud)} samples on St({dims.p},{dims.n}), "
       f"spread sigma={cloud.sigma}")
 print(f"initial guess: delta(X0, C) = {discrepancy(initial, center):.4f}\n")

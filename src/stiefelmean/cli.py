@@ -161,7 +161,7 @@ def _cmd_mean(args) -> int:
     init_seed = args.init_seed
     if init_seed is None:
         init_seed = derive_seed(cloud.seed, 1)
-    initial = perturb_initial_guess(cloud.samples[0], args.epsilon_init, init_seed)
+    initial = perturb_initial_guess(cloud.stack[0], args.epsilon_init, init_seed)
     report = fixed_point_mean(cloud, config, initial)
 
     out = args.out or f"{args.infile}.mean.txt"

@@ -239,7 +239,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     dims = Dims(spec.p, spec.n)
     center = generate_center(dims, derive_seed(spec.seed, 0))
     cloud = generate_samples(center, spec.sigma, spec.n_samples, derive_seed(spec.seed, 1))
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, derive_seed(spec.seed, 2))
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, derive_seed(spec.seed, 2))
     rows: List[Tuple[str, int, float]] = []
     reports: Dict[str, AveragingReport] = {}
     failures: Dict[str, str] = {}
@@ -303,7 +303,7 @@ def _timed_trial(spec, dims, dim_index, trial):
     init_seed = derive_seed(spec.seed, dim_index, trial, 1)
     center = generate_center(dims, derive_seed(spec.seed, dim_index, trial, 2))
     cloud = generate_samples(center, spec.sigma, spec.n_samples, sample_seed)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, init_seed)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, init_seed)
     shift = trial % len(spec.pairs)
     timed = []
     for pair in spec.pairs[shift:] + spec.pairs[:shift]:

@@ -162,15 +162,12 @@ def read_sample_set(path) -> SampleSet:
         center = StiefelPoint(blocks[0], dims=dims)
         blocks = blocks[1:]
     return SampleSet(
-        dims=dims, center=center, sigma=header["sigma"], seed=header["seed"],
-        samples=blocks,
+        dims=dims, center=center, sigma=header["sigma"], seed=header["seed"], stack=blocks
     )
 
 
 def write_point(path, point: StiefelPoint, sigma: float = 0.0, seed: int = 0) -> None:
     """Write a single point in the sample-set format (N = 1, no center block).
     ``sigma`` and ``seed`` are carried as provenance metadata."""
-    ss = SampleSet(
-        dims=point.dims, center=None, sigma=sigma, seed=seed, samples=(point,)
-    )
+    ss = SampleSet(dims=point.dims, center=None, sigma=sigma, seed=seed, stack=(point,))
     write_sample_set(path, ss, include_center=False)

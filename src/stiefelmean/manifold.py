@@ -18,7 +18,8 @@ read and validate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -135,13 +136,7 @@ class StiefelPoint:
             raise ValidationError(
                 f"shape {x.shape} does not match requested dims ({dims.p}, {dims.n})"
             )
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("entries must be finite")
-        defect = orthonormality_defect(x)
-        if defect >= TOL_ORTH:
-            raise ValidationError(
-                f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}", defect=defect
-            )
+        _checked_defect(x)
         object.__setattr__(self, "dims", inferred)
         object.__setattr__(self, "X", x)
 
@@ -156,6 +151,10 @@ class StiefelPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("StiefelPoint is immutable")
+
+    def __array__(self, dtype=None, copy=None):
+        # lets NumPy read a point, or a sequence of points, as its array
+        return np.array(self.X, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"StiefelPoint(St({self.dims.p},{self.dims.n}))"
@@ -202,61 +201,60 @@ class TangentVector:
         return f"TangentVector(St({d.p},{d.n}), |V|={self.norm():.3e})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """An ordered collection of Stiefel points with its generation metadata.
 
-    ``samples`` (``StiefelPoint``s, p x n arrays, or one (N, p, n) array,
-    which is shape-checked and copied whole) are copied once into ``stack``,
-    a read-only C-ordered (N, p, n) array, and validated there in one batch;
-    ``samples`` then holds ``StiefelPoint`` views of the rows of ``stack``.
+    ``stack`` is converted once, by one NumPy call, into a read-only
+    C-ordered (N, p, n) array and validated there in one batch. Anything
+    NumPy reads as N p x n blocks will do: one (N, p, n) array, a sequence
+    of p x n arrays, or a sequence of ``StiefelPoint``s.
 
     ``center`` is the point the samples were scattered around when known
     (``None`` for sets loaded from files that omit it). ``seed`` is the
-    64-bit integer that reproduces the set through ``generate_samples``.
+    nonnegative integer that reproduces the set through ``generate_samples``.
     """
 
     dims: Dims
     center: Optional[StiefelPoint]
     sigma: float
     seed: int
-    samples: tuple = field(default_factory=tuple)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray
 
     def __post_init__(self):
-        if len(self.samples) < 1:
+        if len(self.stack) < 1:
             raise ValidationError("a sample set needs at least one sample")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        p, n = self.dims.p, self.dims.n
-        blocks = self.samples
-        if isinstance(blocks, np.ndarray):
-            # one array of samples: every row has the shape of row 0
-            if blocks.shape[1:] != (p, n):
-                raise ValidationError(
-                    f"sample 0 has shape {blocks.shape[1:]}, expected {(p, n)}"
-                )
-        else:
-            blocks = [s.X if isinstance(s, StiefelPoint) else s for s in blocks]
-            for k, b in enumerate(blocks):
-                if np.shape(b) != (p, n):
-                    raise ValidationError(
-                        f"sample {k} has shape {np.shape(b)}, expected {(p, n)}"
-                    )
+        _check_seed(self.seed)
         if self.center is not None and self.center.dims != self.dims:
             raise ValidationError("center dims do not match the sample set dims")
-        stack = np.array(blocks, dtype=float, order="C")
+        p, n = self.dims.p, self.dims.n
+        try:
+            stack = np.array(self.stack, dtype=float, order="C")
+        except (TypeError, ValueError):
+            stack = None  # ragged, or not numbers: told apart below
+        if stack is None or stack.shape[1:] != (p, n):
+            for k, x in enumerate(self.stack):
+                if np.shape(x) != (p, n):
+                    raise ValidationError(
+                        f"sample {k} has shape {np.shape(x)}, expected {(p, n)}"
+                    )
+            raise ValidationError("samples must be numbers")
         # a sample that fails the batched check, NaN included, gets the
-        # check of StiefelPoint, which raises its message
+        # check StiefelPoint makes, which raises its message
         for k in np.flatnonzero(~(_orthonormality_defects(stack) < TOL_ORTH)):
             try:
-                StiefelPoint(stack[k])
+                _checked_defect(stack[k])
             except ValidationError as exc:
                 raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
-        views = tuple(StiefelPoint._unchecked(x, self.dims) for x in stack)
-        object.__setattr__(self, "samples", views)
+
+    @cached_property
+    def samples(self) -> tuple:
+        """``StiefelPoint`` views of the rows of ``stack``, built on first read."""
+        return tuple(StiefelPoint._unchecked(x, self.dims) for x in self.stack)
 
     def __len__(self) -> int:
         return len(self.stack)
@@ -293,7 +291,7 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
 
 
 def _check_seed(seed, name: str = "seed") -> None:
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
 
 
@@ -360,21 +358,20 @@ def generate_samples(
     _check_seed(seed)
     stack = _rotate(center.X, sigma, int(n_samples), np.random.default_rng(seed))
     return SampleSet(
-        dims=center.dims, center=center, sigma=float(sigma), seed=int(seed),
-        samples=stack,
+        dims=center.dims, center=center, sigma=float(sigma), seed=int(seed), stack=stack
     )
 
 
-def perturb_initial_guess(x1: StiefelPoint, epsilon: float, seed: int) -> StiefelPoint:
-    """Slightly rotate ``x1`` by exp(epsilon * skew_part(A)) with A a fresh
-    standard-normal p x p draw, applied as ``generate_samples`` applies its
-    rotations. Used to produce the starting point of the fixed-point
-    iteration from the first sample."""
+def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
+    """Slightly rotate the p x n array ``x1`` (a ``StiefelPoint`` will do) by
+    exp(epsilon * skew_part(A)) with A a fresh standard-normal p x p draw,
+    applied as ``generate_samples`` applies its rotations. Used to produce the
+    starting point of the fixed-point iteration from the first sample."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
     _check_seed(seed)
-    rotated = _rotate(x1.X, epsilon, 1, np.random.default_rng(seed))
-    return StiefelPoint(rotated[0], dims=x1.dims)
+    rotated = _rotate(np.asarray(x1, dtype=float), epsilon, 1, np.random.default_rng(seed))
+    return StiefelPoint(rotated[0])
 
 
 def derive_seed(base_seed: int, *path: int) -> int:

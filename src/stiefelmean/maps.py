@@ -71,7 +71,7 @@ class MapPair(Enum):
         else, including the unsupported 'ortho-polar'."""
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValidationError(
                 f"unknown map pair '{name}' (choose from: polar, ortho, mixed)"
             ) from None

@@ -365,7 +365,7 @@ def test_criterion_8_degenerate_and_symmetry_suite():
 
     center = generate_center(dims, derive_seed(SEED, 30))
     cloud0 = generate_samples(center, 0.0, 10, derive_seed(SEED, 31))
-    start = perturb_initial_guess(cloud0.samples[0], 0.01, derive_seed(SEED, 32))
+    start = perturb_initial_guess(cloud0.stack[0], 0.01, derive_seed(SEED, 32))
     for pair in ALL_PAIRS:
         rep = fixed_point_mean(cloud0, AveragingConfig(pair=pair), start)
         assert rep.converged
@@ -373,7 +373,7 @@ def test_criterion_8_degenerate_and_symmetry_suite():
         assert discrepancy(rep.final_point, center) < 1e-10
 
     single = SampleSet(dims=dims, center=center, sigma=0.0, seed=0,
-                       samples=(center,))
+                       stack=(center,))
     rep = fixed_point_mean(single, AveragingConfig(pair=MapPair.MIXED), start)
     assert rep.converged
     assert discrepancy(rep.final_point, center) < 1e-10
@@ -381,7 +381,7 @@ def test_criterion_8_degenerate_and_symmetry_suite():
     theta = math.pi / 6.0
     cpoint = lambda t: StiefelPoint(np.array([[math.cos(t)], [math.sin(t)]]))
     circle = SampleSet(dims=Dims(2, 1), center=cpoint(0.0), sigma=0.0, seed=0,
-                       samples=(cpoint(theta), cpoint(-theta)))
+                       stack=(cpoint(theta), cpoint(-theta)))
     for pair in ALL_PAIRS:
         rep = fixed_point_mean(circle, AveragingConfig(pair=pair, conv_tol=1e-13),
                                cpoint(0.05))
@@ -389,7 +389,7 @@ def test_criterion_8_degenerate_and_symmetry_suite():
         assert discrepancy(rep.final_point, cpoint(0.0)) < 1e-9
 
     cloud = generate_samples(center, 0.1, 8, derive_seed(SEED, 33))
-    start2 = perturb_initial_guess(cloud.samples[0], 0.01, derive_seed(SEED, 34))
+    start2 = perturb_initial_guess(cloud.stack[0], 0.01, derive_seed(SEED, 34))
     plain = fixed_point_mean(cloud, AveragingConfig(), start2)
     ones = fixed_point_mean(
         cloud, AveragingConfig(weights=[1.0] * len(cloud)), start2

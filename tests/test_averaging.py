@@ -49,7 +49,7 @@ def circle_set(thetas, center_theta=None):
     samples = tuple(circle_point(t) for t in thetas)
     center = None if center_theta is None else circle_point(center_theta)
     return SampleSet(dims=Dims(2, 1), center=center, sigma=0.0, seed=0,
-                     samples=samples)
+                     stack=samples)
 
 
 def small_cloud(seed, sigma=0.05, n_samples=10, p=20, n=4):
@@ -63,7 +63,7 @@ def small_cloud(seed, sigma=0.05, n_samples=10, p=20, n=4):
 def test_singleton_mean_is_the_sample(pair):
     center = generate_center(Dims(20, 4), 1)
     cloud = SampleSet(dims=center.dims, center=center, sigma=0.0, seed=0,
-                      samples=(center,))
+                      stack=(center,))
     initial = perturb_initial_guess(center, 0.01, 2)
     report = fixed_point_mean(cloud, AveragingConfig(pair=pair), initial)
     assert report.converged
@@ -78,7 +78,7 @@ def test_singleton_mean_is_the_sample(pair):
 def test_degenerate_spread_recovers_center(pair):
     center = generate_center(Dims(20, 4), 3)
     cloud = generate_samples(center, 0.0, 6, 4)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 5)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 5)
     report = fixed_point_mean(cloud, AveragingConfig(pair=pair), initial)
     assert report.converged
     assert report.iterations_used <= 3
@@ -98,7 +98,7 @@ def test_circle_symmetric_mean_is_center(pair):
 
 def test_every_iterate_step_recorded_and_convergence_flag():
     cloud = small_cloud(6)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 7)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 7)
     report = fixed_point_mean(cloud, AveragingConfig(), initial)
     assert report.converged
     assert report.step_sizes[-1] < 1e-10
@@ -111,7 +111,7 @@ def test_every_iterate_step_recorded_and_convergence_flag():
 def test_step_sizes_decrease_after_first_iteration():
     for seed in (8, 9, 10):
         cloud = small_cloud(seed, sigma=0.05, n_samples=12)
-        initial = perturb_initial_guess(cloud.samples[0], 0.01, seed + 100)
+        initial = perturb_initial_guess(cloud.stack[0], 0.01, seed + 100)
         report = fixed_point_mean(cloud, AveragingConfig(), initial)
         steps = report.step_sizes
         assert all(b < a for a, b in zip(steps[1:], steps[2:]))
@@ -119,7 +119,7 @@ def test_step_sizes_decrease_after_first_iteration():
 
 def test_non_convergence_reports_full_trace():
     cloud = small_cloud(11, sigma=0.2, n_samples=8)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 12)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 12)
     report = fixed_point_mean(cloud, AveragingConfig(max_iters=2), initial)
     assert not report.converged
     assert report.iterations_used == 2
@@ -130,7 +130,7 @@ def test_domain_violation_carries_context():
     x = generate_center(Dims(8, 3), 13)
     far = StiefelPoint(-x.X)
     cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0,
-                      samples=(x, far))
+                      stack=(x, far))
     initial = perturb_initial_guess(x, 0.01, 14)
     with pytest.raises(DomainError) as err:
         fixed_point_mean(cloud, AveragingConfig(), initial)
@@ -143,7 +143,7 @@ def test_domain_violation_reports_first_far_sample(pair):
     x = generate_center(Dims(8, 3), 36)
     far = StiefelPoint(-x.X)
     cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0,
-                      samples=(x, x, far, x, far))
+                      stack=(x, x, far, x, far))
     initial = perturb_initial_guess(x, 0.01, 37)
     with pytest.raises(DomainError) as err:
         fixed_point_mean(cloud, AveragingConfig(pair=pair), initial)
@@ -169,7 +169,7 @@ def test_polar_domain_error_matches_per_sample_loop(order, k):
     x = generate_center(Dims(8, 3), 41)
     bad, far = _not_positive_definite_partner(x), StiefelPoint(-x.X)
     samples = (x, x, bad, x, far) if order == "pd-first" else (x, far, x, bad, x)
-    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, samples=samples)
+    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, stack=samples)
     initial = perturb_initial_guess(x, 0.01, 42)
     for j, q in enumerate(samples):
         try:
@@ -216,7 +216,7 @@ def test_public_polar_lifting_keeps_the_solver_error():
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     cloud = small_cloud(43, sigma=0.1, n_samples=30, p=40, n=6)
-    x = perturb_initial_guess(cloud.samples[0], 0.05, 44)
+    x = perturb_initial_guess(cloud.stack[0], 0.05, 44)
     rng = np.random.default_rng(45)
     w = rng.uniform(0.2, 3.0, len(cloud)) if weighted else np.ones(len(cloud))
     loop = np.zeros_like(x.X)
@@ -231,7 +231,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
 def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     # the lifting of the ambient mean against the mean of the liftings
     cloud = small_cloud(38, sigma=0.1, n_samples=30, p=40, n=6)
-    x = perturb_initial_guess(cloud.samples[0], 0.05, 39)
+    x = perturb_initial_guess(cloud.stack[0], 0.05, 39)
     rng = np.random.default_rng(40)
     w = rng.uniform(0.2, 3.0, len(cloud)) if weighted else np.ones(len(cloud))
     loop = np.zeros_like(x.X)
@@ -253,8 +253,8 @@ def test_ambient_mean_sums_in_sample_order(weighted, p, n, n_samples):
     cloud = generate_samples(center, 0.3, n_samples, n_samples + 1)
     w = rng.uniform(0.2, 3.0, n_samples) if weighted else np.ones(n_samples)
     acc = np.zeros((p, n))
-    for wk, q in zip(w, cloud.samples):
-        acc += wk * q.X
+    for wk, q in zip(w, cloud.stack):
+        acc += wk * q
     acc /= n_samples
     assert np.array_equal(_ambient_mean(cloud.stack, w), acc)
 
@@ -280,7 +280,7 @@ def screened_guard(x, stack, iteration):
 def check_locality(x, points, iteration):
     """Run the screened guard of ``x`` over a cloud of ``points``."""
     screened_guard(x, SampleSet(dims=Dims(*x.shape), center=None, sigma=0.0, seed=0,
-                                samples=points).stack, iteration)
+                                stack=points).stack, iteration)
 
 
 def guard_crossing(x, a):
@@ -311,7 +311,7 @@ def clouds_near_the_guard(draw):
     spread = generate_samples(center, draw(st.floats(0.0, 0.4)), draw(st.integers(1, 6)), seed)
     # an iterate carries an orthonormality defect below TOL_ORTH
     x = center.X * (1.0 + draw(st.floats(0.0, 1e-10)))
-    points = [s.X for s in spread.samples]
+    points = list(spread.stack)
     for _ in range(draw(st.integers(0, 4))):
         a = skew_part(rng.standard_normal((p, p)))
         t_star = guard_crossing(center.X, a)
@@ -444,18 +444,18 @@ def assert_same_run(cloud, config, initial, screen=False):
 
 def reference_cases():
     one = StiefelPoint(np.array([[1.0]]))
-    cloud = SampleSet(dims=one.dims, center=one, sigma=0.0, seed=0, samples=(one,))
+    cloud = SampleSet(dims=one.dims, center=one, sigma=0.0, seed=0, stack=(one,))
     yield "St(1,1) N=1", cloud, StiefelPoint(np.array([[1.0]]))
     center = generate_center(Dims(8, 3), 71)
-    cloud = SampleSet(dims=center.dims, center=center, sigma=0.0, seed=0, samples=(center,))
+    cloud = SampleSet(dims=center.dims, center=center, sigma=0.0, seed=0, stack=(center,))
     yield "St(8,3) N=1", cloud, perturb_initial_guess(center, 0.05, 72)
     cloud = small_cloud(73, sigma=0.05, n_samples=1000, p=40, n=4)
-    yield "St(40,4) N=1000", cloud, perturb_initial_guess(cloud.samples[0], 0.01, 74)
+    yield "St(40,4) N=1000", cloud, perturb_initial_guess(cloud.stack[0], 0.01, 74)
     # the criterion-5 cloud and initial guess: St(20,4), N=30, sigma=0.2,
     # seed 1217, as run_convergence builds them
     center = generate_center(Dims(20, 4), derive_seed(1217, 0))
     cloud = generate_samples(center, 0.2, 30, derive_seed(1217, 1))
-    yield "sigma=0.2", cloud, perturb_initial_guess(cloud.samples[0], 0.01, derive_seed(1217, 2))
+    yield "sigma=0.2", cloud, perturb_initial_guess(cloud.stack[0], 0.01, derive_seed(1217, 2))
 
 
 REFERENCE_CASES = list(reference_cases())
@@ -487,7 +487,7 @@ def test_locality_certificate_raises_what_a_screen_per_iteration_raises(case, pa
     weights = np.full(n_samples, (1.0 - pull) * n_samples / max(n_samples - 1, 1))
     weights[data.draw(st.integers(0, n_samples - 1))] = pull * n_samples
     cloud = SampleSet(dims=Dims(*x.shape), center=None, sigma=0.0, seed=0,
-                      samples=points)
+                      stack=points)
     config = AveragingConfig(pair=pair, max_iters=6, weights=list(weights))
     assert_same_run(cloud, config, StiefelPoint(x), screen=True)
 
@@ -521,7 +521,7 @@ def lifted_field_norm(x, cloud, pair):
 
 def test_residual_zero_at_single_sample():
     x = generate_center(Dims(10, 3), 15)
-    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, samples=(x,))
+    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, stack=(x,))
     for pair in ALL_PAIRS:
         assert lifted_field_norm(x, cloud, pair) < 1e-13
 
@@ -536,7 +536,7 @@ def test_residual_cancels_at_circle_center():
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label)
 def test_residual_small_at_converged_mean(pair):
     cloud = small_cloud(16, sigma=0.1, n_samples=15)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 17)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 17)
     config = AveragingConfig(pair=pair)
     report = fixed_point_mean(cloud, config, initial)
     assert report.converged
@@ -549,13 +549,13 @@ def test_residual_small_at_converged_mean(pair):
 
 def test_sample_order_permutation_invariance():
     cloud = small_cloud(18, sigma=0.1, n_samples=9)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 19)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 19)
     report = fixed_point_mean(cloud, AveragingConfig(), initial)
     rng = np.random.default_rng(20)
     order = rng.permutation(len(cloud))
     shuffled = SampleSet(
         dims=cloud.dims, center=cloud.center, sigma=cloud.sigma, seed=cloud.seed,
-        samples=tuple(cloud.samples[i] for i in order),
+        stack=cloud.stack[order],
     )
     report2 = fixed_point_mean(shuffled, AveragingConfig(), initial)
     assert discrepancy(report.final_point, report2.final_point) < 1e-9
@@ -563,12 +563,12 @@ def test_sample_order_permutation_invariance():
 
 def test_left_rotation_equivariance():
     cloud = small_cloud(21, sigma=0.1, n_samples=8)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 22)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 22)
     rng = np.random.default_rng(23)
     u = skew_expm(skew_part(rng.standard_normal((20, 20))), 0.6)
     rotated = SampleSet(
         dims=cloud.dims, center=None, sigma=cloud.sigma, seed=cloud.seed,
-        samples=tuple(StiefelPoint(u @ s.X) for s in cloud.samples),
+        stack=u @ cloud.stack,
     )
     rotated_initial = StiefelPoint(u @ initial.X)
     for pair in ALL_PAIRS:
@@ -582,7 +582,7 @@ def test_left_rotation_equivariance():
 
 def test_equal_weights_match_unweighted_bitwise():
     cloud = small_cloud(24, sigma=0.1, n_samples=7)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 25)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 25)
     plain = fixed_point_mean(cloud, AveragingConfig(), initial)
     ones = fixed_point_mean(cloud, AveragingConfig(weights=[1.0] * len(cloud)), initial)
     assert plain.step_sizes == ones.step_sizes
@@ -591,7 +591,7 @@ def test_equal_weights_match_unweighted_bitwise():
 
 def test_fixed_point_mean_runs_the_weighted_rule():
     cloud = small_cloud(34, sigma=0.1, n_samples=6)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 35)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 35)
     config = AveragingConfig(weights=[3.0, 1.0, 0.5, 0.5, 0.5, 0.5])
     direct = fixed_point_mean(cloud, config, initial)
     plain = fixed_point_mean(cloud, AveragingConfig(), initial)
@@ -656,7 +656,7 @@ def test_weight_limit_sweep_pulls_mean_to_sample():
     # as a step gain; the sweep renormalizes each weight vector to sum N to
     # stay in the stable regime while the ratio grows.
     cloud = small_cloud(28, sigma=0.05, n_samples=8)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 29)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 29)
     n = len(cloud)
     gaps = []
     for big in (1e2, 1e4, 1e6):
@@ -672,7 +672,7 @@ def test_weight_limit_sweep_pulls_mean_to_sample():
 
 def test_weight_validation():
     cloud = small_cloud(30, n_samples=4)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 31)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 31)
     with pytest.raises(ValidationError):
         fixed_point_mean(cloud, AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0]), initial)
     with pytest.raises(ValidationError):
@@ -697,7 +697,7 @@ def test_weight_validation():
 
 def test_trace_csv_layout(tmp_path):
     cloud = small_cloud(32, n_samples=5)
-    initial = perturb_initial_guess(cloud.samples[0], 0.01, 33)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 33)
     report = fixed_point_mean(cloud, AveragingConfig(), initial)
     path = tmp_path / "trace.csv"
     report.write_trace_csv(path)
@@ -714,7 +714,7 @@ def test_trace_csv_layout(tmp_path):
 
 def test_trace_csv_without_center(tmp_path):
     x = generate_center(Dims(8, 2), 34)
-    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, samples=(x,))
+    cloud = SampleSet(dims=x.dims, center=None, sigma=0.0, seed=0, stack=(x,))
     initial = perturb_initial_guess(x, 0.01, 35)
     report = fixed_point_mean(cloud, AveragingConfig(), initial)
     assert report.iterates_delta_to_center is None

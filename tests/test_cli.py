@@ -110,7 +110,7 @@ def test_mean_retraction_failure_prints_its_iteration_only(tmp_path, capsys):
     points = [StiefelPoint(np.array([[math.cos(t)], [math.sin(t)]]))
               for t in (0.0, math.pi / 2.0, -math.pi / 2.0)]
     cloud = SampleSet(dims=Dims(2, 1), center=points[0], sigma=0.0, seed=5,
-                      samples=tuple(points))
+                      stack=tuple(points))
     infile, wfile = tmp_path / "circle.txt", tmp_path / "weights.txt"
     write_sample_set(infile, cloud)
     wfile.write_text("0.3\n3.5\n0.2\n")
@@ -149,7 +149,7 @@ def test_validate_scaled_point_exits_2(sample_file, tmp_path, capsys):
     cloud = read_sample_set(sample_file)
     bad = tmp_path / "bad.txt"
     lines = [f"20 4 1 0.0 7"]
-    for row in 2.0 * cloud.samples[0].X:
+    for row in 2.0 * cloud.stack[0]:
         lines.append(" ".join(f"{v:.16e}" for v in row))
     bad.write_text("\n".join(lines) + "\n")
     code = run("validate", bad)

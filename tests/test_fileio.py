@@ -33,8 +33,7 @@ def test_round_trip_with_center(tmp_path, cloud):
     assert loaded.seed == cloud.seed
     assert len(loaded) == len(cloud)
     assert np.array_equal(loaded.center.X, cloud.center.X)
-    for a, b in zip(loaded.samples, cloud.samples):
-        assert np.array_equal(a.X, b.X)  # 17 significant digits round-trip
+    assert np.array_equal(loaded.stack, cloud.stack)  # 17 significant digits round-trip
 
 
 def test_round_trip_without_center(tmp_path, cloud):
@@ -54,7 +53,7 @@ def test_write_point_reads_back(tmp_path, cloud):
     write_point(path, cloud.samples[0], sigma=cloud.sigma, seed=cloud.seed)
     loaded = read_sample_set(path)
     assert len(loaded) == 1
-    assert np.array_equal(loaded.samples[0].X, cloud.samples[0].X)
+    assert np.array_equal(loaded.stack[0], cloud.stack[0])
 
 
 def test_header_layout(tmp_path, cloud):
@@ -163,13 +162,13 @@ def test_read_sample_set_validates_the_cloud_once(tmp_path, monkeypatch, cloud, 
     path = tmp_path / "set.txt"
     write_sample_set(path, cloud, include_center=with_center)
     calls = []
-    original = manifold.orthonormality_defect
+    original = manifold._checked_defect
 
     def counted(x):
         calls.append(x.shape)
         return original(x)
 
-    monkeypatch.setattr(manifold, "orthonormality_defect", counted)
+    monkeypatch.setattr(manifold, "_checked_defect", counted)
     loaded = read_sample_set(path)
     assert len(loaded) == len(cloud)
     # only the center is checked on its own
@@ -179,7 +178,7 @@ def test_read_sample_set_validates_the_cloud_once(tmp_path, monkeypatch, cloud, 
 def _reference_text(path, sample_set):
     # the writer's format spelled out one value at a time
     lines = [path.read_text().splitlines()[0]]
-    blocks = [sample_set.center.X] + [s.X for s in sample_set.samples]
+    blocks = [sample_set.center.X] + list(sample_set.stack)
     for b, block in enumerate(blocks):
         if b:
             lines.append("")
@@ -194,14 +193,14 @@ def test_large_file_round_trips_bitwise(tmp_path):
     assert path.read_text() == _reference_text(path, big)
     loaded = read_sample_set(path)
     assert np.array_equal(loaded.center.X, big.center.X)
-    assert all(np.array_equal(a.X, b.X) for a, b in zip(loaded.samples, big.samples))
+    assert np.array_equal(loaded.stack, big.stack)
 
 
 def test_writer_text_for_signed_zero_and_subnormal(tmp_path):
     x = np.array([[1.0, -0.0], [5e-324, 1.0], [-5e-324, 0.0]])
     point = StiefelPoint(x)
     sample_set = SampleSet(dims=point.dims, center=point, sigma=0.0, seed=1,
-                           samples=(point, point))
+                           stack=(point, point))
     path = tmp_path / "edge.txt"
     write_sample_set(path, sample_set)
     text = path.read_text()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stiefelmean import manifold
 from stiefelmean.errors import ValidationError
+from stiefelmean.fileio import write_point
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
     TOL_ORTH,
@@ -60,23 +61,26 @@ def test_point_is_immutable():
 def test_sample_set_requires_samples():
     x = canonical_point(4, 2)
     with pytest.raises(ValidationError):
-        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, samples=())
+        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=())
 
 
 def test_sample_set_checks_dims():
     x = canonical_point(4, 2)
     y = canonical_point(5, 2)
     with pytest.raises(ValidationError):
-        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, samples=(x, y))
+        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=(x, y))
     with pytest.raises(ValidationError) as err:
-        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, samples=(x.X, x.X, x.X[:3]))
+        SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=(x.X, x.X, x.X[:3]))
     assert str(err.value) == "sample 2 has shape (3, 2), expected (4, 2)"
+    for not_numbers in (np.full((2, 4, 2), "a"), [x.X, [[object()] * 2] * 4]):
+        with pytest.raises(ValidationError, match="samples must be numbers"):
+            SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=not_numbers)
 
 
 def raw_cloud(seed, n_samples=6, p=7, n=3):
     """Plain (p, n) arrays of a generated cloud, with its dims."""
     cloud = generate_samples(generate_center(Dims(p, n), seed), 0.1, n_samples, seed + 1)
-    return cloud.dims, [np.array(s.X) for s in cloud.samples]
+    return cloud.dims, [np.array(x) for x in cloud.stack]
 
 
 def test_sample_set_names_the_first_off_manifold_array():
@@ -106,6 +110,12 @@ def test_sample_set_stack_is_read_only_and_backs_the_samples():
     assert np.array_equal(cloud.stack, np.array(blocks))
     with pytest.raises(ValueError):
         cloud.stack[0, 0, 0] = 1.0
+    # the point views are built on first read only, then kept
+    assert "samples" not in vars(cloud)
+    assert cloud.samples is cloud.samples
+    # a point reads as its array, copied only when a copy is asked for
+    assert np.asarray(cloud.samples[0]) is cloud.samples[0].X
+    assert not np.shares_memory(np.array(cloud.samples[0]), cloud.stack)
     for k, s in enumerate(cloud.samples):
         assert isinstance(s, StiefelPoint) and s.dims == dims
         assert np.shares_memory(s.X, cloud.stack)
@@ -115,6 +125,9 @@ def test_sample_set_stack_is_read_only_and_backs_the_samples():
     assert cloud.stack[0, 0, 0] != 5.0
     again = SampleSet(dims, None, 0.1, 0, cloud.samples)
     assert np.array_equal(again.stack, cloud.stack)
+    # a tuple of points, passed positionally as a cloud minus its last sample
+    short = SampleSet(dims, None, 0.1, 0, cloud.samples[:-1])
+    assert short.stack.tobytes() == cloud.stack[:-1].tobytes()
 
 
 def test_sample_set_takes_one_stack_whole():
@@ -139,14 +152,14 @@ def test_sample_set_takes_one_stack_whole():
 
 def test_generate_samples_validates_the_cloud_once(monkeypatch):
     calls = []
-    original = manifold.orthonormality_defect
+    original = manifold._checked_defect
 
     def counted(x):
         calls.append(x.shape)
         return original(x)
 
     center = generate_center(Dims(9, 2), 64)
-    monkeypatch.setattr(manifold, "orthonormality_defect", counted)
+    monkeypatch.setattr(manifold, "_checked_defect", counted)
     cloud = generate_samples(center, 0.1, 40, 65)
     assert len(cloud) == 40
     assert calls == []
@@ -335,8 +348,7 @@ def test_generate_samples_bit_identical_across_runs():
     c = generate_center(Dims(12, 3), 7)
     a = generate_samples(c, 0.1, 5, 8)
     b = generate_samples(c, 0.1, 5, 8)
-    for s, t in zip(a.samples, b.samples):
-        assert np.array_equal(s.X, t.X)
+    assert np.array_equal(a.stack, b.stack)
 
 
 def test_generate_samples_positive_bounded_discrepancies():
@@ -360,7 +372,7 @@ def test_generate_samples_rejects_bad_args():
         with pytest.raises(ValidationError, match="integer number of samples"):
             generate_samples(c, 0.1, count, 0)
     with pytest.raises(ValidationError):
-        SampleSet(dims=c.dims, center=c, sigma=float("nan"), seed=0, samples=(c,))
+        SampleSet(dims=c.dims, center=c, sigma=float("nan"), seed=0, stack=(c,))
 
 
 def per_sample_pade_stack(center, sigma, count, seed):
@@ -439,6 +451,14 @@ def test_perturb_applies_the_sampling_rotation():
     assert np.array_equal(out.X, cloud.stack[0])
 
 
+def test_perturb_takes_a_stack_row_or_its_point():
+    cloud = generate_samples(random_point(20, 4, 28), 0.1, 3, 29)
+    from_row = perturb_initial_guess(cloud.stack[0], 0.01, 30)
+    from_point = perturb_initial_guess(cloud.samples[0], 0.01, 30)
+    assert from_row.dims == cloud.dims
+    assert from_row.X.tobytes() == from_point.X.tobytes()
+
+
 # ---------------------------------------------------------------- seeds
 
 def test_derive_seed_deterministic_and_distinct():
@@ -447,8 +467,8 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(42) != derive_seed(43)
 
 
-@pytest.mark.parametrize("seed", [-1, -5, 1.0, "7", None])
-def test_seeds_must_be_nonnegative_integers(seed):
+@pytest.mark.parametrize("seed", [-1, -5, 1.0, 1.5, True, "7", None])
+def test_seeds_must_be_nonnegative_integers(seed, tmp_path):
     dims = Dims(6, 2)
     center = generate_center(dims, 1)
     calls = [
@@ -457,10 +477,14 @@ def test_seeds_must_be_nonnegative_integers(seed):
         lambda: perturb_initial_guess(center, 0.01, seed),
         lambda: derive_seed(seed, 0),
         lambda: derive_seed(1, 0, seed),
+        lambda: SampleSet(dims, center, 0.1, seed, (center,)),
+        # the writer takes no seed that its reader would reject
+        lambda: write_point(tmp_path / "point.txt", center, seed=seed),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="must be a nonnegative integer"):
             call()
+    assert not (tmp_path / "point.txt").exists()
     # NumPy integers are seeds too
     assert np.array_equal(generate_center(dims, np.uint64(1)).X, center.X)
 

@@ -84,7 +84,7 @@ def test_map_pair_from_name():
             assert MapPair.from_name(spelling) is pair
     # one name per pair: the former aliases are rejected like any other name
     for name in ("ortho-polar", "polar-polar", "ortho_ortho", "orthographic",
-                 "polar-ortho", ""):
+                 "polar-ortho", "", 3):
         with pytest.raises(ValidationError) as err:
             MapPair.from_name(name)
         assert str(err.value) == (
