@@ -162,13 +162,13 @@ def test_read_sample_set_validates_the_cloud_once(tmp_path, monkeypatch, cloud, 
     path = tmp_path / "set.txt"
     write_sample_set(path, cloud, include_center=with_center)
     calls = []
-    original = manifold._checked_defect
+    original = manifold.orthonormality_defect
 
     def counted(x):
         calls.append(x.shape)
         return original(x)
 
-    monkeypatch.setattr(manifold, "_checked_defect", counted)
+    monkeypatch.setattr(manifold, "orthonormality_defect", counted)
     loaded = read_sample_set(path)
     assert len(loaded) == len(cloud)
     # only the center is checked on its own

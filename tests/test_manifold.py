@@ -73,8 +73,10 @@ def test_sample_set_checks_dims():
         SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=(x.X, x.X, x.X[:3]))
     assert str(err.value) == "sample 2 has shape (3, 2), expected (4, 2)"
     for not_numbers in (np.full((2, 4, 2), "a"), [x.X, [[object()] * 2] * 4]):
-        with pytest.raises(ValidationError, match="samples must be numbers"):
+        with pytest.raises(ValidationError, match="samples must be numbers") as err:
             SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=not_numbers)
+        # NumPy's own conversion error is kept as the cause
+        assert isinstance(err.value.__cause__, (TypeError, ValueError))
 
 
 def raw_cloud(seed, n_samples=6, p=7, n=3):
@@ -116,6 +118,9 @@ def test_sample_set_stack_is_read_only_and_backs_the_samples():
     # a point reads as its array, copied only when a copy is asked for
     assert np.asarray(cloud.samples[0]) is cloud.samples[0].X
     assert not np.shares_memory(np.array(cloud.samples[0]), cloud.stack)
+    # NumPy 1.x calls the protocol without copy, positionally with a dtype
+    assert cloud.samples[0].__array__() is cloud.samples[0].X
+    assert cloud.samples[0].__array__(np.float32).dtype == np.float32
     for k, s in enumerate(cloud.samples):
         assert isinstance(s, StiefelPoint) and s.dims == dims
         assert np.shares_memory(s.X, cloud.stack)
@@ -152,14 +157,14 @@ def test_sample_set_takes_one_stack_whole():
 
 def test_generate_samples_validates_the_cloud_once(monkeypatch):
     calls = []
-    original = manifold._checked_defect
+    original = manifold.orthonormality_defect
 
     def counted(x):
         calls.append(x.shape)
         return original(x)
 
     center = generate_center(Dims(9, 2), 64)
-    monkeypatch.setattr(manifold, "_checked_defect", counted)
+    monkeypatch.setattr(manifold, "orthonormality_defect", counted)
     cloud = generate_samples(center, 0.1, 40, 65)
     assert len(cloud) == 40
     assert calls == []
