@@ -22,11 +22,7 @@ from .experiments import (
     TimingRecord,
     csv_filename,
     default_spec,
-    run_convergence,
-    run_discrepancy_stats,
     run_experiment,
-    run_runtime_vs_n,
-    run_runtime_vs_p,
 )
 from .fileio import read_matrix_blocks, read_sample_set, write_point, write_sample_set
 from .kernels import (
@@ -84,10 +80,6 @@ __all__ = [
     "default_spec",
     "csv_filename",
     "run_experiment",
-    "run_discrepancy_stats",
-    "run_convergence",
-    "run_runtime_vs_n",
-    "run_runtime_vs_p",
     "read_sample_set",
     "read_matrix_blocks",
     "write_sample_set",

@@ -48,6 +48,7 @@ error; it is reported through ``converged=False`` with the full trace.
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 import time
 from dataclasses import dataclass, field
@@ -58,7 +59,14 @@ import numpy as np
 from . import maps
 from .errors import DomainError, ValidationError
 from .kernels import _frobenius
-from .manifold import SampleSet, StiefelPoint, _checked_defect, _gap_to_identity, _sq_norm_bound
+from .manifold import (
+    SampleSet,
+    StiefelPoint,
+    _check_int,
+    _checked_defect,
+    _gap_to_identity,
+    _sq_norm_bound,
+)
 # ``lift`` and ``retract`` are not called here; perfbench/tracer.py rebinds
 # averaging.lift and averaging.retract by name, so they stay bound
 from .maps import DOMAIN_GUARD, MapPair, lift, retract  # noqa: F401
@@ -89,9 +97,9 @@ class AveragingConfig:
     def __post_init__(self):
         if not isinstance(self.pair, MapPair):
             raise ValidationError(f"pair must be a MapPair member, got {self.pair!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValidationError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
-        if not (np.isfinite(self.conv_tol) and self.conv_tol > 0.0):
+        _check_int(self.max_iters, "max_iters", 1)
+        if not (isinstance(self.conv_tol, numbers.Real)
+                and math.isfinite(self.conv_tol) and self.conv_tol > 0.0):
             raise ValidationError(f"conv_tol must be finite and positive, got {self.conv_tol}")
 
 

@@ -39,14 +39,11 @@ from .manifold import (
 )
 from .maps import MapPair
 
+# short spellings of experiment kinds; every kind also answers to its own name
 _KIND_ALIASES = {
     "discrepancy": "discrepancy_stats",
-    "discrepancy_stats": "discrepancy_stats",
-    "convergence": "convergence",
     "runtime-n": "runtime_vs_n",
-    "runtime_vs_n": "runtime_vs_n",
     "runtime-p": "runtime_vs_p",
-    "runtime_vs_p": "runtime_vs_p",
 }
 
 
@@ -98,7 +95,8 @@ def _build_parser() -> _Parser:
     val.add_argument("file", help="sample-set or point file")
 
     exp = sub.add_parser("exp", help="run a built-in experiment")
-    exp.add_argument("--kind", required=True, choices=sorted(_KIND_ALIASES),
+    exp.add_argument("--kind", required=True,
+                     choices=sorted([*experiments._KINDS, *_KIND_ALIASES]),
                      help="experiment kind")
     exp.add_argument("--seed", type=int, required=True)
     exp.add_argument("--outdir", default=".", help="directory for the CSV")
@@ -200,7 +198,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_exp(args) -> int:
-    kind = _KIND_ALIASES[args.kind]
+    kind = _KIND_ALIASES.get(args.kind, args.kind)
     overrides = {}
     for name in ("p", "n", "n_samples", "sigma", "trials"):
         value = getattr(args, name, None)

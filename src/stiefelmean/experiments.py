@@ -1,6 +1,9 @@
 """Seeded, self-describing experiment drivers.
 
-Four experiment kinds are built in:
+``run_experiment(spec)`` is the one entry point; ``default_spec(kind, seed)``
+builds its spec. Four experiment kinds are built in, one row each of the
+table ``_KINDS``, which holds a kind's desk-scale fields, the fields that
+paper scale changes, its runner and, for a runtime kind, its swept axis:
 
 * ``discrepancy_stats``: per-sample discrepancy to the center versus the
   mixed-composition mismatch at the center, with medians and a Spearman
@@ -17,6 +20,10 @@ Four experiment kinds are built in:
   also hits every dimension alike. One untimed warm-up run precedes each
   timed run; medians are reported.
 
+The first two kinds run a single draw and take no ``trials`` or ``sweep``.
+Every kind runs all three map pairs. A spec works out once the dimensions
+its run uses, ``spec.dims``, and validates them and no others.
+
 Desk-scale defaults keep every run in the minutes range; ``paper_scale=True``
 switches to the full-size protocols (bigger sample counts, wider sweeps, 100
 trials). All randomness derives from the experiment seed via ``derive_seed``,
@@ -26,10 +33,11 @@ with '#' comment lines recording the complete spec and seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,15 +45,13 @@ from .averaging import AveragingConfig, AveragingReport, fixed_point_mean
 from .errors import StiefelMeanError, ValidationError
 from .manifold import (
     Dims,
-    _check_seed,
+    _check_int,
     derive_seed,
     generate_center,
     generate_samples,
     perturb_initial_guess,
 )
-from .maps import ALL_PAIRS, MapPair, _mixed_composition
-
-KINDS = ("discrepancy_stats", "convergence", "runtime_vs_n", "runtime_vs_p")
+from .maps import ALL_PAIRS, _mixed_composition
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,9 @@ class ExperimentSpec:
     For the runtime kinds, ``sweep`` lists the varying dimension (n for
     ``runtime_vs_n`` with p fixed, p for ``runtime_vs_p`` with n fixed) and
     must be strictly increasing. ``trials`` repetitions are timed per swept
-    value; other kinds use a single draw.
+    value. The other kinds use a single draw: ``trials`` is 1 and ``sweep``
+    is ``None``. ``dims`` is the St(p, n) of each swept value, in sweep
+    order, or the one St(p, n) of a single-draw kind.
     """
 
     kind: str
@@ -66,33 +74,38 @@ class ExperimentSpec:
     seed: int
     trials: int = 1
     sweep: Optional[Tuple[int, ...]] = None
-    pairs: Tuple[MapPair, ...] = ALL_PAIRS
     paper_scale: bool = False
+    dims: Tuple[Dims, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown experiment kind '{self.kind}'")
-        _check_seed(self.seed)
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
+        axis = _kind(self.kind).axis
+        for name, minimum in (("seed", 0), ("p", 1), ("n", 1), ("n_samples", 1),
+                              ("trials", 1)):
+            _check_int(getattr(self, name), name, minimum)
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if not self.pairs:
-            raise ValidationError("at least one map pair is required")
-        if not all(isinstance(pair, MapPair) for pair in self.pairs):
-            raise ValidationError(f"pairs must be MapPair members, got {self.pairs!r}")
-        if self.kind in ("runtime_vs_n", "runtime_vs_p"):
+        if axis is None:
+            if self.trials != 1 or self.sweep is not None:
+                raise ValidationError(
+                    f"{self.kind} runs a single draw; it takes no trials or sweep, "
+                    f"got trials={self.trials} sweep={self.sweep}"
+                )
+            dims = (Dims(self.p, self.n),)
+        else:
             if not self.sweep:
                 raise ValidationError(f"{self.kind} needs a dimension sweep")
-            if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
+            for value in self.sweep:
+                _check_int(value, "sweep value", 1)
+            sweep = tuple(int(v) for v in self.sweep)
+            if any(b <= a for a, b in zip(sweep, sweep[1:])):
                 raise ValidationError("sweep values must be strictly increasing")
-        Dims(self.p, self.n)  # validates 1 <= n <= p
+            object.__setattr__(self, "sweep", sweep)
+            dims = tuple(Dims(v, self.n) if axis == "p" else Dims(self.p, v) for v in sweep)
+        object.__setattr__(self, "dims", dims)
 
     def describe(self) -> str:
         sweep = "-" if self.sweep is None else ",".join(str(v) for v in self.sweep)
-        pairs = ",".join(pair.label for pair in self.pairs)
+        pairs = ",".join(pair.label for pair in ALL_PAIRS)
         return (
             f"kind={self.kind} p={self.p} n={self.n} sweep={sweep} "
             f"N={self.n_samples} sigma={self.sigma!r} trials={self.trials} "
@@ -107,30 +120,9 @@ def default_spec(kind: str, seed: int, paper_scale: bool = False, **overrides) -
     Keyword overrides replace individual fields, e.g. ``sigma=0.1`` or
     ``sweep=(5, 10)``.
     """
-    if kind == "discrepancy_stats":
-        base = dict(p=20, n=4, n_samples=20000 if paper_scale else 1000,
-                    sigma=0.05, trials=1, sweep=None)
-    elif kind == "convergence":
-        base = dict(p=20, n=4, n_samples=30, sigma=0.2, trials=1, sweep=None)
-    elif kind == "runtime_vs_n":
-        base = dict(
-            p=100, n=5, n_samples=50, sigma=0.01,
-            trials=100 if paper_scale else 20,
-            sweep=(5, 10, 15, 20, 25, 30, 35, 40) if paper_scale else (5, 10, 20, 30),
-        )
-    elif kind == "runtime_vs_p":
-        base = dict(
-            n=10, p=20, n_samples=50, sigma=0.01,
-            trials=100 if paper_scale else 20,
-            sweep=(20, 50, 100, 200, 300, 400) if paper_scale else (20, 50, 100, 200),
-        )
-    else:
-        raise ValidationError(f"unknown experiment kind '{kind}'")
-    base.update(kind=kind, seed=seed, paper_scale=paper_scale)
-    base.update(overrides)
-    if "sweep" in base and base["sweep"] is not None:
-        base["sweep"] = tuple(int(v) for v in base["sweep"])
-    return ExperimentSpec(**base)
+    entry = _kind(kind)
+    fields = {**entry.desk, **(entry.paper if paper_scale else {}), **overrides}
+    return ExperimentSpec(kind=kind, seed=seed, paper_scale=paper_scale, **fields)
 
 
 @dataclass
@@ -178,17 +170,14 @@ class DiscrepancyStatsResult:
         _write_csv(path, self.spec, summary, "k,delta_C_Xk,Delta_C_Xk", rows)
 
 
-def run_discrepancy_stats(spec: ExperimentSpec) -> DiscrepancyStatsResult:
+def _run_discrepancy_stats(spec: ExperimentSpec) -> DiscrepancyStatsResult:
     """Per-sample (delta(C, X_k), Delta_C(X_k)) pairs on one seeded cloud.
 
     The composition mismatch is evaluated by actually composing the maps,
     over the whole sample stack at once. A sample past the lifting's guard
     aborts the run with its index in ``sample_index``.
     """
-    if spec.kind != "discrepancy_stats":
-        raise ValidationError(f"spec kind is {spec.kind}, not discrepancy_stats")
-    dims = Dims(spec.p, spec.n)
-    center = generate_center(dims, derive_seed(spec.seed, 0))
+    center = generate_center(spec.dims[0], derive_seed(spec.seed, 0))
     cloud = generate_samples(center, spec.sigma, spec.n_samples, derive_seed(spec.seed, 1))
     deltas, comps = _mixed_composition(center.X, cloud.stack)
     rows = list(zip(range(len(cloud)), deltas.tolist(), comps.tolist()))
@@ -230,20 +219,17 @@ class ConvergenceResult:
         _write_csv(path, self.spec, summary, "pair,iter,delta_to_center", rows)
 
 
-def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
-    """Average one shared cloud under every configured pair from the same
-    initial guess; rows trace delta(X_i, C) per iteration. A pair that fails
-    is recorded and the remaining pairs still run."""
-    if spec.kind != "convergence":
-        raise ValidationError(f"spec kind is {spec.kind}, not convergence")
-    dims = Dims(spec.p, spec.n)
-    center = generate_center(dims, derive_seed(spec.seed, 0))
+def _run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
+    """Average one shared cloud under every pair from the same initial
+    guess; rows trace delta(X_i, C) per iteration. A pair that fails is
+    recorded and the remaining pairs still run."""
+    center = generate_center(spec.dims[0], derive_seed(spec.seed, 0))
     cloud = generate_samples(center, spec.sigma, spec.n_samples, derive_seed(spec.seed, 1))
     initial = perturb_initial_guess(cloud.stack[0], 0.01, derive_seed(spec.seed, 2))
     rows: List[Tuple[str, int, float]] = []
     reports: Dict[str, AveragingReport] = {}
     failures: Dict[str, str] = {}
-    for pair in spec.pairs:
+    for pair in ALL_PAIRS:
         config = AveragingConfig(pair=pair)
         try:
             report = fixed_point_mean(cloud, config, initial)
@@ -262,12 +248,6 @@ class RuntimeResult:
     records: List[TimingRecord]
     medians: Dict[Tuple[str, int], float]
     failures: Dict[Tuple[str, int], int] = field(default_factory=dict)
-
-    def median_by_dim(self, pair_label: str) -> Dict[int, float]:
-        return {
-            dim: med for (label, dim), med in self.medians.items()
-            if label == pair_label
-        }
 
     def write_csv(self, path) -> None:
         summary = [
@@ -293,7 +273,7 @@ class RuntimeResult:
 
 
 def _timed_trial(spec, dims, dim_index, trial):
-    """Time every configured pair on one shared cloud and initial guess.
+    """Time every pair on one shared cloud and initial guess.
 
     The pair order rotates with the trial, so no pair is always timed first
     or last. Returns ``(label, elapsed, report)`` per pair, in the order
@@ -304,9 +284,9 @@ def _timed_trial(spec, dims, dim_index, trial):
     center = generate_center(dims, derive_seed(spec.seed, dim_index, trial, 2))
     cloud = generate_samples(center, spec.sigma, spec.n_samples, sample_seed)
     initial = perturb_initial_guess(cloud.stack[0], 0.01, init_seed)
-    shift = trial % len(spec.pairs)
+    shift = trial % len(ALL_PAIRS)
     timed = []
-    for pair in spec.pairs[shift:] + spec.pairs[:shift]:
+    for pair in ALL_PAIRS[shift:] + ALL_PAIRS[:shift]:
         config = AveragingConfig(pair=pair)
         try:
             fixed_point_mean(cloud, config, initial)  # warm-up, untimed
@@ -319,7 +299,8 @@ def _timed_trial(spec, dims, dim_index, trial):
     return timed
 
 
-def _run_runtime(spec: ExperimentSpec, vary: str) -> RuntimeResult:
+def _run_runtime(spec: ExperimentSpec) -> RuntimeResult:
+    """Time the full averaging call on each St(p, n) of ``spec.dims``."""
     records: List[TimingRecord] = []
     failures: Dict[Tuple[str, int], int] = {}
 
@@ -327,12 +308,11 @@ def _run_runtime(spec: ExperimentSpec, vary: str) -> RuntimeResult:
     # machine's speed hits every dimension alike instead of bending the
     # runtime curve the sweep is meant to show.
     for trial in range(spec.trials):
-        for dim_index, dim in enumerate(spec.sweep):
-            dims = Dims(dim, spec.n) if vary == "p" else Dims(spec.p, dim)
+        for dim_index, (dim, dims) in enumerate(zip(spec.sweep, spec.dims)):
             try:
                 timed = _timed_trial(spec, dims, dim_index, trial)
             except StiefelMeanError:  # the shared cloud itself failed
-                timed = [(pair.label, None, None) for pair in spec.pairs]
+                timed = [(pair.label, None, None) for pair in ALL_PAIRS]
             for label, elapsed, report in timed:
                 if report is None:
                     failures[(label, dim)] = failures.get((label, dim), 0) + 1
@@ -343,37 +323,48 @@ def _run_runtime(spec: ExperimentSpec, vary: str) -> RuntimeResult:
                     ))
 
     records.sort(key=lambda r: (r.pair, r.dim, r.trial))
-    medians: Dict[Tuple[str, int], float] = {}
-    for pair in spec.pairs:
-        for dim in spec.sweep:
-            times = [
-                r.wall_time for r in records if r.pair == pair.label and r.dim == dim
-            ]
-            if times:
-                medians[(pair.label, dim)] = float(np.median(times))
+    medians = {
+        key: float(np.median([r.wall_time for r in group]))
+        for key, group in itertools.groupby(records, key=lambda r: (r.pair, r.dim))
+    }
     return RuntimeResult(spec=spec, records=records, medians=medians, failures=failures)
 
 
-def run_runtime_vs_n(spec: ExperimentSpec) -> RuntimeResult:
-    """Time the full averaging call on St(p, n) for each swept n (p fixed)."""
-    if spec.kind != "runtime_vs_n":
-        raise ValidationError(f"spec kind is {spec.kind}, not runtime_vs_n")
-    return _run_runtime(spec, vary="n")
+class _Kind(NamedTuple):
+    desk: dict  # the desk-scale fields
+    paper: dict  # the fields that paper scale changes
+    run: Callable
+    axis: Optional[str] = None  # the dimension a runtime kind sweeps
 
 
-def run_runtime_vs_p(spec: ExperimentSpec) -> RuntimeResult:
-    """Time the full averaging call on St(p, n) for each swept p (n fixed)."""
-    if spec.kind != "runtime_vs_p":
-        raise ValidationError(f"spec kind is {spec.kind}, not runtime_vs_p")
-    return _run_runtime(spec, vary="p")
+_KINDS = {
+    "discrepancy_stats": _Kind(
+        dict(p=20, n=4, n_samples=1000, sigma=0.05), dict(n_samples=20000),
+        _run_discrepancy_stats,
+    ),
+    "convergence": _Kind(dict(p=20, n=4, n_samples=30, sigma=0.2), {}, _run_convergence),
+    "runtime_vs_n": _Kind(
+        dict(p=100, n=5, n_samples=50, sigma=0.01, trials=20, sweep=(5, 10, 20, 30)),
+        dict(trials=100, sweep=(5, 10, 15, 20, 25, 30, 35, 40)),
+        _run_runtime, axis="n",
+    ),
+    "runtime_vs_p": _Kind(
+        dict(p=20, n=10, n_samples=50, sigma=0.01, trials=20, sweep=(20, 50, 100, 200)),
+        dict(trials=100, sweep=(20, 50, 100, 200, 300, 400)),
+        _run_runtime, axis="p",
+    ),
+}
+
+
+def _kind(kind: str) -> _Kind:
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown experiment kind '{kind}'") from None
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Dispatch on ``spec.kind``."""
-    runner = {
-        "discrepancy_stats": run_discrepancy_stats,
-        "convergence": run_convergence,
-        "runtime_vs_n": run_runtime_vs_n,
-        "runtime_vs_p": run_runtime_vs_p,
-    }[spec.kind]
-    return runner(spec)
+    """Run ``spec`` with its kind's runner. Returns a
+    ``DiscrepancyStatsResult``, a ``ConvergenceResult`` or, for the runtime
+    kinds, a ``RuntimeResult``; each has ``write_csv(path)``."""
+    return _KINDS[spec.kind].run(spec)

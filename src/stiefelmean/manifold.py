@@ -229,7 +229,7 @@ class SampleSet:
             raise ValidationError("a sample set needs at least one sample")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        _check_seed(self.seed)
+        _check_int(self.seed, "seed")
         if self.center is not None and self.center.dims != self.dims:
             raise ValidationError("center dims do not match the sample set dims")
         p, n = self.dims.p, self.dims.n
@@ -294,9 +294,13 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
     return _gap_to_identity(x.X, y.X)
 
 
-def _check_seed(seed, name: str = "seed") -> None:
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
+def _check_int(value, name: str, minimum: int = 0) -> None:
+    """Raise unless ``value`` is a Python or NumPy integer (not a bool) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and value >= minimum):
+        what = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
 def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
@@ -327,7 +331,7 @@ def generate_center(dims: Dims, seed: int) -> StiefelPoint:
     Rank deficiency has probability zero; if it does occur numerically the
     draw is retried once, then the error propagates.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed")
     rng = np.random.default_rng(seed)
     for attempt in range(2):
         a = rng.standard_normal((dims.p, dims.n))
@@ -359,7 +363,7 @@ def generate_samples(
         raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
         raise ValidationError(f"need an integer number of samples >= 1, got {n_samples!r}")
-    _check_seed(seed)
+    _check_int(seed, "seed")
     stack = _rotate(center.X, sigma, int(n_samples), np.random.default_rng(seed))
     return SampleSet(
         dims=center.dims, center=center, sigma=float(sigma), seed=int(seed), stack=stack
@@ -373,7 +377,7 @@ def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
     starting point of the fixed-point iteration from the first sample."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
-    _check_seed(seed)
+    _check_int(seed, "seed")
     rotated = _rotate(np.asarray(x1, dtype=float), epsilon, 1, np.random.default_rng(seed))
     return StiefelPoint(rotated[0])
 
@@ -386,8 +390,8 @@ def derive_seed(base_seed: int, *path: int) -> int:
     from the base seed alone. The seed and the path entries must be
     nonnegative integers.
     """
-    _check_seed(base_seed)
+    _check_int(base_seed, "seed")
     for i in path:
-        _check_seed(i, "seed path entry")
+        _check_int(i, "seed path entry")
     ss = np.random.SeedSequence(base_seed, spawn_key=tuple(int(i) for i in path))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -25,10 +25,7 @@ from stiefelmean.averaging import (
 )
 from stiefelmean.experiments import (
     default_spec,
-    run_convergence,
-    run_discrepancy_stats,
-    run_runtime_vs_n,
-    run_runtime_vs_p,
+    run_experiment,
 )
 from stiefelmean.kernels import solve_lyapunov_sym, solve_ortho_retraction_eq
 from stiefelmean.manifold import (
@@ -70,7 +67,7 @@ def report(criterion, ok, detail):
 def discrepancy_run():
     spec = default_spec("discrepancy_stats", seed=SEED)  # St(20,4), 0.05, 1000
     t0 = time.perf_counter()
-    result = run_discrepancy_stats(spec)
+    result = run_experiment(spec)
     return result, time.perf_counter() - t0
 
 
@@ -78,7 +75,7 @@ def discrepancy_run():
 def runtime_n_run():
     spec = default_spec("runtime_vs_n", seed=SEED)
     t0 = time.perf_counter()
-    result = run_runtime_vs_n(spec)
+    result = run_experiment(spec)
     return spec, result, time.perf_counter() - t0
 
 
@@ -86,7 +83,7 @@ def runtime_n_run():
 def runtime_p_run():
     spec = default_spec("runtime_vs_p", seed=SEED)
     t0 = time.perf_counter()
-    result = run_runtime_vs_p(spec)
+    result = run_experiment(spec)
     return spec, result, time.perf_counter() - t0
 
 
@@ -259,7 +256,7 @@ def test_criterion_5_convergence_three_pairs():
     center agree within a factor of two, residual fields below 1e-9."""
     t0 = time.perf_counter()
     spec = default_spec("convergence", seed=SEED)
-    result = run_convergence(spec)
+    result = run_experiment(spec)
     elapsed = time.perf_counter() - t0
 
     assert not result.failures, result.failures

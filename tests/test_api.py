@@ -13,19 +13,32 @@ def test_removed_names_are_gone():
     # the pair is a three-member Enum with one name per member, the residual
     # field is reported by fixed_point_mean, fixed_point_mean is the one
     # averaging entry point, validate_point and frobenius_norm are
-    # StiefelPoint(x, dims) and np.linalg.norm, and the composition
-    # functions return a float, so none of these has a replacement to export
+    # StiefelPoint(x, dims) and np.linalg.norm, the composition functions
+    # return a float, and run_experiment is the one experiment entry point,
+    # so none of these has a replacement to export
+    import dataclasses
+
     import stiefelmean.averaging
+    import stiefelmean.experiments
     import stiefelmean.kernels
     import stiefelmean.manifold
     import stiefelmean.maps
 
+    runners = ("run_discrepancy_stats", "run_convergence", "run_runtime_vs_n",
+               "run_runtime_vs_p")
     for name in ("RetractionKind", "LiftingKind", "residual_vector_field",
                  "weighted_fixed_point_mean", "validate_point", "frobenius_norm",
                  "CompositionDiscrepancy", "POLAR_POLAR", "ORTHO_ORTHO",
-                 "MIXED_POLAR_ORTHO"):
+                 "MIXED_POLAR_ORTHO", "KINDS") + runners:
         assert name not in stiefelmean.__all__
         assert not hasattr(stiefelmean, name)
+    # each kind is one row of the experiments' table, which names its
+    # runner; every spec runs all three pairs
+    for name in ("KINDS",) + runners:
+        assert not hasattr(stiefelmean.experiments, name)
+    assert not hasattr(stiefelmean.experiments.RuntimeResult, "median_by_dim")
+    fields = {f.name for f in dataclasses.fields(stiefelmean.ExperimentSpec)}
+    assert "pairs" not in fields
     assert not hasattr(stiefelmean.maps, "RetractionKind")
     assert not hasattr(stiefelmean.maps, "LiftingKind")
     # both composition functions return a float; each pair has one name

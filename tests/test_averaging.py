@@ -452,7 +452,7 @@ def reference_cases():
     cloud = small_cloud(73, sigma=0.05, n_samples=1000, p=40, n=4)
     yield "St(40,4) N=1000", cloud, perturb_initial_guess(cloud.stack[0], 0.01, 74)
     # the criterion-5 cloud and initial guess: St(20,4), N=30, sigma=0.2,
-    # seed 1217, as run_convergence builds them
+    # seed 1217, as the convergence experiment builds them
     center = generate_center(Dims(20, 4), derive_seed(1217, 0))
     cloud = generate_samples(center, 0.2, 30, derive_seed(1217, 1))
     yield "sigma=0.2", cloud, perturb_initial_guess(cloud.stack[0], 0.01, derive_seed(1217, 2))
@@ -727,8 +727,9 @@ def test_trace_csv_without_center(tmp_path):
 def test_config_validation():
     for name, value in [
         ("conv_tol", 0.0), ("conv_tol", -1e-10), ("conv_tol", math.nan),
-        ("conv_tol", math.inf), ("max_iters", 0), ("max_iters", 2.5),
-        ("max_iters", "10"), ("pair", "mixed"), ("pair", None),
+        ("conv_tol", math.inf), ("conv_tol", "1e-3"), ("conv_tol", None),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", "10"),
+        ("max_iters", True), ("pair", "mixed"), ("pair", None),
     ]:
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             AveragingConfig(**{name: value})

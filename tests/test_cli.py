@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import stiefelmean.experiments as experiments
 from stiefelmean.cli import main
 from stiefelmean.fileio import read_matrix_blocks, read_sample_set, write_sample_set
 from stiefelmean.manifold import (
@@ -270,6 +271,36 @@ def test_exp_runtime_small(tmp_path):
     assert code == 0
     text = (tmp_path / "runtime_vs_n_13.csv").read_text()
     assert "pair,dim,trial,wall_time_s,iterations,converged" in text
+
+
+@pytest.mark.parametrize("kind, flags, code, timed, err", [
+    # the fixed dimension's default (n=5, p=20) makes no St(p, n) with the
+    # swept values, and the run never uses it
+    ("runtime-n", ("--p", 4, "--sweep", "2,3", "--trials", 1), 0, {(4, 2), (4, 3)}, ""),
+    ("runtime-p", ("--n", 30, "--sweep", "40,50", "--trials", 1), 0,
+     {(40, 30), (50, 30)}, ""),
+    # St(6, 9) is rejected before St(6, 2) is timed
+    ("runtime-n", ("--p", 6, "--sweep", "2,9", "--trials", 1), 2, set(),
+     "numerical validation error: need 1 <= n <= p, got (6, 9)\n"),
+    ("convergence", ("--trials", 5, "--sweep", "5,10", "--paper-scale"), 2, set(),
+     "numerical validation error: convergence runs a single draw; it takes no "
+     "trials or sweep, got trials=5 sweep=(5, 10)\n"),
+], ids=["runtime-n-p4", "runtime-p-n30", "runtime-n-past-p", "convergence-trials-sweep"])
+def test_exp_checks_the_dimensions_and_options_its_run_uses(
+        tmp_path, monkeypatch, capsys, kind, flags, code, timed, err):
+    seen = set()
+    inner = experiments.fixed_point_mean
+
+    def recorded(samples, config, initial):
+        seen.add((samples.dims.p, samples.dims.n))
+        return inner(samples, config, initial)
+
+    monkeypatch.setattr(experiments, "fixed_point_mean", recorded)
+    assert run("exp", "--kind", kind, "--seed", 1, "--outdir", tmp_path, "--N", 3,
+               *flags) == code
+    assert seen == timed
+    assert capsys.readouterr().err == err
+    assert len(list(tmp_path.iterdir())) == (code == 0)
 
 
 def test_exp_bad_sweep(tmp_path, capsys):

@@ -6,11 +6,7 @@ from stiefelmean.experiments import (
     ExperimentSpec,
     csv_filename,
     default_spec,
-    run_convergence,
-    run_discrepancy_stats,
     run_experiment,
-    run_runtime_vs_n,
-    run_runtime_vs_p,
 )
 from stiefelmean.manifold import Dims, derive_seed, generate_center, generate_samples
 from stiefelmean.maps import ALL_PAIRS, orthographic_lifting
@@ -52,11 +48,73 @@ def test_spec_validation():
         ExperimentSpec(kind="nope", p=4, n=2, n_samples=3, sigma=0.1, seed=1)
     with pytest.raises(ValidationError):
         default_spec("convergence", seed=1, sigma=float("nan"))
-    with pytest.raises(ValidationError, match="pairs must be MapPair members"):
-        default_spec("convergence", seed=1, pairs=("polar", "mixed"))
     for seed in (-2, 1.5, None):
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
             default_spec("convergence", seed=seed)
+    # integer fields take integers only: no float, bool or string is
+    # truncated or let through to fail inside the run
+    for kind, name, value in [
+        ("runtime_vs_n", "trials", 2.5), ("runtime_vs_n", "trials", True),
+        ("discrepancy_stats", "n_samples", 2.5), ("convergence", "n_samples", "30"),
+        ("convergence", "p", 20.0), ("runtime_vs_p", "n", True),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1, got "):
+            default_spec(kind, seed=1, **{name: value})
+    with pytest.raises(ValidationError, match=r"^sweep value must be an integer >= 1, got 2.7$"):
+        default_spec("runtime_vs_n", seed=1, sweep=(2.7, 3))
+    with pytest.raises(ValidationError, match="sweep value must be an integer >= 1"):
+        default_spec("runtime_vs_p", seed=1, sweep=(0, 20))
+    # the single-draw kinds take no trials and no sweep
+    for kind in ("discrepancy_stats", "convergence"):
+        for overrides in (dict(trials=5), dict(sweep=(5, 10)), dict(trials=2, sweep=(5,))):
+            with pytest.raises(ValidationError, match=f"^{kind} runs a single draw"):
+                default_spec(kind, seed=1, paper_scale=True, **overrides)
+    # a runtime spec checks every St(p, n) its sweep makes
+    with pytest.raises(ValidationError, match=r"need 1 <= n <= p, got \(6, 9\)"):
+        default_spec("runtime_vs_n", seed=1, p=6, sweep=(2, 9))
+    with pytest.raises(ValidationError, match=r"need 1 <= n <= p, got \(40, 50\)"):
+        default_spec("runtime_vs_p", seed=1, n=50, sweep=(40, 60))
+
+
+def test_spec_dims_are_the_dimensions_the_run_uses():
+    assert default_spec("convergence", seed=1).dims == (Dims(20, 4),)
+    # the fixed pair of a runtime kind need not be a valid St(p, n): only the
+    # swept pairs are
+    rn = default_spec("runtime_vs_n", seed=1, p=4, sweep=[2, 3])
+    assert (rn.n, rn.sweep, rn.dims) == (5, (2, 3), (Dims(4, 2), Dims(4, 3)))
+    rp = default_spec("runtime_vs_p", seed=1, n=30, sweep=(40, 50))
+    assert (rp.p, rp.dims) == (20, (Dims(40, 30), Dims(50, 30)))
+
+
+_PAIRS = "pairs=polar,ortho,mixed"
+HEADER_LINES = {
+    ("discrepancy_stats", False): "kind=discrepancy_stats p=20 n=4 sweep=- N=1000 sigma=0.05 "
+                                  f"trials=1 seed=5 {_PAIRS} paper_scale=false",
+    ("discrepancy_stats", True): "kind=discrepancy_stats p=20 n=4 sweep=- N=20000 sigma=0.05 "
+                                 f"trials=1 seed=5 {_PAIRS} paper_scale=true",
+    ("convergence", False): "kind=convergence p=20 n=4 sweep=- N=30 sigma=0.2 trials=1 "
+                            f"seed=5 {_PAIRS} paper_scale=false",
+    ("convergence", True): "kind=convergence p=20 n=4 sweep=- N=30 sigma=0.2 trials=1 "
+                           f"seed=5 {_PAIRS} paper_scale=true",
+    ("runtime_vs_n", False): "kind=runtime_vs_n p=100 n=5 sweep=5,10,20,30 N=50 sigma=0.01 "
+                             f"trials=20 seed=5 {_PAIRS} paper_scale=false",
+    ("runtime_vs_n", True): "kind=runtime_vs_n p=100 n=5 sweep=5,10,15,20,25,30,35,40 N=50 "
+                            f"sigma=0.01 trials=100 seed=5 {_PAIRS} paper_scale=true",
+    ("runtime_vs_p", False): "kind=runtime_vs_p p=20 n=10 sweep=20,50,100,200 N=50 "
+                             f"sigma=0.01 trials=20 seed=5 {_PAIRS} paper_scale=false",
+    ("runtime_vs_p", True): "kind=runtime_vs_p p=20 n=10 sweep=20,50,100,200,300,400 N=50 "
+                            f"sigma=0.01 trials=100 seed=5 {_PAIRS} paper_scale=true",
+}
+
+
+@pytest.mark.parametrize("kind, paper_scale", sorted(HEADER_LINES))
+def test_csv_header_line_of_each_default_spec(tmp_path, kind, paper_scale):
+    assert {k for k, _ in HEADER_LINES} == set(experiments._KINDS)
+    spec = default_spec(kind, seed=5, paper_scale=paper_scale)
+    path = tmp_path / csv_filename(spec)
+    experiments._write_csv(path, spec, [], "columns", [])
+    expected = "# stiefelmean experiment " + HEADER_LINES[(kind, paper_scale)]
+    assert path.read_text().splitlines()[0] == expected
 
 
 def test_csv_filename():
@@ -67,7 +125,7 @@ def test_csv_filename():
 
 def test_discrepancy_stats_small_run(tmp_path):
     spec = default_spec("discrepancy_stats", seed=3, n_samples=60)
-    result = run_discrepancy_stats(spec)
+    result = run_experiment(spec)
     assert len(result.rows) == 60
     assert result.median_delta > 0.0
     assert result.median_composition > 0.0
@@ -85,7 +143,7 @@ def test_discrepancy_stats_small_run(tmp_path):
 
 def test_discrepancy_stats_zero_spread():
     spec = default_spec("discrepancy_stats", seed=4, n_samples=10, sigma=0.0)
-    result = run_discrepancy_stats(spec)
+    result = run_experiment(spec)
     for _, d, comp in result.rows:
         assert d < 1e-12
         assert comp < 1e-12
@@ -95,7 +153,7 @@ def test_discrepancy_stats_zero_spread():
 def test_discrepancy_stats_spearman_matches_scipy():
     from scipy import stats
 
-    result = run_discrepancy_stats(default_spec("discrepancy_stats", seed=6, n_samples=40))
+    result = run_experiment(default_spec("discrepancy_stats", seed=6, n_samples=40))
     deltas = [d for _, d, _ in result.rows]
     comps = [c for _, _, c in result.rows]
     assert result.spearman == float(stats.spearmanr(deltas, comps).statistic)
@@ -103,8 +161,8 @@ def test_discrepancy_stats_spearman_matches_scipy():
 
 def test_discrepancy_stats_reproducible():
     spec = default_spec("discrepancy_stats", seed=5, n_samples=25)
-    a = run_discrepancy_stats(spec)
-    b = run_discrepancy_stats(spec)
+    a = run_experiment(spec)
+    b = run_experiment(spec)
     assert a.rows == b.rows
 
 
@@ -125,21 +183,16 @@ def test_discrepancy_stats_names_the_first_far_sample():
         pytest.fail("no sample past the guard")
     assert k > 0
     with pytest.raises(DomainError) as err:
-        run_discrepancy_stats(spec)
+        run_experiment(spec)
     assert err.value.sample_index == k
     assert str(err.value) == str(expected)
-
-
-def test_discrepancy_stats_rejects_wrong_kind():
-    with pytest.raises(ValidationError):
-        run_discrepancy_stats(default_spec("convergence", seed=1))
 
 
 # ---------------------------------------------------------------- convergence
 
 def test_convergence_small_run(tmp_path):
     spec = default_spec("convergence", seed=6, n_samples=8, sigma=0.05)
-    result = run_convergence(spec)
+    result = run_experiment(spec)
     assert not result.failures
     assert set(result.reports) == {"polar", "ortho", "mixed"}
     for label, report in result.reports.items():
@@ -158,8 +211,8 @@ def test_convergence_small_run(tmp_path):
 
 def test_convergence_reproducible():
     spec = default_spec("convergence", seed=7, n_samples=6, sigma=0.05)
-    a = run_convergence(spec)
-    b = run_convergence(spec)
+    a = run_experiment(spec)
+    b = run_experiment(spec)
     assert a.rows == b.rows
 
 
@@ -168,7 +221,7 @@ def test_convergence_reproducible():
 def test_runtime_vs_n_structure(tmp_path):
     spec = default_spec("runtime_vs_n", seed=8, p=10, sweep=(2, 3),
                         n_samples=3, trials=2)
-    result = run_runtime_vs_n(spec)
+    result = run_experiment(spec)
     assert len(result.records) == len(ALL_PAIRS) * 2 * 2
     assert not result.failures
     for record in result.records:
@@ -178,7 +231,6 @@ def test_runtime_vs_n_structure(tmp_path):
     assert set(result.medians) == {
         (pair.label, dim) for pair in ALL_PAIRS for dim in (2, 3)
     }
-    assert result.median_by_dim("mixed").keys() == {2, 3}
     path = tmp_path / csv_filename(spec)
     result.write_csv(path)
     text = path.read_text()
@@ -189,8 +241,8 @@ def test_runtime_vs_n_structure(tmp_path):
 def test_runtime_rows_reproducible_except_wall_time():
     spec = default_spec("runtime_vs_n", seed=9, p=8, sweep=(2, 3),
                         n_samples=3, trials=2)
-    a = run_runtime_vs_n(spec)
-    b = run_runtime_vs_n(spec)
+    a = run_experiment(spec)
+    b = run_experiment(spec)
     keyed_a = [(r.pair, r.dim, r.trial, r.iterations, r.converged) for r in a.records]
     keyed_b = [(r.pair, r.dim, r.trial, r.iterations, r.converged) for r in b.records]
     assert keyed_a == keyed_b
@@ -200,7 +252,7 @@ def test_runtime_vs_p_square_boundary():
     # the p = n square case must run cleanly
     spec = default_spec("runtime_vs_p", seed=10, n=6, sweep=(6, 8),
                         n_samples=3, trials=1)
-    result = run_runtime_vs_p(spec)
+    result = run_experiment(spec)
     assert not result.failures
     assert {r.dim for r in result.records} == {6, 8}
 
@@ -216,7 +268,7 @@ def test_runtime_trials_time_every_pair_on_one_cloud(monkeypatch):
     monkeypatch.setattr(experiments, "fixed_point_mean", recorded)
     spec = default_spec("runtime_vs_n", seed=13, p=8, sweep=(2, 3),
                         n_samples=3, trials=3)
-    result = run_runtime_vs_n(spec)
+    result = run_experiment(spec)
     assert len(result.records) == len(ALL_PAIRS) * 2 * 3
     # per (dim, trial): a warm-up and a timed call for each pair, all on the
     # same cloud and initial guess, in a pair order rotating with the trial;
