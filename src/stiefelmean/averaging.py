@@ -48,7 +48,6 @@ error; it is reported through ``converged=False`` with the full trace.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 import time
 from dataclasses import dataclass, field
@@ -63,6 +62,8 @@ from .manifold import (
     SampleSet,
     StiefelPoint,
     _check_int,
+    _check_real,
+    _check_same_dims,
     _checked_defect,
     _gap_to_identity,
     _sq_norm_bound,
@@ -97,10 +98,9 @@ class AveragingConfig:
     def __post_init__(self):
         if not isinstance(self.pair, MapPair):
             raise ValidationError(f"pair must be a MapPair member, got {self.pair!r}")
-        _check_int(self.max_iters, "max_iters", 1)
-        if not (isinstance(self.conv_tol, numbers.Real)
-                and math.isfinite(self.conv_tol) and self.conv_tol > 0.0):
-            raise ValidationError(f"conv_tol must be finite and positive, got {self.conv_tol}")
+        object.__setattr__(self, "max_iters", _check_int(self.max_iters, "max_iters", 1))
+        conv_tol = _check_real(self.conv_tol, "conv_tol", positive=True)
+        object.__setattr__(self, "conv_tol", conv_tol)
 
 
 @dataclass
@@ -278,10 +278,9 @@ def fixed_point_mean(
     weights used exactly as supplied; with all weights equal to one the
     trajectory matches the unweighted run bit for bit.
     """
-    if (initial.dims.p, initial.dims.n) != (samples.dims.p, samples.dims.n):
-        raise ValidationError(
-            f"initial guess dims {initial.dims} do not match samples {samples.dims}"
-        )
+    if not (isinstance(samples, SampleSet) and isinstance(initial, StiefelPoint)):
+        raise ValidationError("samples must be a SampleSet and initial a StiefelPoint")
+    _check_same_dims(initial, samples)
     weights = _resolve_weights(config.weights, len(samples))
     tangent = _combined_tangent(config.pair, samples.stack, weights)
     if config.pair is MapPair.ORTHO:

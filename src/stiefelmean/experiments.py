@@ -34,7 +34,6 @@ with '#' comment lines recording the complete spec and seed.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -46,6 +45,7 @@ from .errors import StiefelMeanError, ValidationError
 from .manifold import (
     Dims,
     _check_int,
+    _check_real,
     derive_seed,
     generate_center,
     generate_samples,
@@ -81,9 +81,10 @@ class ExperimentSpec:
         axis = _kind(self.kind).axis
         for name, minimum in (("seed", 0), ("p", 1), ("n", 1), ("n_samples", 1),
                               ("trials", 1)):
-            _check_int(getattr(self, name), name, minimum)
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, minimum))
+        object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
+        if not isinstance(self.paper_scale, bool):
+            raise ValidationError(f"paper_scale must be a bool, got {self.paper_scale!r}")
         if axis is None:
             if self.trials != 1 or self.sweep is not None:
                 raise ValidationError(
@@ -94,9 +95,7 @@ class ExperimentSpec:
         else:
             if not self.sweep:
                 raise ValidationError(f"{self.kind} needs a dimension sweep")
-            for value in self.sweep:
-                _check_int(value, "sweep value", 1)
-            sweep = tuple(int(v) for v in self.sweep)
+            sweep = tuple(_check_int(v, "sweep value", 1) for v in self.sweep)
             if any(b <= a for a, b in zip(sweep, sweep[1:])):
                 raise ValidationError("sweep values must be strictly increasing")
             object.__setattr__(self, "sweep", sweep)

@@ -18,13 +18,12 @@ round-trips float64 exactly.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import FileFormatError
-from .manifold import Dims, SampleSet, StiefelPoint
+from .errors import FileFormatError, ValidationError
+from .manifold import Dims, SampleSet, StiefelPoint, _check_real
 
 
 def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -> None:
@@ -69,10 +68,11 @@ def read_matrix_blocks(path) -> Tuple[dict, np.ndarray]:
         seed = int(tokens[4])
     except ValueError as exc:
         raise FileFormatError(f"bad header value: {exc}", line=1) from exc
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise FileFormatError(
-            f"sigma must be finite and nonnegative, got '{tokens[3]}'", line=1
-        )
+    try:
+        _check_real(sigma, "sigma")
+    except ValidationError:
+        msg = f"sigma must be finite and nonnegative, got '{tokens[3]}'"
+        raise FileFormatError(msg, line=1) from None
     if seed < 0:
         raise FileFormatError(f"seed must be nonnegative, got '{tokens[4]}'", line=1)
     has_center = False
@@ -159,7 +159,7 @@ def read_sample_set(path) -> SampleSet:
     dims = Dims(header["p"], header["n"])
     center = None
     if header["has_center"]:
-        center = StiefelPoint(blocks[0], dims=dims)
+        center = StiefelPoint(blocks[0])
         blocks = blocks[1:]
     return SampleSet(
         dims=dims, center=center, sigma=header["sigma"], seed=header["seed"], stack=blocks

@@ -13,11 +13,16 @@ Taylor action of the exponential. It replaced a per-sample p x p Pade
 exponential, which changed sample bits once, at the rounding level: a seed's
 samples moved by less than 1e-13. Files written by either sampler still
 read and validate.
+
+Input rules are written once, here: ``_check_int`` and ``_check_real``, which
+return a Python ``int`` or ``float`` for the frozen types to store, and
+``_check_same_dims``, which compares the ``Dims`` of two points or sets.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -45,6 +50,29 @@ TOL_TAN = 1e-9
 SAMPLE_CHUNK_BYTES = 1 << 20
 
 
+def _check_int(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an ``int``, if a Python or NumPy integer, not a bool, >= ``minimum``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= minimum):
+        what = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a ``float``, if a finite real, not a bool, >= 0 (> 0 if ``positive``)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        what = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be finite and {what}, got {value!r}")
+    return float(value)
+
+
+def _check_same_dims(a, b) -> None:
+    if a.dims != b.dims:
+        raise ValidationError(f"dimension mismatch: {a.dims} vs {b.dims}")
+
+
 @dataclass(frozen=True)
 class Dims:
     """Dimensions (p, n) of St(p, n); requires 1 <= n <= p."""
@@ -53,9 +81,9 @@ class Dims:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.n, int)):
-            raise ValidationError(f"dimensions must be integers, got ({self.p}, {self.n})")
-        if not 1 <= self.n <= self.p:
+        object.__setattr__(self, "p", _check_int(self.p, "p", 1))
+        object.__setattr__(self, "n", _check_int(self.n, "n", 1))
+        if self.n > self.p:
             raise ValidationError(f"need 1 <= n <= p, got ({self.p}, {self.n})")
 
 
@@ -121,25 +149,20 @@ class StiefelPoint:
     """A point on St(p, n): a p x n matrix with orthonormal columns.
 
     Construction validates shape, finiteness and the orthonormality defect
-    against ``TOL_ORTH``; rejected input reports the defect. The wrapped
-    array is treated as read-only.
+    against ``TOL_ORTH``; rejected input reports the defect. The shape of
+    the array is its ``dims``. The wrapped array is treated as read-only.
     """
 
     __slots__ = ("dims", "X")
 
-    def __init__(self, x, dims: Optional[Dims] = None):
+    def __init__(self, x):
         x = np.ascontiguousarray(x, dtype=float)
         if x.ndim != 2:
             raise ValidationError(f"a Stiefel point must be a 2-D array, got shape {x.shape}")
-        inferred = Dims(int(x.shape[0]), int(x.shape[1]))
-        if dims is not None and (dims.p, dims.n) != (inferred.p, inferred.n):
-            raise ValidationError(
-                f"shape {x.shape} does not match requested dims ({dims.p}, {dims.n})"
-            )
+        object.__setattr__(self, "dims", Dims(*x.shape))
         # by its module name: perfbench/tracer.py counts validation there
         if not orthonormality_defect(x) < TOL_ORTH:
             _checked_defect(x)  # raises the message
-        object.__setattr__(self, "dims", inferred)
         object.__setattr__(self, "X", x)
 
     @classmethod
@@ -227,11 +250,10 @@ class SampleSet:
     def __post_init__(self):
         if len(self.stack) < 1:
             raise ValidationError("a sample set needs at least one sample")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        _check_int(self.seed, "seed")
-        if self.center is not None and self.center.dims != self.dims:
-            raise ValidationError("center dims do not match the sample set dims")
+        object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
+        if self.center is not None:
+            _check_same_dims(self.center, self)
         p, n = self.dims.p, self.dims.n
         error = None
         try:
@@ -289,18 +311,8 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
     Frobenius norm is invariant under transposition. The identity inside the
     norm is n x n (the size of X^T Y).
     """
-    if (x.dims.p, x.dims.n) != (y.dims.p, y.dims.n):
-        raise ValidationError(f"dimension mismatch: {x.dims} vs {y.dims}")
+    _check_same_dims(x, y)
     return _gap_to_identity(x.X, y.X)
-
-
-def _check_int(value, name: str, minimum: int = 0) -> None:
-    """Raise unless ``value`` is a Python or NumPy integer (not a bool) of at
-    least ``minimum``."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
-                                       and value >= minimum):
-        what = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
 def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
@@ -331,12 +343,13 @@ def generate_center(dims: Dims, seed: int) -> StiefelPoint:
     Rank deficiency has probability zero; if it does occur numerically the
     draw is retried once, then the error propagates.
     """
-    _check_int(seed, "seed")
-    rng = np.random.default_rng(seed)
+    if not isinstance(dims, Dims):
+        raise ValidationError(f"dims must be a Dims, got {type(dims).__name__}")
+    rng = np.random.default_rng(_check_int(seed, "seed"))
     for attempt in range(2):
         a = rng.standard_normal((dims.p, dims.n))
         try:
-            return StiefelPoint(thin_qr_q_factor(a), dims=dims)
+            return StiefelPoint(thin_qr_q_factor(a))
         except ValidationError:
             if attempt == 1:
                 raise
@@ -359,15 +372,11 @@ def generate_samples(
     rounding, and are those bits where a rotation is large enough for the
     action to fall back to ``skew_expm``.
     """
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError(f"sigma must be finite and nonnegative, got {sigma}")
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
-        raise ValidationError(f"need an integer number of samples >= 1, got {n_samples!r}")
-    _check_int(seed, "seed")
-    stack = _rotate(center.X, sigma, int(n_samples), np.random.default_rng(seed))
-    return SampleSet(
-        dims=center.dims, center=center, sigma=float(sigma), seed=int(seed), stack=stack
-    )
+    sigma = _check_real(sigma, "sigma")
+    n_samples = _check_int(n_samples, "n_samples", 1)
+    seed = _check_int(seed, "seed")
+    stack = _rotate(center.X, sigma, n_samples, np.random.default_rng(seed))
+    return SampleSet(dims=center.dims, center=center, sigma=sigma, seed=seed, stack=stack)
 
 
 def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
@@ -375,11 +384,9 @@ def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
     exp(epsilon * skew_part(A)) with A a fresh standard-normal p x p draw,
     applied as ``generate_samples`` applies its rotations. Used to produce the
     starting point of the fixed-point iteration from the first sample."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
-    _check_int(seed, "seed")
-    rotated = _rotate(np.asarray(x1, dtype=float), epsilon, 1, np.random.default_rng(seed))
-    return StiefelPoint(rotated[0])
+    epsilon = _check_real(epsilon, "epsilon", positive=True)
+    rng = np.random.default_rng(_check_int(seed, "seed"))
+    return StiefelPoint(_rotate(np.asarray(x1, dtype=float), epsilon, 1, rng)[0])
 
 
 def derive_seed(base_seed: int, *path: int) -> int:
@@ -390,8 +397,7 @@ def derive_seed(base_seed: int, *path: int) -> int:
     from the base seed alone. The seed and the path entries must be
     nonnegative integers.
     """
-    _check_int(base_seed, "seed")
-    for i in path:
-        _check_int(i, "seed path entry")
-    ss = np.random.SeedSequence(base_seed, spawn_key=tuple(int(i) for i in path))
+    base_seed = _check_int(base_seed, "seed")
+    path = tuple(_check_int(i, "seed path entry") for i in path)
+    ss = np.random.SeedSequence(base_seed, spawn_key=path)
     return int(ss.generate_state(1, np.uint64)[0])

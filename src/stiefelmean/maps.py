@@ -44,6 +44,7 @@ from .manifold import (
     TOL_ORTH,
     StiefelPoint,
     TangentVector,
+    _check_same_dims,
     _gaps_to_identity,
     _orthonormality_defects,
 )
@@ -78,11 +79,6 @@ class MapPair(Enum):
 
 
 ALL_PAIRS = tuple(MapPair)
-
-
-def _check_same_dims(x: StiefelPoint, q: StiefelPoint):
-    if (x.dims.p, x.dims.n) != (q.dims.p, q.dims.n):
-        raise ValidationError(f"dimension mismatch: {x.dims} vs {q.dims}")
 
 
 def _check_anchor(x: StiefelPoint, v: TangentVector):
@@ -130,7 +126,7 @@ def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     tangent vector; Y^T Y = I + V^T V is always positive definite.
     """
     _check_anchor(x, v)
-    return StiefelPoint(_polar_retract(x.X, v.V, np.eye(x.dims.n)), dims=x.dims)
+    return StiefelPoint(_polar_retract(x.X, v.V, np.eye(x.dims.n)))
 
 
 def _polar_retract(x: np.ndarray, v: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -186,7 +182,7 @@ def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     projector, the associated lifting recovers V exactly.
     """
     _check_anchor(x, v)
-    return StiefelPoint(_ortho_retract(x.X, v.V), dims=x.dims)
+    return StiefelPoint(_ortho_retract(x.X, v.V))
 
 
 def _ortho_retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:

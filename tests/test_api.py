@@ -13,7 +13,7 @@ def test_removed_names_are_gone():
     # the pair is a three-member Enum with one name per member, the residual
     # field is reported by fixed_point_mean, fixed_point_mean is the one
     # averaging entry point, validate_point and frobenius_norm are
-    # StiefelPoint(x, dims) and np.linalg.norm, the composition functions
+    # StiefelPoint(x) and np.linalg.norm, the composition functions
     # return a float, and run_experiment is the one experiment entry point,
     # so none of these has a replacement to export
     import dataclasses
@@ -63,7 +63,7 @@ def test_fixed_tolerances_are_not_parameters():
         "solve_lyapunov_sym": {"rel_tol"},
         "solve_ortho_retraction_eq": {"tol", "max_inner_iters"},
         "thin_qr_q_factor": {"rank_rtol"},
-        "StiefelPoint": {"tol"},
+        "StiefelPoint": {"tol", "dims"},
         "TangentVector": {"tol"},
         "read_sample_set": {"tol"},
     }

@@ -724,6 +724,17 @@ def test_trace_csv_without_center(tmp_path):
     assert row[2] == ""
 
 
+def test_fixed_point_mean_checks_its_inputs():
+    x = generate_center(Dims(6, 2), 36)
+    cloud = generate_samples(x, 0.1, 3, 37)
+    for samples, initial in ((cloud.stack, x), (cloud, x.X)):
+        with pytest.raises(ValidationError,
+                           match="^samples must be a SampleSet and initial a StiefelPoint$"):
+            fixed_point_mean(samples, AveragingConfig(), initial)
+    with pytest.raises(ValidationError, match="^dimension mismatch: "):
+        fixed_point_mean(cloud, AveragingConfig(), generate_center(Dims(6, 3), 38))
+
+
 def test_config_validation():
     for name, value in [
         ("conv_tol", 0.0), ("conv_tol", -1e-10), ("conv_tol", math.nan),

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import stiefelmean.experiments as experiments
@@ -64,6 +65,10 @@ def test_spec_validation():
         default_spec("runtime_vs_n", seed=1, sweep=(2.7, 3))
     with pytest.raises(ValidationError, match="sweep value must be an integer >= 1"):
         default_spec("runtime_vs_p", seed=1, sweep=(0, 20))
+    # paper_scale is a bool: a truthy string must not switch to paper scale
+    for paper_scale in ("no", 1, None):
+        with pytest.raises(ValidationError, match="^paper_scale must be a bool, got "):
+            default_spec("discrepancy_stats", seed=1, paper_scale=paper_scale)
     # the single-draw kinds take no trials and no sweep
     for kind in ("discrepancy_stats", "convergence"):
         for overrides in (dict(trials=5), dict(sweep=(5, 10)), dict(trials=2, sweep=(5,))):
@@ -115,6 +120,11 @@ def test_csv_header_line_of_each_default_spec(tmp_path, kind, paper_scale):
     experiments._write_csv(path, spec, [], "columns", [])
     expected = "# stiefelmean experiment " + HEADER_LINES[(kind, paper_scale)]
     assert path.read_text().splitlines()[0] == expected
+
+
+def test_numpy_sigma_is_described_as_a_python_float():
+    spec = default_spec("convergence", seed=1, sigma=np.float64(0.2))
+    assert " sigma=0.2 " in spec.describe()
 
 
 def test_csv_filename():

@@ -56,6 +56,15 @@ def test_write_point_reads_back(tmp_path, cloud):
     assert np.array_equal(loaded.stack[0], cloud.stack[0])
 
 
+def test_numpy_scalar_metadata_round_trips(tmp_path, cloud):
+    # the header carries the Python numbers the sample set stores
+    path = tmp_path / "point.txt"
+    write_point(path, cloud.samples[0], sigma=np.float64(0.1), seed=np.int64(3))
+    assert path.read_text().splitlines()[0] == "7 3 1 0.1 3"
+    loaded = read_sample_set(path)
+    assert (loaded.sigma, loaded.seed) == (0.1, 3)
+
+
 def test_header_layout(tmp_path, cloud):
     path = tmp_path / "set.txt"
     write_sample_set(path, cloud)

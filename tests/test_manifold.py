@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stiefelmean import manifold
+from stiefelmean.averaging import AveragingConfig
 from stiefelmean.errors import ValidationError
-from stiefelmean.fileio import write_point
+from stiefelmean.experiments import default_spec
+from stiefelmean.fileio import read_sample_set, write_point
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
     TOL_ORTH,
@@ -236,7 +239,7 @@ def test_validate_rejects_scaled_point_with_defect():
 def test_validate_accepts_qr_factor():
     rng = np.random.default_rng(1)
     q = thin_qr_q_factor(rng.standard_normal((20, 4)))
-    p = StiefelPoint(q, dims=Dims(20, 4))
+    p = StiefelPoint(q)
     assert orthonormality_defect(p.X) < 1e-12
 
 
@@ -328,6 +331,11 @@ def test_discrepancy_dimension_mismatch():
 
 # ---------------------------------------------------------------- sampling
 
+def test_generate_center_takes_dims():
+    with pytest.raises(ValidationError, match="^dims must be a Dims, got tuple$"):
+        generate_center((6, 2), 1)
+
+
 def test_generate_center_deterministic():
     dims = Dims(20, 4)
     a = generate_center(dims, 99)
@@ -374,7 +382,7 @@ def test_generate_samples_rejects_bad_args():
         with pytest.raises(ValidationError):
             generate_samples(c, sigma, 3, 0)
     for count in (0, 3.0, "3", None):
-        with pytest.raises(ValidationError, match="integer number of samples"):
+        with pytest.raises(ValidationError, match="n_samples must be an integer >= 1"):
             generate_samples(c, 0.1, count, 0)
     with pytest.raises(ValidationError):
         SampleSet(dims=c.dims, center=c, sigma=float("nan"), seed=0, stack=(c,))
@@ -492,6 +500,79 @@ def test_seeds_must_be_nonnegative_integers(seed, tmp_path):
     assert not (tmp_path / "point.txt").exists()
     # NumPy integers are seeds too
     assert np.array_equal(generate_center(dims, np.uint64(1)).X, center.X)
+
+
+_INT1 = "an integer >= 1"
+_INT0 = "a nonnegative integer"
+_REAL = "finite and nonnegative"
+_POSITIVE = "finite and positive"
+
+
+def _stores_nothing(result):
+    return None
+
+
+def _written_and_read(path, center, **metadata):
+    write_point(path, center, **metadata)
+    return read_sample_set(path)
+
+
+# (id, field name, rule, build): build(value, center, path) passes value as
+# that field and returns what was stored, or None where nothing is stored
+_SCALAR_INPUTS = [
+    ("Dims.p", "p", _INT1, lambda v, c, f: Dims(v, 1).p),
+    ("Dims.n", "n", _INT1, lambda v, c, f: Dims(6, v).n),
+    ("SampleSet.sigma", "sigma", _REAL, lambda v, c, f: SampleSet(c.dims, c, v, 0, (c,)).sigma),
+    ("SampleSet.seed", "seed", _INT0, lambda v, c, f: SampleSet(c.dims, c, 0.1, v, (c,)).seed),
+    ("generate_samples.sigma", "sigma", _REAL, lambda v, c, f: generate_samples(c, v, 2, 0).sigma),
+    ("generate_samples.n_samples", "n_samples", _INT1,
+     lambda v, c, f: len(generate_samples(c, 0.1, v, 0))),
+    ("generate_samples.seed", "seed", _INT0, lambda v, c, f: generate_samples(c, 0.1, 2, v).seed),
+    ("perturb_initial_guess.epsilon", "epsilon", _POSITIVE,
+     lambda v, c, f: _stores_nothing(perturb_initial_guess(c, v, 0))),
+    ("perturb_initial_guess.seed", "seed", _INT0,
+     lambda v, c, f: _stores_nothing(perturb_initial_guess(c, 0.01, v))),
+    ("derive_seed.seed", "seed", _INT0, lambda v, c, f: _stores_nothing(derive_seed(v))),
+    ("derive_seed.path", "seed path entry", _INT0,
+     lambda v, c, f: _stores_nothing(derive_seed(1, v))),
+    ("AveragingConfig.max_iters", "max_iters", _INT1,
+     lambda v, c, f: AveragingConfig(max_iters=v).max_iters),
+    ("AveragingConfig.conv_tol", "conv_tol", _POSITIVE,
+     lambda v, c, f: AveragingConfig(conv_tol=v).conv_tol),
+    ("default_spec.seed", "seed", _INT0, lambda v, c, f: default_spec("convergence", v).seed),
+    ("default_spec.p", "p", _INT1, lambda v, c, f: default_spec("convergence", 1, p=v).p),
+    ("default_spec.trials", "trials", _INT1,
+     lambda v, c, f: default_spec("runtime_vs_n", 1, trials=v).trials),
+    ("default_spec.sweep", "sweep value", _INT1,
+     lambda v, c, f: default_spec("runtime_vs_n", 1, sweep=(v,)).sweep[0]),
+    ("default_spec.sigma", "sigma", _REAL,
+     lambda v, c, f: default_spec("convergence", 1, sigma=v).sigma),
+    ("write_point.sigma", "sigma", _REAL,
+     lambda v, c, f: _written_and_read(f, c, sigma=v).sigma),
+    ("write_point.seed", "seed", _INT0,
+     lambda v, c, f: _written_and_read(f, c, seed=v).seed),
+]
+
+
+@pytest.mark.parametrize("name, rule, build", [
+    pytest.param(name, rule, build, id=case) for case, name, rule, build in _SCALAR_INPUTS
+])
+def test_scalar_inputs_share_one_rule(name, rule, build, tmp_path):
+    center = generate_center(Dims(6, 2), 1)
+    path = tmp_path / "point.txt"
+    integer = rule in (_INT0, _INT1)
+    bad = (True, "0.1", None, math.nan) + ((np.float64(6.0),) if integer else ())
+    for value in bad:
+        message = f"^{re.escape(name)} must be {rule}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            build(value, center, path)
+    assert not path.exists()
+    # NumPy scalars are accepted and stored as Python numbers
+    good = (np.int64(6),) if integer else (np.int64(6), np.float64(0.1), np.float32(0.1))
+    for value in good:
+        stored = build(value, center, path)
+        expected = int(value) if integer else float(value)
+        assert stored is None or (type(stored) is type(expected) and stored == expected)
 
 
 # ---------------------------------------------------------------- tangent
