@@ -93,9 +93,15 @@ class ExperimentSpec:
                 )
             dims = (Dims(self.p, self.n),)
         else:
-            if not self.sweep:
+            try:
+                sweep = () if self.sweep is None else tuple(self.sweep)
+            except TypeError:
+                raise ValidationError(
+                    f"sweep must be a sequence of integers, got {self.sweep!r}"
+                ) from None
+            if not sweep:
                 raise ValidationError(f"{self.kind} needs a dimension sweep")
-            sweep = tuple(_check_int(v, "sweep value", 1) for v in self.sweep)
+            sweep = tuple(_check_int(v, "sweep value", 1) for v in sweep)
             if any(b <= a for a, b in zip(sweep, sweep[1:])):
                 raise ValidationError("sweep values must be strictly increasing")
             object.__setattr__(self, "sweep", sweep)

@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .manifold import Dims, SampleSet, StiefelPoint, _check_real
+from .manifold import Dims, SampleSet, StiefelPoint, _check_real, _check_type
 
 
 def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -> None:
@@ -169,5 +169,6 @@ def read_sample_set(path) -> SampleSet:
 def write_point(path, point: StiefelPoint, sigma: float = 0.0, seed: int = 0) -> None:
     """Write a single point in the sample-set format (N = 1, no center block).
     ``sigma`` and ``seed`` are carried as provenance metadata."""
+    _check_type(point, StiefelPoint, "point")
     ss = SampleSet(dims=point.dims, center=None, sigma=sigma, seed=seed, stack=(point,))
     write_sample_set(path, ss, include_center=False)

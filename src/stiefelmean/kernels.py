@@ -8,7 +8,10 @@ p x n frame, which is how sample clouds are generated.
 Matrices in this library are small (tens of rows/columns), so the kernels
 favor robustness and determinism: QR signs are fixed, symmetric outputs are
 explicitly symmetrized, and the structured solvers verify their own
-residuals.
+residuals. On a stack, a slice that a cheap bound certifies takes a path of
+batched matrix products (the Newton-Schulz inverse of the Lyapunov solver,
+the Taylor steps of the action), and the rest a per-slice LAPACK or Pade
+call; each slice gets the bits its own call would give.
 """
 
 from __future__ import annotations
@@ -39,9 +42,13 @@ SERIES_TAIL = 1e-17
 
 # solve_lyapunov_sym doubles until every ||U||_F^2 is below LYAP_TAIL, at
 # most LYAP_MAX_DOUBLINGS times (2^50 terms). ||M - I||_F^2 < 1 - margin
-# certifies a slice positive definite; the margin covers its rounding.
+# certifies a slice positive definite; the margin covers its rounding. On a
+# certified slice, (M + I)^-1 takes Newton-Schulz steps until the step in
+# which ||I - (M + I) W||_F^2 falls below LYAP_TAIL, at most
+# INVERSE_MAX_STEPS of them; six suffice from W = I/2.
 LYAP_TAIL = 1e-17
 LYAP_MAX_DOUBLINGS = 50
+INVERSE_MAX_STEPS = 8
 _PD_SCREEN_MARGIN = 1e-9
 
 # skew_expm_action sends a slice whose 2-norm bound exceeds ACTION_RADIUS to
@@ -312,7 +319,10 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
 
     M + M^T must be positive definite, which makes S unique and U a strict
     contraction, so the doubling converges; ||M - I||_F < 1 certifies it,
-    and the other slices get the smallest eigenvalue. Its failure, reaching
+    and the other slices get the smallest eigenvalue. A certified slice
+    gets W by Newton-Schulz steps, matrix products only (Schulz 1933;
+    Higham, Functions of Matrices, SIAM 2008, sec. 7.3); the others by
+    ``np.linalg.inv``. Its failure, reaching ``INVERSE_MAX_STEPS`` or
     ``LYAP_MAX_DOUBLINGS``, and a residual of the symmetrized S above
     ``CHECK_RTOL * ||B||_F`` are ``DomainError``s: the lifting's arguments
     sit too far apart. After B's symmetry, the first failing slice is
@@ -326,15 +336,25 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
         raise ValidationError(
             f"M must be ({n}, {n}) or (N, {n}, {n}) to match B, got shape {m.shape}"
         )
-    bnrm = np.linalg.norm(b)
-    if np.linalg.norm(b - b.T) > CHECK_RTOL * max(1.0, bnrm):
+    if np.linalg.norm(b - b.T) > CHECK_RTOL * max(1.0, np.linalg.norm(b)):
         raise ValidationError("right-hand side B must be symmetric")
-    ms = m.reshape(-1, n, n)
+    s, _ = _solve_lyapunov(m.reshape(-1, n, n), b, m.ndim == 3)
+    return s.reshape(m.shape)
+
+
+def _solve_lyapunov(ms: np.ndarray, b: np.ndarray, stacked: bool, w0=None):
+    """``(S, W)``: solve_lyapunov_sym of an (N, n, n) stack ``ms`` against a
+    symmetric ``b``, and W the stack of (M_k + I)^-1 it used. ``w0``, if
+    given, starts the Newton-Schulz steps, typically the W of a solve at
+    nearby M_k; a ``DomainError`` names its slice when ``stacked``."""
+    n = b.shape[0]
     eye = np.eye(n)
     failures = []  # (slice, message); the smallest slice is raised
 
     e = ms - eye
-    unsure = np.flatnonzero(~(np.einsum("kij,kij->k", e, e) < 1.0 - _PD_SCREEN_MARGIN))
+    sq_gaps = np.einsum("kij,kij->k", e, e)
+    sure = sq_gaps < 1.0 - _PD_SCREEN_MARGIN
+    unsure = np.flatnonzero(~sure)
     solved = len(ms)
     if unsure.size:
         lowest = np.linalg.eigvalsh(ms[unsure] + np.swapaxes(ms[unsure], 1, 2))[:, 0]
@@ -346,20 +366,37 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
                 f"{lowest[bad[0]]:.3e}); arguments too far apart for a unique solution"
             )))
     # every slice before the first non-positive-definite one is solved
-    ms = ms[:solved]
-    w = np.linalg.inv(ms + eye)
+    ms, sure = ms[:solved], sure[:solved]
+    a = ms + eye
+    if w0 is not None:
+        w0 = w0[:solved]
+    if sure.all():
+        w, done = _newton_schulz_inverse(a, sq_gaps[:solved], w0)
+    else:
+        # the slices the screen left unsure keep LAPACK's inverse
+        w = np.empty_like(a)
+        w[~sure] = np.linalg.inv(a[~sure])
+        w[sure], done = _newton_schulz_inverse(
+            a[sure], sq_gaps[:solved][sure], None if w0 is None else w0[sure])
+    stuck = np.flatnonzero(sure)[~done]
+    if stuck.size:
+        failures.append((int(stuck[0]), (
+            f"Newton-Schulz inverse did not converge in {INVERSE_MAX_STEPS} "
+            "steps; arguments too far apart"
+        )))
     u = eye - 2.0 * w
     s = 2.0 * (w @ b @ np.swapaxes(w, 1, 2))
     for doubling in range(LYAP_MAX_DOUBLINGS + 1):
-        tail = np.einsum("kij,kij->k", u, u)
-        # a converged slice stops where its own call would: U = 0 adds
-        # nothing to S and cannot underflow
-        u[tail < LYAP_TAIL] = 0.0
-        stuck = np.flatnonzero(~(tail < LYAP_TAIL))
-        if not stuck.size or doubling == LYAP_MAX_DOUBLINGS:
+        live = ~(np.einsum("kij,kij->k", u, u) < LYAP_TAIL)
+        if not live.any() or doubling == LYAP_MAX_DOUBLINGS:
             break
+        if not live.all():
+            # a converged slice stops where its own call would: U = 0 adds
+            # nothing to S and cannot underflow
+            u[~live] = 0.0
         s += u @ s @ np.swapaxes(u, 1, 2)
         u = u @ u
+    stuck = np.flatnonzero(live)
     if stuck.size:
         failures.append((int(stuck[0]), (
             f"Lyapunov doubling did not converge in {LYAP_MAX_DOUBLINGS} "
@@ -369,6 +406,7 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
     r = ms @ s
     r += np.swapaxes(r, 1, 2) - b
     residual = np.sqrt(np.einsum("kij,kij->k", r, r))
+    bnrm = _frobenius(b)
     over = np.flatnonzero(~(residual <= CHECK_RTOL * max(bnrm, np.finfo(float).tiny)))
     if over.size:
         failures.append((int(over[0]), (
@@ -377,8 +415,42 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
         )))
     if failures:
         k, message = min(failures, key=lambda f: f[0])
-        raise DomainError(message, sample_index=k if m.ndim == 3 else None)
-    return s.reshape(m.shape)
+        raise DomainError(message, sample_index=k if stacked else None)
+    return s, w
+
+
+def _newton_schulz_inverse(a: np.ndarray, sq_gaps: np.ndarray, w0=None):
+    """``(W, done)``: W_k = A_k^-1 for every slice of an (N, n, n) stack A = M
+    + I with sq_gaps[k] = ||M_k - I||_F^2 < 1, by steps W <- W + W R,
+    R = I - A W; ``done`` marks the slices that converged.
+
+    From W = I/2, R = (I - M)/2 has ||R||_F^2 = sq_gaps / 4 < 1/4, and each
+    step squares R, so the slice's own step in which ||R||_F^2 falls below
+    ``LYAP_TAIL`` leaves an error of rounding size; then R = 0 freezes it,
+    so its bits do not depend on the other slices. A slice of ``w0`` starts
+    there when its ||R||_F^2 is below sq_gaps / 4, the cold start's, else at
+    I/2, so no start needs more than the six steps of the cold bound, within
+    ``INVERSE_MAX_STEPS``.
+    """
+    eye = np.eye(a.shape[-1])
+    if w0 is None:
+        w = np.broadcast_to(0.5 * eye, a.shape).copy()
+        r = eye - 0.5 * a
+    else:
+        w = w0.copy()
+        r = eye - a @ w
+        cold = ~(np.einsum("kij,kij->k", r, r) < 0.25 * sq_gaps)
+        if cold.any():
+            w[cold] = 0.5 * eye
+            r[cold] = eye - 0.5 * a[cold]
+    for _ in range(INVERSE_MAX_STEPS):
+        done = np.einsum("kij,kij->k", r, r) < LYAP_TAIL
+        w += w @ r
+        if done.all():
+            break
+        r = eye - a @ w
+        r[done] = 0.0
+    return w, done
 
 
 def solve_ortho_retraction_eq(omega, g) -> np.ndarray:

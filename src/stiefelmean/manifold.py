@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -62,10 +63,21 @@ def _check_int(value, name: str, minimum: int = 0) -> int:
 def _check_real(value, name: str, positive: bool = False) -> float:
     """``value`` as a ``float``, if a finite real, not a bool, >= 0 (> 0 if ``positive``)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not (finite and (value > 0 if positive else value >= 0)):
         what = "positive" if positive else "nonnegative"
-        raise ValidationError(f"{name} must be finite and {what}, got {value!r}")
+        raise ValidationError(f"{name} must be finite and {what}, got {reprlib.repr(value)}")
     return float(value)
+
+
+def _check_type(value, kind: type, name: str):
+    """``value``, if an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_same_dims(a, b) -> None:
@@ -248,12 +260,19 @@ class SampleSet:
     stack: np.ndarray
 
     def __post_init__(self):
-        if len(self.stack) < 1:
+        _check_type(self.dims, Dims, "dims")
+        try:
+            count = len(self.stack)
+        except TypeError:  # not a sequence, or a 0-d array
+            raise ValidationError(
+                f"stack must be a sequence of samples, got {type(self.stack).__name__}"
+            ) from None
+        if count < 1:
             raise ValidationError("a sample set needs at least one sample")
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
         object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
         if self.center is not None:
-            _check_same_dims(self.center, self)
+            _check_same_dims(_check_type(self.center, StiefelPoint, "center"), self)
         p, n = self.dims.p, self.dims.n
         error = None
         try:
@@ -343,8 +362,7 @@ def generate_center(dims: Dims, seed: int) -> StiefelPoint:
     Rank deficiency has probability zero; if it does occur numerically the
     draw is retried once, then the error propagates.
     """
-    if not isinstance(dims, Dims):
-        raise ValidationError(f"dims must be a Dims, got {type(dims).__name__}")
+    _check_type(dims, Dims, "dims")
     rng = np.random.default_rng(_check_int(seed, "seed"))
     for attempt in range(2):
         a = rng.standard_normal((dims.p, dims.n))
@@ -372,6 +390,7 @@ def generate_samples(
     rounding, and are those bits where a rotation is large enough for the
     action to fall back to ``skew_expm``.
     """
+    _check_type(center, StiefelPoint, "center")
     sigma = _check_real(sigma, "sigma")
     n_samples = _check_int(n_samples, "n_samples", 1)
     seed = _check_int(seed, "seed")

@@ -32,11 +32,13 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .kernels import (
+    _solve_lyapunov,
     _solve_ortho_retraction_eq,
     _spd_inv_sqrt,
-    # perfbench/tracer.py rebinds maps.solve_ortho_retraction_eq by name, so
-    # it stays bound although the retraction calls the unchecked core
-    solve_lyapunov_sym,
+    # perfbench/tracer.py rebinds maps.solve_lyapunov_sym and
+    # maps.solve_ortho_retraction_eq by name, so they stay bound although
+    # the liftings and the retraction call the unchecked cores
+    solve_lyapunov_sym,  # noqa: F401
     solve_ortho_retraction_eq,  # noqa: F401
     spd_inv_sqrt,
 )
@@ -103,17 +105,20 @@ def _first_far(xtq: np.ndarray, what: str, samples=None):
     )
 
 
-def _polar_factors(xtq: np.ndarray) -> np.ndarray:
-    """The symmetric S_k with (X^T Q_k) S_k + S_k (Q_k^T X) = 2I of the polar
-    liftings Q_k S_k - X, for one X^T Q or an (N, n, n) stack: the guard, then
-    one solve of the slices before the first far one, so an error names the
-    first failing slice with its message, as a per-sample loop would."""
+def _polar_factors(xtq: np.ndarray, w0=None):
+    """``(S, W)``: the symmetric S_k with (X^T Q_k) S_k + S_k (Q_k^T X) = 2I of
+    the polar liftings Q_k S_k - X, for one X^T Q or an (N, n, n) stack, and
+    the stack of (X^T Q_k + I)^-1 the solver used, a start ``w0`` for the
+    next call at a nearby X. The guard, then one solve of the slices before
+    the first far one, so an error names the first failing slice with its
+    message, as a per-sample loop would."""
+    n = xtq.shape[-1]
     first, far = _first_far(xtq, "polar lifting")
-    rhs = 2.0 * np.eye(xtq.shape[-1])
-    if far is None:
-        return solve_lyapunov_sym(xtq, rhs)
-    solve_lyapunov_sym(xtq.reshape(-1, *rhs.shape)[:first], rhs)
-    raise far
+    s, w = _solve_lyapunov(xtq.reshape(-1, n, n)[:first], 2.0 * np.eye(n),
+                           xtq.ndim == 3, w0)
+    if far is not None:
+        raise far
+    return s.reshape(xtq.shape), w
 
 
 def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -144,7 +149,7 @@ def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     round trip through ``polar_retraction`` reproduces Q to solver accuracy.
     """
     _check_same_dims(x, q)
-    s = _polar_factors(x.X.T @ q.X)
+    s, _ = _polar_factors(x.X.T @ q.X)
     # tangency defect of Q S - X equals the solver residual, already bounded
     return TangentVector._unchecked(x, q.X @ s - x.X)
 

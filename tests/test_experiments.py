@@ -65,6 +65,9 @@ def test_spec_validation():
         default_spec("runtime_vs_n", seed=1, sweep=(2.7, 3))
     with pytest.raises(ValidationError, match="sweep value must be an integer >= 1"):
         default_spec("runtime_vs_p", seed=1, sweep=(0, 20))
+    # a bare integer is not a sweep
+    with pytest.raises(ValidationError, match="^sweep must be a sequence of integers, got 5$"):
+        default_spec("runtime_vs_n", seed=1, sweep=5)
     # paper_scale is a bool: a truthy string must not switch to paper scale
     for paper_scale in ("no", 1, None):
         with pytest.raises(ValidationError, match="^paper_scale must be a bool, got "):

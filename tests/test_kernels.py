@@ -461,6 +461,118 @@ def test_lyapunov_needs_no_eigenvalues_when_every_slice_is_certified(monkeypatch
     assert np.array_equal(solve_lyapunov_sym(ms, b), np.array(expected))
 
 
+def _certified_stack(rng, n, radii):
+    """I + G_k with ||G_k||_F = radii[k] < 1: every slice certified, from
+    slices that need one Newton-Schulz step to slices at the certificate's
+    edge that need six."""
+    g = rng.standard_normal((len(radii), n, n))
+    g *= (np.asarray(radii) / np.sqrt(np.einsum("kij,kij->k", g, g)))[:, None, None]
+    return np.eye(n) + g
+
+
+CERTIFIED_RADII = (0.0, 1e-9, 1e-4, 0.05, 0.3, 0.7, 0.95, 0.999)
+
+
+def test_lyapunov_needs_no_lapack_when_every_slice_is_certified(monkeypatch):
+    # the inverses of certified slices are Newton-Schulz products: neither
+    # LAPACK's inverse nor the eigenvalue check is called, and the bits do
+    # not change
+    rng = np.random.default_rng(26)
+    ms = _certified_stack(rng, 6, CERTIFIED_RADII)
+    b = rng.standard_normal((6, 6))
+    b = b + b.T
+    batched = solve_lyapunov_sym(ms, b)
+    slices = [solve_lyapunov_sym(m, b) for m in ms]
+    monkeypatch.setattr(np.linalg, "inv", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert np.array_equal(solve_lyapunov_sym(ms, b), batched)
+    for m, s, expected in zip(ms, batched, slices):
+        assert np.array_equal(solve_lyapunov_sym(m, b), expected)
+        assert np.array_equal(s, expected)
+        oracle = lyapunov_kron_oracle(m, b)
+        assert np.linalg.norm(s - oracle) < 1e-11 * max(1.0, np.linalg.norm(oracle))
+
+
+def test_lyapunov_unsure_slice_keeps_lapack_inverse(monkeypatch):
+    # one slice outside the certificate, between certified ones: only it goes
+    # to the eigenvalue check and LAPACK's inverse, and each slice keeps the
+    # bits of its own call
+    rng = np.random.default_rng(27)
+    n = 4
+    ms = _certified_stack(rng, n, (0.2, 0.6, 0.0, 0.9, 0.1))
+    ms[2] = 2.5 * np.eye(n) + random_skew(rng, n)  # ||M - I||_F > 1, M + M^T = 5I
+    b = rng.standard_normal((n, n))
+    b = b + b.T
+    inverted = []
+    inv = np.linalg.inv
+
+    def recording(a):
+        inverted.append(a.shape)
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    batched = solve_lyapunov_sym(ms, b)
+    assert inverted == [(1, n, n)]
+    for m, s in zip(ms, batched):
+        assert np.array_equal(s, solve_lyapunov_sym(m, b))
+        oracle = lyapunov_kron_oracle(m, b)
+        assert np.linalg.norm(s - oracle) < 1e-11 * max(1.0, np.linalg.norm(oracle))
+
+
+def test_newton_schulz_takes_its_last_step_before_freezing():
+    # A slice freezes after the step in which ||R||_F^2 first falls below
+    # LYAP_TAIL. That step squares R, so W is the inverse to rounding;
+    # freezing one step earlier would leave R, up to sqrt(LYAP_TAIL) ~ 3e-9,
+    # in I - A W.
+    rng = np.random.default_rng(28)
+    n = 5
+    ms = _certified_stack(rng, n, CERTIFIED_RADII)
+    e = ms - np.eye(n)
+    a = ms + np.eye(n)
+    w, done = kernels._newton_schulz_inverse(a, np.einsum("kij,kij->k", e, e))
+    assert done.all()
+    r = np.eye(n) - a @ w
+    assert np.sqrt(np.einsum("kij,kij->k", r, r)).max() < 1e-14
+    assert np.abs(w - np.linalg.inv(a)).max() < 1e-15
+
+
+def test_newton_schulz_restarts_a_start_no_closer_than_half_the_identity():
+    # a start nearer the inverse than I/2 is kept and lands within rounding
+    # of the cold result; any other start is replaced by I/2, the cold bits
+    rng = np.random.default_rng(29)
+    n = 4
+    ms = _certified_stack(rng, n, (0.05, 0.3, 0.7, 0.95))
+    e = ms - np.eye(n)
+    sq = np.einsum("kij,kij->k", e, e)
+    a = ms + np.eye(n)
+    cold, _ = kernels._newton_schulz_inverse(a, sq)
+    near = np.linalg.inv(a) + 1e-6 * rng.standard_normal(a.shape)
+    warm, done = kernels._newton_schulz_inverse(a, sq, near)
+    assert done.all()
+    assert np.abs(warm - cold).max() < 1e-15
+    for far in (np.zeros_like(a), np.full_like(a, np.nan), -near):
+        again, done = kernels._newton_schulz_inverse(a, sq, far)
+        assert done.all() and np.array_equal(again, cold)
+
+
+def test_newton_schulz_cap_names_its_slice(monkeypatch):
+    # one step solves only the identity slices, I/2 being their inverse; the
+    # first other slice reaches the cap, unless a slice before it fails
+    # earlier
+    monkeypatch.setattr(kernels, "INVERSE_MAX_STEPS", 1)
+    two = 2.0 * np.eye(2)
+    near = np.eye(2) + np.array([[0.1, 0.0], [0.05, -0.1]])
+    for ms, k, message in [
+        ([np.eye(2), np.eye(2), near, near], 2, "Newton-Schulz inverse did not converge in 1 steps"),
+        ([np.eye(2), NOT_PD, near], 1, "not positive definite"),
+    ]:
+        with pytest.raises(DomainError, match=message) as err:
+            solve_lyapunov_sym(np.array(ms), two)
+        assert err.value.sample_index == k
+    with pytest.raises(DomainError, match="Newton-Schulz inverse did not converge") as err:
+        solve_lyapunov_sym(near, two)
+    assert err.value.sample_index is None
+
+
 def test_lyapunov_rejects_non_pd_symmetric_part():
     m = np.diag([1.0, -1.0])  # eigenvalue pair sums to zero, unsolvable
     with pytest.raises(DomainError):

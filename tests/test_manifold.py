@@ -1,5 +1,6 @@
 import math
 import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -336,6 +337,26 @@ def test_generate_center_takes_dims():
         generate_center((6, 2), 1)
 
 
+def test_entry_points_check_argument_types(tmp_path):
+    # a bare array or tuple where a StiefelPoint or a Dims belongs is a
+    # ValidationError, not an AttributeError from deeper in
+    center = generate_center(Dims(6, 2), 1)
+    path = tmp_path / "point.txt"
+    for call, message in [
+        (lambda: generate_samples(center.X, 0.1, 2, 0),
+         "^center must be a StiefelPoint, got ndarray$"),
+        (lambda: write_point(path, center.X), "^point must be a StiefelPoint, got ndarray$"),
+        (lambda: SampleSet((6, 2), None, 0.1, 0, (center,)), "^dims must be a Dims, got tuple$"),
+        (lambda: SampleSet(center.dims, center.X, 0.1, 0, (center,)),
+         "^center must be a StiefelPoint, got ndarray$"),
+        (lambda: SampleSet(center.dims, None, 0.1, 0, None),
+         "^stack must be a sequence of samples, got NoneType$"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert not path.exists()
+
+
 def test_generate_center_deterministic():
     dims = Dims(20, 4)
     a = generate_center(dims, 99)
@@ -561,9 +582,11 @@ def test_scalar_inputs_share_one_rule(name, rule, build, tmp_path):
     center = generate_center(Dims(6, 2), 1)
     path = tmp_path / "point.txt"
     integer = rule in (_INT0, _INT1)
-    bad = (True, "0.1", None, math.nan) + ((np.float64(6.0),) if integer else ())
+    # a real rule also rejects an int too large for a float, whose message
+    # shortens it
+    bad = (True, "0.1", None, math.nan) + ((np.float64(6.0),) if integer else (10**400,))
     for value in bad:
-        message = f"^{re.escape(name)} must be {rule}, got {re.escape(repr(value))}$"
+        message = f"^{re.escape(name)} must be {rule}, got {re.escape(reprlib.repr(value))}$"
         with pytest.raises(ValidationError, match=message):
             build(value, center, path)
     assert not path.exists()
