@@ -102,8 +102,8 @@ def _build_parser() -> _Parser:
     exp.add_argument("--outdir", default=".", help="directory for the CSV")
     exp.add_argument("--paper-scale", action="store_true",
                      help="full-size protocol instead of desk-scale defaults")
-    exp.add_argument("--p", type=int, help="override the row count")
-    exp.add_argument("--n", type=int, help="override the column count")
+    exp.add_argument("--p", type=int, help="override the row count (runtime-p sweeps it)")
+    exp.add_argument("--n", type=int, help="override the column count (runtime-n sweeps it)")
     exp.add_argument("--N", type=int, dest="n_samples",
                      help="override the sample count")
     exp.add_argument("--sigma", type=float, help="override the spread")

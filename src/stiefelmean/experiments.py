@@ -60,15 +60,16 @@ class ExperimentSpec:
 
     For the runtime kinds, ``sweep`` lists the varying dimension (n for
     ``runtime_vs_n`` with p fixed, p for ``runtime_vs_p`` with n fixed) and
-    must be strictly increasing. ``trials`` repetitions are timed per swept
-    value. The other kinds use a single draw: ``trials`` is 1 and ``sweep``
-    is ``None``. ``dims`` is the St(p, n) of each swept value, in sweep
-    order, or the one St(p, n) of a single-draw kind.
+    must be strictly increasing; the swept field itself is ``None``.
+    ``trials`` repetitions are timed per swept value. The other kinds use a
+    single draw: ``trials`` is 1 and ``sweep`` is ``None``. ``dims`` is the
+    St(p, n) of each swept value, in sweep order, or the one St(p, n) of a
+    single-draw kind.
     """
 
     kind: str
-    p: int
-    n: int
+    p: Optional[int]
+    n: Optional[int]
     n_samples: int
     sigma: float
     seed: int
@@ -79,9 +80,15 @@ class ExperimentSpec:
 
     def __post_init__(self):
         axis = _kind(self.kind).axis
+        if axis is not None and getattr(self, axis) is not None:
+            raise ValidationError(
+                f"{self.kind} sweeps {axis}: give its values in sweep, not "
+                f"{axis}={getattr(self, axis)!r}"
+            )
         for name, minimum in (("seed", 0), ("p", 1), ("n", 1), ("n_samples", 1),
                               ("trials", 1)):
-            object.__setattr__(self, name, _check_int(getattr(self, name), name, minimum))
+            if name != axis:
+                object.__setattr__(self, name, _check_int(getattr(self, name), name, minimum))
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
         if not isinstance(self.paper_scale, bool):
             raise ValidationError(f"paper_scale must be a bool, got {self.paper_scale!r}")
@@ -110,9 +117,10 @@ class ExperimentSpec:
 
     def describe(self) -> str:
         sweep = "-" if self.sweep is None else ",".join(str(v) for v in self.sweep)
+        p, n = ("-" if v is None else v for v in (self.p, self.n))
         pairs = ",".join(pair.label for pair in ALL_PAIRS)
         return (
-            f"kind={self.kind} p={self.p} n={self.n} sweep={sweep} "
+            f"kind={self.kind} p={p} n={n} sweep={sweep} "
             f"N={self.n_samples} sigma={self.sigma!r} trials={self.trials} "
             f"seed={self.seed} pairs={pairs} "
             f"paper_scale={str(self.paper_scale).lower()}"
@@ -336,7 +344,7 @@ def _run_runtime(spec: ExperimentSpec) -> RuntimeResult:
 
 
 class _Kind(NamedTuple):
-    desk: dict  # the desk-scale fields
+    desk: dict  # the desk-scale fields; a runtime kind's swept one is None
     paper: dict  # the fields that paper scale changes
     run: Callable
     axis: Optional[str] = None  # the dimension a runtime kind sweeps
@@ -349,12 +357,12 @@ _KINDS = {
     ),
     "convergence": _Kind(dict(p=20, n=4, n_samples=30, sigma=0.2), {}, _run_convergence),
     "runtime_vs_n": _Kind(
-        dict(p=100, n=5, n_samples=50, sigma=0.01, trials=20, sweep=(5, 10, 20, 30)),
+        dict(p=100, n=None, n_samples=50, sigma=0.01, trials=20, sweep=(5, 10, 20, 30)),
         dict(trials=100, sweep=(5, 10, 15, 20, 25, 30, 35, 40)),
         _run_runtime, axis="n",
     ),
     "runtime_vs_p": _Kind(
-        dict(p=20, n=10, n_samples=50, sigma=0.01, trials=20, sweep=(20, 50, 100, 200)),
+        dict(p=None, n=10, n_samples=50, sigma=0.01, trials=20, sweep=(20, 50, 100, 200)),
         dict(trials=100, sweep=(20, 50, 100, 200, 300, 400)),
         _run_runtime, axis="p",
     ),

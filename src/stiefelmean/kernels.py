@@ -12,6 +12,11 @@ residuals. On a stack, a slice that a cheap bound certifies takes a path of
 batched matrix products (the Newton-Schulz inverse of the Lyapunov solver,
 the Taylor steps of the action), and the rest a per-slice LAPACK or Pade
 call; each slice gets the bits its own call would give.
+
+Matrix inputs follow one rule, ``_check_matrix`` (shape, finite entries and
+norm, symmetry or skew-symmetry within ``CHECK_RTOL``). Each public kernel
+checks its arguments there and runs an unchecked core, ``_spd_inv_sqrt``,
+``_skew_expm_action`` and so on, which the maps and sampling call directly.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from .errors import DomainError, RankDeficientError, ValidationError
 # Error threshold on eigenvalues of a matrix that must be positive definite.
 EPS_SPD = 1e-14
 
-# Relative tolerance of the symmetric and skew input checks of spd_inv_sqrt,
-# skew_expm, skew_expm_action and solve_lyapunov_sym, and of the Lyapunov
-# residual check.
+# Relative tolerance of the one symmetry and skew-symmetry check of matrix
+# inputs, _check_matrix, and of the Lyapunov residual check.
 CHECK_RTOL = 1e-10
 # Absolute residual target and step cap of solve_ortho_retraction_eq.
 ORTHO_EQ_TOL = 1e-12
@@ -65,16 +69,50 @@ ACTION_MAX_TERMS = 34
 _PADE6 = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValidationError(f"{name} must be a 2-D array, got shape {a.shape}")
-    return a
-
-
-def _require_square(a: np.ndarray, name: str) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {a.shape}")
+def _check_matrix(a, name: str, shape="square", ndim=(2,), structure=None) -> np.ndarray:
+    """``a`` as a float array, if it passes the one rule for matrix inputs:
+    its shape (``ndim`` (2,) for a matrix, (3,) for an (N, r, c) stack, (2, 3)
+    for either; each matrix (r, c) = ``shape`` if a tuple, else nonempty and
+    "square", "tall" (r >= c) or, for ``None``, any), then finite entries and
+    Frobenius norms, then, for ``structure`` "symmetric" ("skew-symmetric"),
+    a defect ||M - M^T||_F (||M + M^T||_F) <= ``CHECK_RTOL`` * max(1, ||M||_F)
+    of each matrix M. A ``ValidationError`` names the argument and, for a
+    stack, the first failing slice; a structure failure carries its defect."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
+    r, c = a.shape[-2:] if a.ndim >= 2 else (0, 0)
+    if isinstance(shape, tuple):
+        fits, want = (r, c) == shape, f"a {shape} matrix"
+    else:
+        fits = min(r, c) >= 1 and {None: True, "square": r == c, "tall": r >= c}[shape]
+        want = {None: "a matrix", "square": "a square matrix",
+                "tall": "a matrix with no more columns than rows"}[shape]
+    if 3 in ndim:  # a stack's matrices have a given shape
+        stack = "an (N, {}, {}) stack".format(*shape)
+        want = f"{want} or {stack}" if 2 in ndim else stack
+    if a.ndim not in ndim or not fits:
+        raise ValidationError(f"{name} must be {want}, got shape {a.shape}")
+    where = name + (" slice {}" if a.ndim == 3 else "")
+    slices = a.reshape(-1, r, c)
+    # NaN and inf entries give a NaN or inf norm, and so do entries whose
+    # squares overflow, which no kernel could use
+    norms = np.sqrt(np.einsum("kij,kij->k", slices, slices))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValidationError(f"{where.format(bad[0])} must be finite")
+    if structure is not None:
+        t = np.swapaxes(slices, 1, 2)
+        d = slices + t if structure == "skew-symmetric" else slices - t
+        defects = np.sqrt(np.einsum("kij,kij->k", d, d))
+        bad = np.flatnonzero(defects > CHECK_RTOL * np.maximum(1.0, norms))
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(
+                f"{where.format(k)} must be {structure}, got defect {defects[k]:.3e}",
+                defect=float(defects[k]),
+            )
     return a
 
 
@@ -85,7 +123,7 @@ def skew_part(a) -> np.ndarray:
     everywhere in this package. Applying the operator twice negates it:
     ``skew_part(skew_part(a)) == -skew_part(a)``.
     """
-    a = _require_square(_as_matrix(a, "skew_part input"), "skew_part input")
+    a = _check_matrix(a, "skew_part A")
     return 0.5 * (a.T - a)
 
 
@@ -99,11 +137,7 @@ def thin_qr_q_factor(a) -> np.ndarray:
     Raises ``RankDeficientError`` naming the first column whose R-diagonal
     magnitude falls below ``RANK_RTOL`` times the largest one.
     """
-    a = _as_matrix(a, "thin_qr_q_factor input")
-    if a.shape[0] < a.shape[1]:
-        raise ValidationError(
-            f"need at least as many rows as columns, got shape {a.shape}"
-        )
+    a = _check_matrix(a, "thin_qr_q_factor A", shape="tall")
     q, r = np.linalg.qr(a)
     diag = np.diag(r)
     scale = np.max(np.abs(diag))
@@ -130,17 +164,11 @@ def spd_inv_sqrt(s) -> np.ndarray:
     rounding and satisfies R S R = I to roughly machine precision times the
     condition number of S.
 
-    Raises ``ValidationError`` if ``s`` is not symmetric within ``CHECK_RTOL``
-    (relative to its norm) and ``DomainError`` if any eigenvalue is at or
-    below ``EPS_SPD``.
+    Raises ``ValidationError`` if ``s`` is not a finite square matrix
+    symmetric within ``CHECK_RTOL`` (relative to its norm) and
+    ``DomainError`` if any eigenvalue is at or below ``EPS_SPD``.
     """
-    s = _require_square(_as_matrix(s, "spd_inv_sqrt input"), "spd_inv_sqrt input")
-    nrm = np.linalg.norm(s)
-    asym = np.linalg.norm(s - s.T)
-    if asym > CHECK_RTOL * max(1.0, nrm):
-        raise ValidationError(
-            f"matrix is not symmetric: asymmetry {asym:.3e}", defect=asym
-        )
+    s = _check_matrix(s, "spd_inv_sqrt S", structure="symmetric")
     return _spd_inv_sqrt(s, np.eye(s.shape[0]))
 
 
@@ -192,11 +220,11 @@ def _spd_inv_sqrt(s: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.T)
 
 
-def skew_expm(omega, scale: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(scale * omega) of a skew-symmetric matrix.
+def skew_expm(omega) -> np.ndarray:
+    """Matrix exponential exp(omega) of a skew-symmetric matrix.
 
     Scaling and squaring with a degree-6 diagonal Pade core. The squaring
-    count is ceil(log2 ||scale * omega||_F) clamped at zero, so the core
+    count is ceil(log2 ||omega||_F) clamped at zero, so the core
     always sees an argument of Frobenius norm at most 1, where the Pade
     truncation error is far below the 1e-10 orthogonality budget. For a skew
     argument the diagonal Pade approximant is itself exactly orthogonal in
@@ -206,13 +234,7 @@ def skew_expm(omega, scale: float = 1.0) -> np.ndarray:
     exp(omega) X; past its radius it takes this function's Pade path, and
     the tests use this function as the action's oracle.
     """
-    omega = _require_square(_as_matrix(omega, "skew_expm input"), "skew_expm input")
-    defect = np.linalg.norm(omega + omega.T)
-    if defect > CHECK_RTOL * max(1.0, np.linalg.norm(omega)):
-        raise ValidationError(
-            f"matrix is not skew-symmetric: defect {defect:.3e}", defect=defect
-        )
-    return _pade_expm(scale * omega)
+    return _pade_expm(_check_matrix(omega, "skew_expm Omega", structure="skew-symmetric"))
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
@@ -262,25 +284,16 @@ def skew_expm_action(omega, x) -> np.ndarray:
     Raises ``ValidationError`` for a non-finite input, shapes that do not
     match, or a slice that is not skew-symmetric within ``CHECK_RTOL``.
     """
-    x = _as_matrix(x, "skew_expm_action X")
+    x = _check_matrix(x, "skew_expm_action X", shape=None)
     p = x.shape[0]
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 3 or omega.shape[1:] != (p, p):
-        raise ValidationError(
-            f"Omega must be an (N, {p}, {p}) stack to match X, got shape {omega.shape}"
-        )
+    omega = _check_matrix(omega, "skew_expm_action Omega", shape=(p, p), ndim=(3,),
+                          structure="skew-symmetric")
+    return _skew_expm_action(omega, x)
+
+
+def _skew_expm_action(omega: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # skew_expm_action for a finite stack omega of skew matrices and a finite x
     squares = np.einsum("kij,kij->k", omega, omega)
-    if not (np.all(np.isfinite(squares)) and np.all(np.isfinite(x))):
-        raise ValidationError("skew_expm_action inputs must be finite")
-    sym = omega + np.swapaxes(omega, 1, 2)
-    defects = np.sqrt(np.einsum("kij,kij->k", sym, sym))
-    del sym  # a stack-sized temporary; free it before the sums
-    bad = np.flatnonzero(defects > CHECK_RTOL * np.maximum(1.0, np.sqrt(squares)))
-    if bad.size:
-        k = int(bad[0])
-        raise ValidationError(
-            f"slice {k} is not skew-symmetric: defect {defects[k]:.3e}", defect=defects[k]
-        )
     bound = np.sqrt(0.5 * squares)
     far = bound > ACTION_RADIUS
     steps = np.maximum(1.0, np.ceil(bound / ACTION_STEP_NORM))
@@ -325,19 +338,13 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
     ``np.linalg.inv``. Its failure, reaching ``INVERSE_MAX_STEPS`` or
     ``LYAP_MAX_DOUBLINGS``, and a residual of the symmetrized S above
     ``CHECK_RTOL * ||B||_F`` are ``DomainError``s: the lifting's arguments
-    sit too far apart. After B's symmetry, the first failing slice is
-    reported with its first failure in that order, as a loop over the
-    slices would; for a stack, ``sample_index`` names the slice.
+    sit too far apart. After the input checks, B's first, the first failing
+    slice is reported with its first failure in that order, as a loop over
+    the slices would; for a stack, ``sample_index`` names the slice.
     """
-    b = _require_square(_as_matrix(b, "solve_lyapunov_sym B"), "solve_lyapunov_sym B")
+    b = _check_matrix(b, "solve_lyapunov_sym B", structure="symmetric")
     n = b.shape[0]
-    m = np.asarray(m, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
-        raise ValidationError(
-            f"M must be ({n}, {n}) or (N, {n}, {n}) to match B, got shape {m.shape}"
-        )
-    if np.linalg.norm(b - b.T) > CHECK_RTOL * max(1.0, np.linalg.norm(b)):
-        raise ValidationError("right-hand side B must be symmetric")
+    m = _check_matrix(m, "solve_lyapunov_sym M", shape=(n, n), ndim=(2, 3))
     s, _ = _solve_lyapunov(m.reshape(-1, n, n), b, m.ndim == 3)
     return s.reshape(m.shape)
 
@@ -465,20 +472,10 @@ def solve_ortho_retraction_eq(omega, g) -> np.ndarray:
     iterate symmetric. Iteration stops once the equation residual drops
     below ``ORTHO_EQ_TOL``.
     """
-    omega = _require_square(
-        _as_matrix(omega, "solve_ortho_retraction_eq Omega"),
-        "solve_ortho_retraction_eq Omega",
-    )
-    g = _require_square(
-        _as_matrix(g, "solve_ortho_retraction_eq G"), "solve_ortho_retraction_eq G"
-    )
+    omega = _check_matrix(omega, "solve_ortho_retraction_eq Omega",
+                          structure="skew-symmetric")
     n = omega.shape[0]
-    if g.shape[0] != n:
-        raise ValidationError(f"Omega and G sizes differ: {omega.shape} vs {g.shape}")
-    if np.linalg.norm(omega + omega.T) > 1e-9 * max(1.0, np.linalg.norm(omega)):
-        raise ValidationError("Omega must be skew-symmetric")
-    if np.linalg.norm(g - g.T) > 1e-9 * max(1.0, np.linalg.norm(g)):
-        raise ValidationError("G must be symmetric")
+    g = _check_matrix(g, "solve_ortho_retraction_eq G", shape=(n, n), structure="symmetric")
     return _solve_ortho_retraction_eq(omega, g)
 
 

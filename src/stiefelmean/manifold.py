@@ -17,6 +17,7 @@ read and validate.
 Input rules are written once, here: ``_check_int`` and ``_check_real``, which
 return a Python ``int`` or ``float`` for the frozen types to store, and
 ``_check_same_dims``, which compares the ``Dims`` of two points or sets.
+Matrix arguments follow the matrix rule, ``kernels._check_matrix``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import (
+    _check_matrix,
     _frobenius,
+    _skew_expm_action,
     # unused since sampling applies skew_expm_action; perfbench/tracer.py
     # rebinds manifold.skew_expm by name, so it stays bound
     skew_expm,  # noqa: F401
-    skew_expm_action,
-    skew_part,
     thin_qr_q_factor,
 )
 
@@ -199,18 +200,15 @@ class StiefelPoint:
 
 
 class TangentVector:
-    """A tangent vector at a Stiefel point: X^T V + V^T X = 0 within ``TOL_TAN``."""
+    """A tangent vector at a Stiefel point: a finite V of the anchor's shape
+    with X^T V + V^T X = 0 within ``TOL_TAN``."""
 
     __slots__ = ("anchor", "V")
 
     def __init__(self, anchor: StiefelPoint, v):
-        v = np.ascontiguousarray(v, dtype=float)
-        if v.shape != anchor.X.shape:
-            raise ValidationError(
-                f"tangent shape {v.shape} does not match anchor shape {anchor.X.shape}"
-            )
+        v = np.ascontiguousarray(_check_matrix(v, "V", shape=anchor.X.shape))
         defect = tangency_defect(anchor.X, v)
-        if defect >= TOL_TAN:
+        if not defect < TOL_TAN:  # an overflow to inf or NaN fails too
             raise ValidationError(
                 f"tangency defect {defect:.3e} >= {TOL_TAN:.1e}", defect=defect
             )
@@ -309,18 +307,15 @@ def project_to_tangent(point: StiefelPoint, a) -> TangentVector:
     """Orthogonal-style projection of an ambient p x n matrix onto the
     tangent space at ``point``:
 
-        pi(A) = (I_p - X X^T) A - X skew_part(X^T A)
+        pi(A) = (I_p - X X^T) A - X skew_part(X^T A) = A - X sym(X^T A),
 
-    with ``skew_part(M) = (M^T - M) / 2``. The projector is idempotent and
-    maps X itself (and any X S with S symmetric) to zero.
+    evaluated in the right-hand form, with no p x p projector. The projector
+    is idempotent and maps X itself (and any X S with S symmetric) to zero.
     """
     x = point.X
-    a = np.asarray(a, dtype=float)
-    if a.shape != x.shape:
-        raise ValidationError(f"shape {a.shape} does not match point shape {x.shape}")
-    p = x.shape[0]
-    v = (np.eye(p) - x @ x.T) @ a - x @ skew_part(x.T @ a)
-    return TangentVector(point, v)
+    a = _check_matrix(a, "A", shape=x.shape)
+    xta = x.T @ a
+    return TangentVector(point, a - x @ (0.5 * (xta + xta.T)))
 
 
 def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
@@ -337,7 +332,8 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
 def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
     """(count, p, n) stack of exp(scale * skew_part(A_k)) @ x, with the p x p
     standard-normal A_k drawn from ``rng`` in order, in chunks of about
-    ``SAMPLE_CHUNK_BYTES`` (the same stream as one draw per sample)."""
+    ``SAMPLE_CHUNK_BYTES`` (the same stream as one draw per sample), for a
+    checked x: the generators are skew and finite by construction."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
     draws = np.empty((chunk, p, p))
@@ -350,7 +346,7 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
         # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
         np.subtract(np.swapaxes(a, 1, 2), a, out=w)
         w *= 0.5 * scale
-        out[start:start + k] = skew_expm_action(w, x)
+        out[start:start + k] = _skew_expm_action(w, x)
     return out
 
 
@@ -403,9 +399,10 @@ def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
     exp(epsilon * skew_part(A)) with A a fresh standard-normal p x p draw,
     applied as ``generate_samples`` applies its rotations. Used to produce the
     starting point of the fixed-point iteration from the first sample."""
+    x1 = _check_matrix(x1, "x1", shape=None)
     epsilon = _check_real(epsilon, "epsilon", positive=True)
     rng = np.random.default_rng(_check_int(seed, "seed"))
-    return StiefelPoint(_rotate(np.asarray(x1, dtype=float), epsilon, 1, rng)[0])
+    return StiefelPoint(_rotate(x1, epsilon, 1, rng)[0])
 
 
 def derive_seed(base_seed: int, *path: int) -> int:

@@ -320,7 +320,7 @@ def guard_crossing(x, a):
     """Smallest t with ||I - X^T exp(tA) X||_F = DOMAIN_GUARD, to rounding, or
     None when t in [0, 8] does not reach the guard."""
     def disc(t):
-        return exact_discrepancies(x, [skew_expm(a, t) @ x])[0]
+        return exact_discrepancies(x, [skew_expm(t * a) @ x])[0]
     grid = np.linspace(0.0, 8.0, 161)
     above = [t for t in grid if disc(t) >= DOMAIN_GUARD]
     if not above:
@@ -351,7 +351,7 @@ def clouds_near_the_guard(draw):
         if t_star is None:
             continue
         offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -3.0))
-        q = skew_expm(a, t_star * (1.0 + offset)) @ center.X
+        q = skew_expm(t_star * (1.0 + offset) * a) @ center.X
         points.insert(draw(st.integers(0, len(points))), q)
     return x, points
 
@@ -608,7 +608,7 @@ def test_left_rotation_equivariance():
     cloud = small_cloud(21, sigma=0.1, n_samples=8)
     initial = perturb_initial_guess(cloud.stack[0], 0.01, 22)
     rng = np.random.default_rng(23)
-    u = skew_expm(skew_part(rng.standard_normal((20, 20))), 0.6)
+    u = skew_expm(0.6 * skew_part(rng.standard_normal((20, 20))))
     rotated = SampleSet(
         dims=cloud.dims, center=None, sigma=cloud.sigma, seed=cloud.seed,
         stack=u @ cloud.stack,

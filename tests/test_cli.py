@@ -274,8 +274,8 @@ def test_exp_runtime_small(tmp_path):
 
 
 @pytest.mark.parametrize("kind, flags, code, timed, err", [
-    # the fixed dimension's default (n=5, p=20) makes no St(p, n) with the
-    # swept values, and the run never uses it
+    # a runtime spec has only the fixed dimension; each swept value makes
+    # one St(p, n)
     ("runtime-n", ("--p", 4, "--sweep", "2,3", "--trials", 1), 0, {(4, 2), (4, 3)}, ""),
     ("runtime-p", ("--n", 30, "--sweep", "40,50", "--trials", 1), 0,
      {(40, 30), (50, 30)}, ""),
@@ -285,7 +285,12 @@ def test_exp_runtime_small(tmp_path):
     ("convergence", ("--trials", 5, "--sweep", "5,10", "--paper-scale"), 2, set(),
      "numerical validation error: convergence runs a single draw; it takes no "
      "trials or sweep, got trials=5 sweep=(5, 10)\n"),
-], ids=["runtime-n-p4", "runtime-p-n30", "runtime-n-past-p", "convergence-trials-sweep"])
+    # the swept dimension takes no value: it would be written, unused, to the CSV
+    ("runtime-n", ("--p", 12, "--n", 7, "--sweep", "2,3", "--trials", 1), 2, set(),
+     "numerical validation error: runtime_vs_n sweeps n: give its values in sweep, "
+     "not n=7\n"),
+], ids=["runtime-n-p4", "runtime-p-n30", "runtime-n-past-p", "convergence-trials-sweep",
+        "runtime-n-swept-n"])
 def test_exp_checks_the_dimensions_and_options_its_run_uses(
         tmp_path, monkeypatch, capsys, kind, flags, code, timed, err):
     seen = set()

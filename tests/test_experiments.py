@@ -89,9 +89,22 @@ def test_spec_dims_are_the_dimensions_the_run_uses():
     # the fixed pair of a runtime kind need not be a valid St(p, n): only the
     # swept pairs are
     rn = default_spec("runtime_vs_n", seed=1, p=4, sweep=[2, 3])
-    assert (rn.n, rn.sweep, rn.dims) == (5, (2, 3), (Dims(4, 2), Dims(4, 3)))
+    assert (rn.n, rn.sweep, rn.dims) == (None, (2, 3), (Dims(4, 2), Dims(4, 3)))
     rp = default_spec("runtime_vs_p", seed=1, n=30, sweep=(40, 50))
-    assert (rp.p, rp.dims) == (20, (Dims(40, 30), Dims(50, 30)))
+    assert (rp.p, rp.dims) == (None, (Dims(40, 30), Dims(50, 30)))
+
+
+def test_runtime_spec_takes_no_value_for_its_swept_dimension():
+    # the run never reads it, so a value would only be written to the CSV
+    # header as if it had been used
+    for kind, axis, paper_scale in [("runtime_vs_n", "n", False), ("runtime_vs_p", "p", True)]:
+        for value in (7, None, "7"):
+            if value is None:
+                assert getattr(default_spec(kind, seed=1, paper_scale=paper_scale), axis) is None
+                continue
+            message = f"^{kind} sweeps {axis}: give its values in sweep, not {axis}={value!r}$"
+            with pytest.raises(ValidationError, match=message):
+                default_spec(kind, seed=1, paper_scale=paper_scale, **{axis: value})
 
 
 _PAIRS = "pairs=polar,ortho,mixed"
@@ -104,13 +117,13 @@ HEADER_LINES = {
                             f"seed=5 {_PAIRS} paper_scale=false",
     ("convergence", True): "kind=convergence p=20 n=4 sweep=- N=30 sigma=0.2 trials=1 "
                            f"seed=5 {_PAIRS} paper_scale=true",
-    ("runtime_vs_n", False): "kind=runtime_vs_n p=100 n=5 sweep=5,10,20,30 N=50 sigma=0.01 "
+    ("runtime_vs_n", False): "kind=runtime_vs_n p=100 n=- sweep=5,10,20,30 N=50 sigma=0.01 "
                              f"trials=20 seed=5 {_PAIRS} paper_scale=false",
-    ("runtime_vs_n", True): "kind=runtime_vs_n p=100 n=5 sweep=5,10,15,20,25,30,35,40 N=50 "
+    ("runtime_vs_n", True): "kind=runtime_vs_n p=100 n=- sweep=5,10,15,20,25,30,35,40 N=50 "
                             f"sigma=0.01 trials=100 seed=5 {_PAIRS} paper_scale=true",
-    ("runtime_vs_p", False): "kind=runtime_vs_p p=20 n=10 sweep=20,50,100,200 N=50 "
+    ("runtime_vs_p", False): "kind=runtime_vs_p p=- n=10 sweep=20,50,100,200 N=50 "
                              f"sigma=0.01 trials=20 seed=5 {_PAIRS} paper_scale=false",
-    ("runtime_vs_p", True): "kind=runtime_vs_p p=20 n=10 sweep=20,50,100,200,300,400 N=50 "
+    ("runtime_vs_p", True): "kind=runtime_vs_p p=- n=10 sweep=20,50,100,200,300,400 N=50 "
                             f"sigma=0.01 trials=100 seed=5 {_PAIRS} paper_scale=true",
 }
 

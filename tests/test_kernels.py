@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from stiefelmean.kernels import (
     solve_ortho_retraction_eq,
     spd_inv_sqrt,
     thin_qr_q_factor,
+)
+from stiefelmean.manifold import (
+    StiefelPoint,
+    TangentVector,
+    perturb_initial_guess,
+    project_to_tangent,
 )
 
 
@@ -280,13 +287,13 @@ def test_skew_expm_planar_rotation(theta):
     expected = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
-    assert np.allclose(skew_expm(omega, theta), expected, atol=1e-13)
+    assert np.allclose(skew_expm(theta * omega), expected, atol=1e-13)
 
 
 def test_skew_expm_matches_taylor_oracle():
     rng = np.random.default_rng(5)
     omega = random_skew(rng, 20)
-    out = skew_expm(omega, 0.05)
+    out = skew_expm(0.05 * omega)
     oracle = expm_taylor(0.05 * omega, terms=30)
     assert np.linalg.norm(out - oracle) < 1e-8
 
@@ -294,7 +301,7 @@ def test_skew_expm_matches_taylor_oracle():
 def test_skew_expm_orthogonality_defect():
     rng = np.random.default_rng(6)
     omega = random_skew(rng, 20)
-    out = skew_expm(omega, 0.05)
+    out = skew_expm(0.05 * omega)
     assert np.linalg.norm(out.T @ out - np.eye(20)) < 1e-10
 
 
@@ -302,7 +309,7 @@ def test_skew_expm_large_scale_stays_orthogonal():
     # exercises the squaring branch: ||scale*omega||_F well above 1
     rng = np.random.default_rng(16)
     omega = random_skew(rng, 30)
-    out = skew_expm(omega, 1.7)
+    out = skew_expm(1.7 * omega)
     assert np.linalg.norm(out.T @ out - np.eye(30)) < 1e-10
     assert np.allclose(out, scipy.linalg.expm(1.7 * omega), atol=1e-9)
 
@@ -310,8 +317,8 @@ def test_skew_expm_large_scale_stays_orthogonal():
 def test_skew_expm_inverse_by_negation():
     rng = np.random.default_rng(8)
     omega = random_skew(rng, 12)
-    fwd = skew_expm(omega, 0.7)
-    back = skew_expm(omega, -0.7)
+    fwd = skew_expm(0.7 * omega)
+    back = skew_expm(-0.7 * omega)
     assert np.linalg.norm(fwd @ back - np.eye(12)) < 1e-10
 
 
@@ -389,7 +396,7 @@ def test_skew_expm_action_rejects_bad_input():
     for omega in (np.zeros((3, 3)), np.zeros((2, 4, 4)), np.zeros((1, 1, 3, 3))):
         with pytest.raises(ValidationError, match=r"Omega must be an \(N, 3, 3\) stack"):
             skew_expm_action(omega, x)
-    with pytest.raises(ValidationError, match="slice 1 is not skew-symmetric") as err:
+    with pytest.raises(ValidationError, match="Omega slice 1 must be skew-symmetric") as err:
         skew_expm_action(np.array([np.zeros((3, 3)), np.eye(3), np.eye(3)]), x)
     assert err.value.defect == pytest.approx(2.0 * math.sqrt(3.0))
     for bad in (math.nan, math.inf):
@@ -691,3 +698,89 @@ def test_ortho_eq_diverges_for_large_tangent():
 def test_ortho_eq_rejects_non_skew_omega():
     with pytest.raises(ValidationError):
         solve_ortho_retraction_eq(np.eye(2), np.zeros((2, 2)))
+
+
+# ------------------------------------------------- the matrix-input rule
+
+def _matrix_inputs():
+    """(name, call, good, shape, structure) for every public matrix argument:
+    call(value) passes value as that argument with valid others; good is a
+    valid value; shape is how the rule sizes it ("square", "tall", "any",
+    "fixed" for one given (r, c), "stack" for an (N, r, r) stack only,
+    "either" for a given matrix or a stack of them)."""
+    rng = np.random.default_rng(40)
+    x = thin_qr_q_factor(rng.standard_normal((5, 2)))
+    point = StiefelPoint(x)
+    a = rng.standard_normal((3, 3))
+    sym, skew = a + a.T, 0.5 * (a.T - a)
+    tangent = project_to_tangent(point, rng.standard_normal((5, 2))).V
+    stack = np.array([random_skew(rng, 5) for _ in range(3)])
+    ms = np.eye(3) + 0.1 * rng.standard_normal((3, 3, 3))
+    zero = np.zeros((3, 3))
+    return [
+        ("skew_part A", skew_part, a, "square", None),
+        ("thin_qr_q_factor A", thin_qr_q_factor, rng.standard_normal((5, 2)), "tall", None),
+        ("spd_inv_sqrt S", spd_inv_sqrt, np.eye(3) + 0.1 * sym, "square", "symmetric"),
+        ("skew_expm Omega", skew_expm, skew, "square", "skew-symmetric"),
+        ("skew_expm_action Omega", lambda v: skew_expm_action(v, x), stack, "stack",
+         "skew-symmetric"),
+        ("skew_expm_action X", lambda v: skew_expm_action(stack, v), x, "any", None),
+        ("solve_lyapunov_sym M", lambda v: solve_lyapunov_sym(v, sym), ms[0], "either", None),
+        ("solve_lyapunov_sym M", lambda v: solve_lyapunov_sym(v, sym), ms, "either", None),
+        ("solve_lyapunov_sym B", lambda v: solve_lyapunov_sym(np.eye(3), v), sym, "square",
+         "symmetric"),
+        ("solve_ortho_retraction_eq Omega", lambda v: solve_ortho_retraction_eq(v, zero),
+         0.1 * skew, "square", "skew-symmetric"),
+        ("solve_ortho_retraction_eq G", lambda v: solve_ortho_retraction_eq(zero, v),
+         0.01 * sym, "fixed", "symmetric"),
+        ("A", lambda v: project_to_tangent(point, v), rng.standard_normal((5, 2)), "fixed", None),
+        ("V", lambda v: TangentVector(point, v), tangent, "fixed", None),
+        ("x1", lambda v: perturb_initial_guess(v, 0.01, 1), x, "any", None),
+    ]
+
+
+def _broken(good, shape, structure):
+    """(value, what the message says) for each way the rule rejects: not
+    numbers, NaN or +-inf entries, a norm that overflows, the wrong ndim, the
+    wrong matrix shape and, with a structure, a slice without it. A stack is
+    broken in slice 1."""
+    k = (1,) if good.ndim == 3 else ()
+    where = " slice 1" if good.ndim == 3 else ""
+    cases = [("abc", " must be an array of numbers$")]
+    for index, bad in ((k, math.nan), (k + (0, 0), math.inf), (k + (-1, 0), -math.inf)):
+        value = good.copy()
+        value[index] = bad  # NaN fills the whole matrix or slice
+        cases.append((value, f"{where} must be finite$"))
+    value = good.copy()
+    value[k] *= 1e200  # finite entries whose squares overflow
+    cases.append((value, f"{where} must be finite$"))
+    wrong = [good.ravel(), good[None, None]] + ([good[0]] if shape == "stack" else [])
+    wrong.append(good.T if shape == "tall" else good[..., :0] if shape == "any"
+                 else good[..., :-1])
+    cases += [(value, r" must be .*, got shape ") for value in wrong]
+    if structure is not None:
+        value = good.copy()
+        value[k + (0, 1)] += 1.0
+        value[k + (0, 0)] += 1.0
+        cases.append((value, f"{where} must be {structure}, got defect "))
+    return cases
+
+
+@pytest.mark.parametrize("name, call, good, shape, structure", [
+    pytest.param(*case, id=case[0].replace(" ", ".") + ("-stack" if case[2].ndim == 3 else ""))
+    for case in _matrix_inputs()
+])
+def test_matrix_inputs_share_one_rule(name, call, good, shape, structure):
+    call(good)  # valid
+    for value, message in _broken(good, shape, structure):
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)}{message}") as err:
+            call(value)
+        assert (err.value.defect is not None) == ("defect" in message)
+
+
+def test_skew_expm_action_core_gives_the_public_bits():
+    rng = np.random.default_rng(41)
+    x = thin_qr_q_factor(rng.standard_normal((9, 3)))
+    radius = kernels.ACTION_RADIUS
+    omega = np.array([scaled_skew(rng, 9, f * radius) for f in (0.0, 0.01, 0.5, 1.5)])
+    assert np.array_equal(kernels._skew_expm_action(omega, x), skew_expm_action(omega, x))

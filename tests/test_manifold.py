@@ -319,7 +319,7 @@ def test_discrepancy_left_rotation_invariance():
     rng = np.random.default_rng(14)
     x = random_point(20, 4, 15)
     y = random_point(20, 4, 16)
-    u = skew_expm(skew_part(rng.standard_normal((20, 20))), 0.8)
+    u = skew_expm(0.8 * skew_part(rng.standard_normal((20, 20))))
     rx = StiefelPoint(u @ x.X)
     ry = StiefelPoint(u @ y.X)
     assert abs(discrepancy(rx, ry) - discrepancy(x, y)) < 1e-12
@@ -413,7 +413,7 @@ def per_sample_pade_stack(center, sigma, count, seed):
     """The sampling rule one draw at a time, through the p x p exponential."""
     rng = np.random.default_rng(seed)
     p = center.dims.p
-    return np.array([skew_expm(skew_part(rng.standard_normal((p, p))), sigma) @ center.X
+    return np.array([skew_expm(sigma * skew_part(rng.standard_normal((p, p)))) @ center.X
                      for _ in range(count)])
 
 
@@ -480,7 +480,7 @@ def test_perturb_applies_the_sampling_rotation():
     x1 = random_point(20, 4, 26)
     out = perturb_initial_guess(x1, 0.01, 27)
     a = np.random.default_rng(27).standard_normal((20, 20))
-    assert np.linalg.norm(out.X - skew_expm(skew_part(a), 0.01) @ x1.X) < 1e-13
+    assert np.linalg.norm(out.X - skew_expm(0.01 * skew_part(a)) @ x1.X) < 1e-13
     cloud = generate_samples(x1, 0.01, 1, 27)
     assert np.array_equal(out.X, cloud.stack[0])
 
@@ -608,3 +608,15 @@ def test_tangent_vector_validation():
     with pytest.raises(ValidationError):
         TangentVector(x, x.X)  # X itself is far from tangent
     assert tangency_defect(x.X, v.V) < 1e-12
+    # a NaN defect is not below the tolerance: non-finite entries are rejected
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^V must be finite$"):
+            TangentVector(x, np.full((10, 3), bad))
+
+
+def test_projector_matches_the_p_by_p_projector_formula():
+    x = random_point(12, 4, 26)
+    a = np.random.default_rng(27).standard_normal((12, 4))
+    xta = x.X.T @ a
+    formula = (np.eye(12) - x.X @ x.X.T) @ a - x.X @ (0.5 * (xta.T - xta))
+    assert np.abs(project_to_tangent(x, a).V - formula).max() < 1e-15

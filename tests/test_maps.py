@@ -42,7 +42,7 @@ def random_point(p, n, seed):
 
 def nearby_point(x, sigma, seed):
     rng = np.random.default_rng(seed)
-    rot = skew_expm(skew_part(rng.standard_normal((x.dims.p, x.dims.p))), sigma)
+    rot = skew_expm(sigma * skew_part(rng.standard_normal((x.dims.p, x.dims.p))))
     return StiefelPoint(rot @ x.X)
 
 
