@@ -64,13 +64,14 @@ import numpy as np
 
 from . import maps
 from .errors import DomainError, ValidationError
-from .kernels import _frobenius
+from .kernels import _frobenius, _real_array
 from .manifold import (
     SampleSet,
     StiefelPoint,
     _check_int,
     _check_real,
     _check_same_dims,
+    _check_type,
     _checked_defect,
     _gap_to_identity,
     _sq_norm_bound,
@@ -103,8 +104,7 @@ class AveragingConfig:
     weights: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if not isinstance(self.pair, MapPair):
-            raise ValidationError(f"pair must be a MapPair member, got {self.pair!r}")
+        _check_type(self.pair, MapPair, "pair")
         object.__setattr__(self, "max_iters", _check_int(self.max_iters, "max_iters", 1))
         conv_tol = _check_real(self.conv_tol, "conv_tol", positive=True)
         object.__setattr__(self, "conv_tol", conv_tol)
@@ -153,15 +153,13 @@ def _resolve_weights(weights: Optional[Sequence[float]], n_samples: int) -> np.n
     if weights is None:
         return np.ones(n_samples)
     try:
-        w = np.asarray(weights, dtype=float)
+        w = _real_array(weights)
     except (TypeError, ValueError):
         raise ValidationError(
             f"weights must be a sequence of reals, got {reprlib.repr(weights)}"
         ) from None
     if w.shape != (n_samples,):
-        raise ValidationError(
-            f"need one weight per sample ({n_samples}), got shape {w.shape}"
-        )
+        raise ValidationError(f"need one weight per sample ({n_samples}), got shape {w.shape}")
     bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
     if bad.size:
         k = int(bad[0])
@@ -293,9 +291,8 @@ def fixed_point_mean(
     weights used exactly as supplied; with all weights equal to one the
     trajectory matches the unweighted run bit for bit.
     """
-    if not (isinstance(samples, SampleSet) and isinstance(initial, StiefelPoint)):
-        raise ValidationError("samples must be a SampleSet and initial a StiefelPoint")
-    _check_same_dims(initial, samples)
+    _check_type(samples, SampleSet, "samples")
+    _check_same_dims(_check_type(initial, StiefelPoint, "initial"), samples)
     weights = _resolve_weights(config.weights, len(samples))
     tangent = _combined_tangent(config.pair, samples.stack, weights)
     if config.pair is MapPair.ORTHO:

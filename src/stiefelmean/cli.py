@@ -17,7 +17,6 @@ evaluated outside their domain), with context on standard error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .errors import DomainError, FileFormatError, StiefelMeanError, ValidationEr
 from .manifold import (
     TOL_ORTH,
     Dims,
+    _check_real,
     _orthonormality_defects,
     derive_seed,
     discrepancy,
@@ -128,15 +128,13 @@ def _read_weights(path, expected: int):
             token = line.strip()
             if not token:
                 continue
+            where = f"{path}: line {lineno}"
             try:
-                w = float(token)
+                weights.append(_check_real(float(token), "weight", positive=True))
+            except ValidationError as exc:
+                raise _UsageError(f"{where}: {exc}") from None
             except ValueError:
-                raise _UsageError(
-                    f"{path}: line {lineno}: could not parse weight '{token}'"
-                ) from None
-            if not 0.0 < w < math.inf:
-                raise _UsageError(f"{path}: line {lineno}: weight must be finite and positive")
-            weights.append(w)
+                raise _UsageError(f"{where}: could not parse weight '{token}'") from None
     if len(weights) != expected:
         raise _UsageError(
             f"{path}: expected {expected} weights (one per sample), got {len(weights)}"
@@ -150,9 +148,7 @@ def _cmd_mean(args) -> int:
     except ValidationError as exc:
         raise _UsageError(str(exc)) from exc
     cloud = fileio.read_sample_set(args.infile)
-    weights = None
-    if args.weights is not None:
-        weights = _read_weights(args.weights, len(cloud))
+    weights = None if args.weights is None else _read_weights(args.weights, len(cloud))
     config = AveragingConfig(
         pair=pair, max_iters=args.max_iters, conv_tol=args.conv_tol, weights=weights,
     )

@@ -46,6 +46,7 @@ from .manifold import (
     Dims,
     _check_int,
     _check_real,
+    _check_type,
     derive_seed,
     generate_center,
     generate_samples,
@@ -90,8 +91,7 @@ class ExperimentSpec:
             if name != axis:
                 object.__setattr__(self, name, _check_int(getattr(self, name), name, minimum))
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
-        if not isinstance(self.paper_scale, bool):
-            raise ValidationError(f"paper_scale must be a bool, got {self.paper_scale!r}")
+        _check_type(self.paper_scale, bool, "paper_scale")
         if axis is None:
             if self.trials != 1 or self.sweep is not None:
                 raise ValidationError(

@@ -23,21 +23,20 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .manifold import Dims, SampleSet, StiefelPoint, _check_real, _check_type
+from .manifold import Dims, SampleSet, StiefelPoint, _check_int, _check_real, _check_type
 
 
 def write_sample_set(path, sample_set: SampleSet, include_center: bool = True) -> None:
     """Write a sample set; the center block is included when known unless
     ``include_center`` is false."""
+    _check_type(sample_set, SampleSet, "sample_set")
     with_center = include_center and sample_set.center is not None
     dims = sample_set.dims
     header = f"{dims.p} {dims.n} {len(sample_set)} {sample_set.sigma!r} {sample_set.seed}"
+    blocks = list(sample_set.stack)
     if with_center:
         header += " C"
-    blocks = []
-    if with_center:
-        blocks.append(sample_set.center.X)
-    blocks.extend(sample_set.stack)
+        blocks.insert(0, sample_set.center.X)
     # one %-operation per block; "%.16e" % v is the same text as f"{v:.16e}"
     block_format = (" ".join(["%.16e"] * dims.n) + "\n") * dims.p
     with open(path, "w", encoding="utf-8") as fh:
@@ -64,26 +63,19 @@ def read_matrix_blocks(path) -> Tuple[dict, np.ndarray]:
         )
     try:
         p, n, count = int(tokens[0]), int(tokens[1]), int(tokens[2])
-        sigma = float(tokens[3])
-        seed = int(tokens[4])
+        sigma, seed = float(tokens[3]), int(tokens[4])
     except ValueError as exc:
         raise FileFormatError(f"bad header value: {exc}", line=1) from exc
     try:
-        _check_real(sigma, "sigma")
-    except ValidationError:
-        msg = f"sigma must be finite and nonnegative, got '{tokens[3]}'"
-        raise FileFormatError(msg, line=1) from None
-    if seed < 0:
-        raise FileFormatError(f"seed must be nonnegative, got '{tokens[4]}'", line=1)
-    has_center = False
-    if len(tokens) == 6:
-        if tokens[5] != "C":
-            raise FileFormatError(f"unexpected header token '{tokens[5]}'", line=1)
-        has_center = True
-    if p < 1 or n < 1 or n > p:
-        raise FileFormatError(f"invalid dimensions p={p} n={n}", line=1)
-    if count < 1:
-        raise FileFormatError(f"invalid sample count {count}", line=1)
+        dims = Dims(p, n)
+        count = _check_int(count, "N", 1)
+        sigma = _check_real(sigma, "sigma")
+        seed = _check_int(seed, "seed")
+    except ValidationError as exc:
+        raise FileFormatError(str(exc), line=1) from None
+    has_center = len(tokens) == 6
+    if has_center and tokens[5] != "C":
+        raise FileFormatError(f"unexpected header token '{tokens[5]}'", line=1)
 
     expected = count + (1 if has_center else 0)
     cells: List[str] = []
@@ -123,7 +115,7 @@ def read_matrix_blocks(path) -> Tuple[dict, np.ndarray]:
         raise
     values = _check_values(cells, row_lines, n)
     header = {
-        "p": p, "n": n, "count": count, "sigma": sigma, "seed": seed,
+        "p": dims.p, "n": dims.n, "count": count, "sigma": sigma, "seed": seed,
         "has_center": has_center,
     }
     return header, values.reshape(expected, p, n)
@@ -169,6 +161,6 @@ def read_sample_set(path) -> SampleSet:
 def write_point(path, point: StiefelPoint, sigma: float = 0.0, seed: int = 0) -> None:
     """Write a single point in the sample-set format (N = 1, no center block).
     ``sigma`` and ``seed`` are carried as provenance metadata."""
-    _check_type(point, StiefelPoint, "point")
-    ss = SampleSet(dims=point.dims, center=None, sigma=sigma, seed=seed, stack=(point,))
+    dims = _check_type(point, StiefelPoint, "point").dims
+    ss = SampleSet(dims=dims, center=None, sigma=sigma, seed=seed, stack=(point,))
     write_sample_set(path, ss, include_center=False)

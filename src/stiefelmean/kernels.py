@@ -13,9 +13,9 @@ batched matrix products (the Newton-Schulz inverse of the Lyapunov solver,
 the Taylor steps of the action), and the rest a per-slice LAPACK or Pade
 call; each slice gets the bits its own call would give.
 
-Matrix inputs follow one rule, ``_check_matrix`` (shape, finite entries and
-norm, symmetry or skew-symmetry within ``CHECK_RTOL``). Each public kernel
-checks its arguments there and runs an unchecked core, ``_spd_inv_sqrt``,
+Matrix inputs follow one rule, ``_check_matrix`` (real numbers, shape, finite
+entries and norm, symmetry or skew-symmetry within ``CHECK_RTOL``). Each public
+kernel checks its arguments there and runs an unchecked core, ``_spd_inv_sqrt``,
 ``_skew_expm_action`` and so on, which the maps and sampling call directly.
 """
 
@@ -69,19 +69,29 @@ ACTION_MAX_TERMS = 34
 _PADE6 = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
 
 
+def _real_array(a, copy: bool = False) -> np.ndarray:
+    """``a`` as a C-ordered float array, a new one if ``copy``. A complex ``a``
+    raises ``TypeError``, as what does not convert does, not its real part."""
+    a = (np.array if copy else np.asarray)(a, order="C")
+    if np.iscomplexobj(a):
+        raise TypeError("a complex array has no real cast")
+    return a.astype(float, copy=False)
+
+
 def _check_matrix(a, name: str, shape="square", ndim=(2,), structure=None) -> np.ndarray:
-    """``a`` as a float array, if it passes the one rule for matrix inputs:
-    its shape (``ndim`` (2,) for a matrix, (3,) for an (N, r, c) stack, (2, 3)
-    for either; each matrix (r, c) = ``shape`` if a tuple, else nonempty and
-    "square", "tall" (r >= c) or, for ``None``, any), then finite entries and
-    Frobenius norms, then, for ``structure`` "symmetric" ("skew-symmetric"),
-    a defect ||M - M^T||_F (||M + M^T||_F) <= ``CHECK_RTOL`` * max(1, ||M||_F)
-    of each matrix M. A ``ValidationError`` names the argument and, for a
-    stack, the first failing slice; a structure failure carries its defect."""
+    """``a`` as a C-ordered float array, if it passes the one rule for matrix
+    inputs: real numbers, then its shape (``ndim`` (2,) for a matrix, (3,) for
+    an (N, r, c) stack, (2, 3) for either; each matrix (r, c) = ``shape`` if a
+    tuple, else nonempty and "square", "tall" (r >= c) or, for ``None``, any),
+    then finite entries and Frobenius norms, then, for ``structure``
+    "symmetric" ("skew-symmetric"), a defect ||M - M^T||_F (||M + M^T||_F)
+    <= ``CHECK_RTOL`` * max(1, ||M||_F) of each matrix M. A ``ValidationError``
+    names the argument and, for a stack, the first failing slice; a structure
+    failure carries its defect."""
     try:
-        a = np.asarray(a, dtype=float)
+        a = _real_array(a)
     except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be an array of numbers") from None
+        raise ValidationError(f"{name} must be an array of real numbers") from None
     r, c = a.shape[-2:] if a.ndim >= 2 else (0, 0)
     if isinstance(shape, tuple):
         fits, want = (r, c) == shape, f"a {shape} matrix"

@@ -15,9 +15,9 @@ samples moved by less than 1e-13. Files written by either sampler still
 read and validate.
 
 Input rules are written once, here: ``_check_int`` and ``_check_real``, which
-return a Python ``int`` or ``float`` for the frozen types to store, and
-``_check_same_dims``, which compares the ``Dims`` of two points or sets.
-Matrix arguments follow the matrix rule, ``kernels._check_matrix``.
+return a Python ``int`` or ``float`` for the frozen types to store,
+``_check_type``, ``_check_same_dims`` and ``_check_stiefel``, the point check
+of an array or stack. Matrix arguments follow ``kernels._check_matrix``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import ValidationError
 from .kernels import (
     _check_matrix,
     _frobenius,
+    _real_array,
     _skew_expm_action,
     # unused since sampling applies skew_expm_action; perfbench/tracer.py
     # rebinds manifold.skew_expm by name, so it stays bound
@@ -86,6 +87,12 @@ def _check_same_dims(a, b) -> None:
         raise ValidationError(f"dimension mismatch: {a.dims} vs {b.dims}")
 
 
+def _check_points(x, y, names=("x", "y")) -> None:
+    """Check that ``x`` and ``y`` are ``StiefelPoint``s of one St(p, n)."""
+    _check_same_dims(_check_type(x, StiefelPoint, names[0]),
+                     _check_type(y, StiefelPoint, names[1]))
+
+
 @dataclass(frozen=True)
 class Dims:
     """Dimensions (p, n) of St(p, n); requires 1 <= n <= p."""
@@ -100,10 +107,10 @@ class Dims:
             raise ValidationError(f"need 1 <= n <= p, got ({self.p}, {self.n})")
 
 
-def orthonormality_defect(x: np.ndarray) -> float:
+def orthonormality_defect(x) -> float:
     """Frobenius norm of X^T X - I, of a C-ordered copy of X when X is not
     C-ordered: the bits ``StiefelPoint`` and ``SampleSet`` check."""
-    x = np.ascontiguousarray(x, dtype=float)
+    x = _check_matrix(x, "X", shape=None)
     return _gap_to_identity(x, x)
 
 
@@ -141,7 +148,8 @@ def _sq_norm_bound(p: int, n: int) -> float:
 
 def _checked_defect(x: np.ndarray) -> float:
     """Orthonormality defect of a p x n array that must be a Stiefel point;
-    raises the ``ValidationError`` ``StiefelPoint(x)`` would."""
+    raises the ``ValidationError`` ``StiefelPoint(x)`` would, "entries must be
+    finite" where the matrix rule would reject them."""
     defect = _gap_to_identity(x, x)
     if not defect < TOL_ORTH:
         if not np.all(np.isfinite(x)):
@@ -152,16 +160,30 @@ def _checked_defect(x: np.ndarray) -> float:
     return defect
 
 
-def tangency_defect(x: np.ndarray, v: np.ndarray) -> float:
+def _check_stiefel(x: np.ndarray) -> None:
+    """Raise ``_checked_defect``'s error for a p x n array that is not a Stiefel
+    point, or, prefixed ``sample k: ``, for the first such slice k of a stack."""
+    if x.ndim == 2:
+        _checked_defect(x)
+        return
+    for k in np.flatnonzero(~(_orthonormality_defects(x) < TOL_ORTH)):
+        try:
+            _checked_defect(x[k])
+        except ValidationError as exc:
+            raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
+
+
+def tangency_defect(x, v) -> float:
     """Frobenius norm of X^T V + V^T X."""
-    xtv = np.asarray(x, dtype=float).T @ np.asarray(v, dtype=float)
+    x = _check_matrix(x, "X", shape=None)
+    xtv = x.T @ _check_matrix(v, "V", shape=x.shape)
     return float(np.linalg.norm(xtv + xtv.T))
 
 
 class StiefelPoint:
     """A point on St(p, n): a p x n matrix with orthonormal columns.
 
-    Construction validates shape, finiteness and the orthonormality defect
+    Construction checks X by the matrix rule, then its orthonormality defect
     against ``TOL_ORTH``; rejected input reports the defect. The shape of
     the array is its ``dims``. The wrapped array is treated as read-only.
     """
@@ -169,9 +191,7 @@ class StiefelPoint:
     __slots__ = ("dims", "X")
 
     def __init__(self, x):
-        x = np.ascontiguousarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValidationError(f"a Stiefel point must be a 2-D array, got shape {x.shape}")
+        x = _check_matrix(x, "X", shape=None)
         object.__setattr__(self, "dims", Dims(*x.shape))
         # by its module name: perfbench/tracer.py counts validation there
         if not orthonormality_defect(x) < TOL_ORTH:
@@ -206,7 +226,7 @@ class TangentVector:
     __slots__ = ("anchor", "V")
 
     def __init__(self, anchor: StiefelPoint, v):
-        v = np.ascontiguousarray(_check_matrix(v, "V", shape=anchor.X.shape))
+        v = _check_matrix(v, "V", shape=_check_type(anchor, StiefelPoint, "anchor").X.shape)
         defect = tangency_defect(anchor.X, v)
         if not defect < TOL_TAN:  # an overflow to inf or NaN fails too
             raise ValidationError(
@@ -274,23 +294,17 @@ class SampleSet:
         p, n = self.dims.p, self.dims.n
         error = None
         try:
-            stack = np.array(self.stack, dtype=float, order="C")
+            stack = _real_array(self.stack, copy=True)
         except (TypeError, ValueError) as exc:
-            stack, error = None, exc  # ragged, or not numbers: told apart below
+            stack, error = None, exc  # ragged, or not real numbers: told apart below
         if stack is None or stack.shape[1:] != (p, n):
             for k, x in enumerate(self.stack):
                 if np.shape(x) != (p, n):
                     raise ValidationError(
                         f"sample {k} has shape {np.shape(x)}, expected {(p, n)}"
                     ) from error
-            raise ValidationError("samples must be numbers") from error
-        # a sample that fails the batched check, NaN included, gets the
-        # check StiefelPoint makes, which raises its message
-        for k in np.flatnonzero(~(_orthonormality_defects(stack) < TOL_ORTH)):
-            try:
-                _checked_defect(stack[k])
-            except ValidationError as exc:
-                raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
+            raise ValidationError("samples must be real numbers") from error
+        _check_stiefel(stack)
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
 
@@ -312,7 +326,7 @@ def project_to_tangent(point: StiefelPoint, a) -> TangentVector:
     evaluated in the right-hand form, with no p x p projector. The projector
     is idempotent and maps X itself (and any X S with S symmetric) to zero.
     """
-    x = point.X
+    x = _check_type(point, StiefelPoint, "point").X
     a = _check_matrix(a, "A", shape=x.shape)
     xta = x.T @ a
     return TangentVector(point, a - x @ (0.5 * (xta + xta.T)))
@@ -325,7 +339,7 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
     Frobenius norm is invariant under transposition. The identity inside the
     norm is n x n (the size of X^T Y).
     """
-    _check_same_dims(x, y)
+    _check_points(x, y)
     return _gap_to_identity(x.X, y.X)
 
 
@@ -360,14 +374,10 @@ def generate_center(dims: Dims, seed: int) -> StiefelPoint:
     """
     _check_type(dims, Dims, "dims")
     rng = np.random.default_rng(_check_int(seed, "seed"))
-    for attempt in range(2):
-        a = rng.standard_normal((dims.p, dims.n))
-        try:
-            return StiefelPoint(thin_qr_q_factor(a))
-        except ValidationError:
-            if attempt == 1:
-                raise
-    raise AssertionError("unreachable")
+    try:
+        return StiefelPoint(thin_qr_q_factor(rng.standard_normal((dims.p, dims.n))))
+    except ValidationError:  # a rank-deficient draw: the one retry
+        return StiefelPoint(thin_qr_q_factor(rng.standard_normal((dims.p, dims.n))))
 
 
 def generate_samples(

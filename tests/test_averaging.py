@@ -721,11 +721,14 @@ def test_weight_validation():
     with pytest.raises(ValidationError):
         fixed_point_mean(cloud, AveragingConfig(weights=[1.0, 1.0]), initial)
     # weights that are not reals, or a callable, are named
-    for bad in (["a", "b", "c", "d"], lambda k: 1.0):
+    # complex weights are refused, not cast to their real part
+    for bad, shown in ((["a", "b", "c", "d"], "'a'"), (lambda k: 1.0, "<function"),
+                       ([1.0, 1.0 + 1e-3j, 1.0, 1.0], "(1+0.001j)"),
+                       (np.ones(4, dtype=complex), "array([1.+0.j")):
         with pytest.raises(ValidationError) as err:
             fixed_point_mean(cloud, AveragingConfig(weights=bad), initial)
         assert str(err.value).startswith("weights must be a sequence of reals, got ")
-        assert ("'a'" if isinstance(bad, list) else "<function") in str(err.value)
+        assert shown in str(err.value)
     # the first weight that is not finite and positive is named
     for bad in (math.inf, -math.inf, math.nan, 0.0):
         config = AveragingConfig(weights=[1.0, 1.0, bad, bad])
@@ -770,9 +773,10 @@ def test_trace_csv_without_center(tmp_path):
 def test_fixed_point_mean_checks_its_inputs():
     x = generate_center(Dims(6, 2), 36)
     cloud = generate_samples(x, 0.1, 3, 37)
-    for samples, initial in ((cloud.stack, x), (cloud, x.X)):
-        with pytest.raises(ValidationError,
-                           match="^samples must be a SampleSet and initial a StiefelPoint$"):
+    for samples, initial, message in (
+            (cloud.stack, x, "samples must be a SampleSet, got ndarray"),
+            (cloud, x.X, "initial must be a StiefelPoint, got ndarray")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             fixed_point_mean(samples, AveragingConfig(), initial)
     with pytest.raises(ValidationError, match="^dimension mismatch: "):
         fixed_point_mean(cloud, AveragingConfig(), generate_center(Dims(6, 3), 38))

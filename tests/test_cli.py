@@ -14,6 +14,7 @@ from stiefelmean.manifold import (
     Dims,
     SampleSet,
     StiefelPoint,
+    discrepancy,
     orthonormality_defect,
 )
 
@@ -135,7 +136,7 @@ def test_mean_non_finite_weight_exits_1_at_its_line(sample_file, tmp_path, capsy
     wfile.write_text("1.0\n1.0\n" + token + "\n" + "\n".join(["1.0"] * 7) + "\n")
     assert run("mean", "--in", sample_file, "--weights", wfile) == 1
     assert capsys.readouterr().err == (
-        f"usage error: {wfile}: line 3: weight must be finite and positive\n"
+        f"usage error: {wfile}: line 3: weight must be finite and positive, got {token}\n"
     )
 
 
@@ -144,6 +145,26 @@ def test_mean_nan_conv_tol_exits_2_with_one_line(sample_file, capsys):
     assert capsys.readouterr().err == (
         "numerical validation error: conv_tol must be finite and positive, got nan\n"
     )
+
+
+def test_weighted_ortho_mean_keeps_its_iterates_orthonormal(tmp_path, capsys):
+    # weights summing to 1.64 N: the orthographic retraction solves on the
+    # Gram of X + V, so the defect an iterate carries does not grow by
+    # |1 - 2 sum(w) / N| per step, which stopped this run at iteration 12
+    cloud, wfile = tmp_path / "cloud.txt", tmp_path / "weights.txt"
+    assert run("gen", "--p", 20, "--n", 4, "--N", 30, "--sigma", 0.01,
+               "--seed", 3, "--out", cloud) == 0
+    weights = np.random.default_rng(1).uniform(0.2, 3.0, 30)
+    wfile.write_text("\n".join(repr(float(w)) for w in weights) + "\n")
+    means = {}
+    for pair in ("ortho", "mixed"):
+        out = tmp_path / f"{pair}.txt"
+        assert run("mean", "--in", cloud, "--pair", pair, "--weights", wfile,
+                   "--out", out, "--trace", tmp_path / f"{pair}.csv") == 0
+        means[pair] = read_sample_set(out).samples[0]
+    assert "ortho mean converged" in capsys.readouterr().out
+    assert orthonormality_defect(means["ortho"].X) < 1e-13
+    assert discrepancy(means["ortho"], means["mixed"]) < 1e-11
 
 
 def test_validate_scaled_point_exits_2(sample_file, tmp_path, capsys):
@@ -225,7 +246,7 @@ def test_negative_seed_prints_one_line(sample_file, tmp_path, capsys, case):
     err = capsys.readouterr().err
     expected = {
         "gen": (2, "numerical validation error: seed must be a nonnegative integer, got -1\n"),
-        "header": (1, "file format error: line 1: seed must be nonnegative, got '-5'\n"),
+        "header": (1, "file format error: line 1: seed must be a nonnegative integer, got -5\n"),
         "init-seed": (2, "numerical validation error: seed must be a nonnegative integer, got -3\n"),
         "exp": (2, "numerical validation error: seed must be a nonnegative integer, got -2\n"),
     }[case]
@@ -237,7 +258,7 @@ def test_validate_non_finite_header_sigma_exits_1(tmp_path, capsys):
     bad.write_text("1 1 1 nan 7\n1.0\n")
     assert run("validate", bad) == 1
     err = capsys.readouterr().err
-    assert err == "file format error: line 1: sigma must be finite and nonnegative, got 'nan'\n"
+    assert err == "file format error: line 1: sigma must be finite and nonnegative, got nan\n"
 
 
 def test_unknown_subcommand_exits_1(capsys):

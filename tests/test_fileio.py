@@ -136,19 +136,41 @@ def test_bad_header_sigma_reported_at_line_1(tmp_path, token):
     with pytest.raises(FileFormatError) as err:
         read_matrix_blocks(_write(tmp_path, f"1 1 1 {token} 7\n1.0\n"))
     assert err.value.line == 1
-    assert f"got '{token}'" in str(err.value)
+    assert str(err.value) == f"line 1: sigma must be finite and nonnegative, got {token}"
 
 
 def test_negative_header_seed_reported_at_line_1(tmp_path):
     with pytest.raises(FileFormatError) as err:
         read_matrix_blocks(_write(tmp_path, "1 1 1 0.1 -5\n1.0\n"))
     assert err.value.line == 1
-    assert "seed must be nonnegative, got '-5'" in str(err.value)
+    assert str(err.value) == "line 1: seed must be a nonnegative integer, got -5"
 
 
 def test_invalid_dims_in_header(tmp_path):
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError) as err:
         read_matrix_blocks(_write(tmp_path, "2 3 1 0.0 7\n1.0 0.0 0.0\n0.0 1.0 0.0\n"))
+    assert (err.value.line, str(err.value)) == (1, "line 1: need 1 <= n <= p, got (2, 3)")
+
+
+@pytest.mark.parametrize("header, message", [
+    ("0 1 1 0.0 7", "p must be an integer >= 1, got 0"),
+    ("2 0 1 0.0 7", "n must be an integer >= 1, got 0"),
+    ("2 1 0 0.0 7", "N must be an integer >= 1, got 0"),
+    ("2 1 -3 0.0 7", "N must be an integer >= 1, got -3"),
+])
+def test_header_dims_and_count_follow_their_rules(tmp_path, header, message):
+    # the header's values follow the rules Dims and SampleSet check
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, header + "\n1.0 0.0 0.0\n0.0 1.0 0.0\n"))
+    assert (err.value.line, str(err.value)) == (1, "line 1: " + message)
+
+
+def test_unparsed_header_value_keeps_its_message(tmp_path):
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, "2 1 1 0.0 7.5\n1.0\n0.0\n"))
+    assert str(err.value) == (
+        "line 1: bad header value: invalid literal for int() with base 10: '7.5'"
+    )
 
 
 def test_read_sample_set_rejects_off_manifold_block(tmp_path):

@@ -741,12 +741,13 @@ def _matrix_inputs():
 
 def _broken(good, shape, structure):
     """(value, what the message says) for each way the rule rejects: not
-    numbers, NaN or +-inf entries, a norm that overflows, the wrong ndim, the
+    numbers, complex numbers, NaN or +-inf entries, a norm that overflows, the wrong ndim, the
     wrong matrix shape and, with a structure, a slice without it. A stack is
     broken in slice 1."""
     k = (1,) if good.ndim == 3 else ()
     where = " slice 1" if good.ndim == 3 else ""
-    cases = [("abc", " must be an array of numbers$")]
+    cases = [("abc", " must be an array of real numbers$"),
+             (good + 1e-3j, " must be an array of real numbers$")]
     for index, bad in ((k, math.nan), (k + (0, 0), math.inf), (k + (-1, 0), -math.inf)):
         value = good.copy()
         value[index] = bad  # NaN fills the whole matrix or slice

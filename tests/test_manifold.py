@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from stiefelmean import manifold
+from stiefelmean import manifold, maps
 from stiefelmean.averaging import AveragingConfig
 from stiefelmean.errors import ValidationError
 from stiefelmean.experiments import default_spec
-from stiefelmean.fileio import read_sample_set, write_point
+from stiefelmean.fileio import read_sample_set, write_point, write_sample_set
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
     TOL_ORTH,
@@ -76,8 +76,10 @@ def test_sample_set_checks_dims():
     with pytest.raises(ValidationError) as err:
         SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=(x.X, x.X, x.X[:3]))
     assert str(err.value) == "sample 2 has shape (3, 2), expected (4, 2)"
-    for not_numbers in (np.full((2, 4, 2), "a"), [x.X, [[object()] * 2] * 4]):
-        with pytest.raises(ValidationError, match="samples must be numbers") as err:
+    # a complex sample is refused, not cast to its real part
+    for not_numbers in (np.full((2, 4, 2), "a"), [x.X, [[object()] * 2] * 4],
+                        [x.X + 1j, x.X], np.array([x.X, x.X]) + 1e-3j):
+        with pytest.raises(ValidationError, match="^samples must be real numbers$") as err:
             SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=not_numbers)
         # NumPy's own conversion error is kept as the cause
         assert isinstance(err.value.__cause__, (TypeError, ValueError))
@@ -247,8 +249,63 @@ def test_validate_accepts_qr_factor():
 def test_validate_rejects_non_finite():
     x = np.eye(4)[:, :2]
     x[0, 0] = np.nan
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^X must be finite$"):
         StiefelPoint(x)
+
+
+def test_point_and_defects_take_x_by_the_matrix_rule():
+    # StiefelPoint, orthonormality_defect and tangency_defect convert and
+    # check their arrays as every matrix input is, a complex X included
+    x = np.eye(4)[:, :2]
+    nan = np.full((4, 2), np.nan)
+    for value, message in [
+        ([["a"]], "X must be an array of real numbers"),
+        (x + 1e-3j, "X must be an array of real numbers"),
+        (np.ones(3), "X must be a matrix, got shape (3,)"),
+        (np.ones((2, 2, 2)), "X must be a matrix, got shape (2, 2, 2)"),
+        (np.ones((3, 0)), "X must be a matrix, got shape (3, 0)"),
+        (nan, "X must be finite"),
+    ]:
+        for call in (StiefelPoint, orthonormality_defect, lambda v: tangency_defect(v, x)):
+            with pytest.raises(ValidationError) as err:
+                call(value)
+            assert str(err.value) == message
+    for value, message in [
+        (np.ones((4, 2)) + 1j, "V must be an array of real numbers"),
+        (np.ones((2, 4)), "V must be a (4, 2) matrix, got shape (2, 4)"),
+        (nan, "V must be finite"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            tangency_defect(x, value)
+        assert str(err.value) == message
+    # n > p passes the matrix rule and fails the Dims one
+    with pytest.raises(ValidationError, match=r"^need 1 <= n <= p, got \(2, 3\)$"):
+        StiefelPoint(np.eye(2, 3))
+    # a point wraps a C-ordered float array, converted from what it is given
+    y = StiefelPoint(np.asfortranarray(x))
+    assert y.X.flags.c_contiguous and np.array_equal(y.X, x)
+    assert StiefelPoint([[1], [0]]).X.dtype == np.float64
+
+
+def test_check_stiefel_names_the_first_failing_sample():
+    dims, blocks = raw_cloud(64)
+    stack = np.array(blocks)
+    manifold._check_stiefel(stack)  # a valid cloud passes
+    manifold._check_stiefel(stack[0])
+    stack[2] *= 1.5
+    stack[4] *= 2.0
+    defect = orthonormality_defect(stack[2])
+    expected = f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}"
+    with pytest.raises(ValidationError) as err:
+        manifold._check_stiefel(stack)
+    assert (str(err.value), err.value.defect) == ("sample 2: " + expected, defect)
+    # one array names no sample, as StiefelPoint does not
+    with pytest.raises(ValidationError) as err:
+        manifold._check_stiefel(stack[2])
+    assert (str(err.value), err.value.defect) == (expected, defect)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="^sample 1: entries must be finite$"):
+        manifold._check_stiefel(stack)
 
 
 # ---------------------------------------------------------------- projector
@@ -338,11 +395,37 @@ def test_generate_center_takes_dims():
 
 
 def test_entry_points_check_argument_types(tmp_path):
-    # a bare array or tuple where a StiefelPoint or a Dims belongs is a
-    # ValidationError, not an AttributeError from deeper in
+    # a bare array or tuple where a StiefelPoint, TangentVector, SampleSet
+    # or Dims belongs is a ValidationError, not an AttributeError from deeper in
     center = generate_center(Dims(6, 2), 1)
+    cloud = generate_samples(center, 0.1, 2, 0)
+    q = cloud.samples[0]
+    v = maps.orthographic_lifting(center, q)
     path = tmp_path / "point.txt"
-    for call, message in [
+    point_pairs = [maps.polar_lifting, maps.orthographic_lifting,
+                   maps.composition_discrepancy_direct,
+                   maps.composition_discrepancy_closed_form,
+                   lambda x, y: maps.lift(maps.MapPair.POLAR, x, y),
+                   lambda x, y: maps.lift(maps.MapPair.MIXED, x, y)]
+    retractions = [maps.polar_retraction, maps.orthographic_retraction,
+                   lambda x, w: maps.retract(maps.MapPair.ORTHO, x, w),
+                   lambda x, w: maps.retract(maps.MapPair.MIXED, x, w)]
+    cases = [(lambda f=f: f(center.X, q), "^x must be a StiefelPoint, got ndarray$")
+             for f in point_pairs]
+    cases += [(lambda f=f: f(center, q.X), "^q must be a StiefelPoint, got ndarray$")
+              for f in point_pairs]
+    cases += [(lambda f=f: f(center.X, v), "^x must be a StiefelPoint, got ndarray$")
+              for f in retractions]
+    cases += [(lambda f=f: f(center, v.V), "^v must be a TangentVector, got ndarray$")
+              for f in retractions]
+    for call, message in cases + [
+        (lambda: discrepancy(center.X, q), "^x must be a StiefelPoint, got ndarray$"),
+        (lambda: discrepancy(center, q.X), "^y must be a StiefelPoint, got ndarray$"),
+        (lambda: TangentVector(center.X, v.V), "^anchor must be a StiefelPoint, got ndarray$"),
+        (lambda: project_to_tangent(center.X, v.V),
+         "^point must be a StiefelPoint, got ndarray$"),
+        (lambda: write_sample_set(path, cloud.stack),
+         "^sample_set must be a SampleSet, got ndarray$"),
         (lambda: generate_samples(center.X, 0.1, 2, 0),
          "^center must be a StiefelPoint, got ndarray$"),
         (lambda: write_point(path, center.X), "^point must be a StiefelPoint, got ndarray$"),

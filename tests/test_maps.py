@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stiefelmean import maps
+from stiefelmean import manifold, maps
 from stiefelmean.errors import DomainError, ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
@@ -221,7 +221,7 @@ def test_retract_lift_reject_a_non_member(pair):
     x = random_point(6, 2, 8)
     q = nearby_point(x, 0.05, 9)
     v = orthographic_lifting(x, q)
-    message = f"pair must be a MapPair member, got {pair!r}"
+    message = f"pair must be a MapPair, got {type(pair).__name__}"
     with pytest.raises(ValidationError) as err:
         lift(pair, x, q)
     assert str(err.value) == message
@@ -350,16 +350,28 @@ def test_mixed_composition_core_matches_the_public_map_loop(data):
 
 
 def test_mixed_composition_checks_the_retracted_points(monkeypatch):
+    # the retracted points R_k go to manifold._check_stiefel, here with R_2
+    # and R_3 scaled by 1.5: a stack names its first failing sample, and one
+    # pair names none, as StiefelPoint would not
     center = random_point(9, 3, 16)
     cloud = generate_samples(center, 0.05, 5, 17)
-    defects = np.array([0.0, 0.0, 2.0 * TOL_ORTH, 3.0 * TOL_ORTH, 0.0])
-    monkeypatch.setattr(maps, "_orthonormality_defects", lambda r: defects[:len(r)])
+    scale = np.array([1.0, 1.0, 1.5, 1.5, 1.0])[:, None, None]
+    seen = []
+
+    def spoiled(r):
+        seen.append(r)
+        manifold._check_stiefel(r * (scale if r.ndim == 3 else 1.5))
+    monkeypatch.setattr(maps, "_check_stiefel", spoiled)
     with pytest.raises(ValidationError) as err:
         maps._mixed_composition(center.X, cloud.stack)
-    assert str(err.value) == f"sample 2: orthonormality defect 2.000e-09 >= {TOL_ORTH:.1e}"
-    assert err.value.defect == defects[2]
-    # one pair names no sample, as StiefelPoint would not
-    monkeypatch.setattr(maps, "_orthonormality_defects", lambda r: defects[2:3])
+    defect = orthonormality_defect(1.5 * seen[0][2])
+    assert str(err.value) == f"sample 2: orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}"
+    assert err.value.defect == defect
+    for q, r in zip(cloud.samples, seen[0]):
+        expected = polar_retraction(center, orthographic_lifting(center, q)).X
+        assert np.abs(r - expected).max() < 1e-14
     with pytest.raises(ValidationError) as err:
         composition_discrepancy_direct(center, cloud.samples[2])
-    assert str(err.value) == f"orthonormality defect 2.000e-09 >= {TOL_ORTH:.1e}"
+    assert seen[1].shape == (9, 3)
+    defect = orthonormality_defect(1.5 * seen[1])
+    assert str(err.value) == f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}"
