@@ -26,10 +26,10 @@ the locality certificate. Only the final point is wrapped as a
 
 Polar lifting: the polar pair lays the samples side by side once per run,
 a (p, N n) copy of the stack, so every X^T Q_k is one matrix product, and
-so is sum_k w_k Q_k S_k. The polar core of ``maps`` solves for every S_k;
-each slice's inverse (X^T Q_k + I)^-1, which it takes by Newton-Schulz
-steps, starts from the last iteration's, which lies close once the iterate
-moves little. Nothing is carried from one run to the next.
+so is sum_k w_k Q_k S_k. The polar core of ``maps`` solves for every S_k,
+each slice's bits those of the public polar lifting. It takes each
+(X^T Q_k + I)^-1 by at most five Newton-Schulz steps from a first-order
+start, at every call, so no state passes from one iteration to the next.
 
 Locality: every lifting must see each sample closer than ``DOMAIN_GUARD``.
 The exact guard and the polar lifting core live in ``maps``, where the
@@ -249,7 +249,7 @@ def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
     mean Q_w = (1/N) sum_k w_k Q_k, computed here once; the locality
     certificate guards the samples. The polar tangent is (sum_k w_k Q_k S_k
     - (sum_k w_k) X) / N, with every S_k from the polar core of ``maps``,
-    whose inverses it hands back as the next call's start.
+    the solve the public polar lifting runs; nothing is kept between calls.
     """
     n_samples, p, n = stack.shape
     if pair is MapPair.POLAR:
@@ -257,12 +257,10 @@ def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
         # the samples side by side, Q_k in columns k n to k n + n - 1: every
         # X^T Q_k is one product with it, and so is sum_k w_k Q_k S_k
         columns = stack.transpose(1, 0, 2).reshape(p, n_samples * n)
-        inverses = None
 
         def tangent(x, e):
-            nonlocal inverses
             xtq = (x.T @ columns).reshape(n, n_samples, n).transpose(1, 0, 2)
-            s, inverses = maps._polar_factors(np.ascontiguousarray(xtq), inverses)
+            s = maps._polar_factors(np.ascontiguousarray(xtq))
             s *= weights[:, None, None]
             acc = columns @ s.reshape(n_samples * n, n)
             acc -= weight_sum * x

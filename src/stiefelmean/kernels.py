@@ -49,7 +49,7 @@ SERIES_TAIL = 1e-17
 # certifies a slice positive definite; the margin covers its rounding. On a
 # certified slice, (M + I)^-1 takes Newton-Schulz steps until the step in
 # which ||I - (M + I) W||_F^2 falls below LYAP_TAIL, at most
-# INVERSE_MAX_STEPS of them; six suffice from W = I/2.
+# INVERSE_MAX_STEPS of them; five suffice from W = (3I - M)/4.
 LYAP_TAIL = 1e-17
 LYAP_MAX_DOUBLINGS = 50
 INVERSE_MAX_STEPS = 8
@@ -355,22 +355,18 @@ def solve_lyapunov_sym(m, b) -> np.ndarray:
     b = _check_matrix(b, "solve_lyapunov_sym B", structure="symmetric")
     n = b.shape[0]
     m = _check_matrix(m, "solve_lyapunov_sym M", shape=(n, n), ndim=(2, 3))
-    s, _ = _solve_lyapunov(m.reshape(-1, n, n), b, m.ndim == 3)
-    return s.reshape(m.shape)
+    return _solve_lyapunov(m.reshape(-1, n, n), b, m.ndim == 3).reshape(m.shape)
 
 
-def _solve_lyapunov(ms: np.ndarray, b: np.ndarray, stacked: bool, w0=None):
-    """``(S, W)``: solve_lyapunov_sym of an (N, n, n) stack ``ms`` against a
-    symmetric ``b``, and W the stack of (M_k + I)^-1 it used. ``w0``, if
-    given, starts the Newton-Schulz steps, typically the W of a solve at
-    nearby M_k; a ``DomainError`` names its slice when ``stacked``."""
+def _solve_lyapunov(ms: np.ndarray, b: np.ndarray, stacked: bool) -> np.ndarray:
+    """solve_lyapunov_sym of an (N, n, n) stack ``ms`` against a symmetric
+    ``b``; a ``DomainError`` names its slice when ``stacked``."""
     n = b.shape[0]
     eye = np.eye(n)
     failures = []  # (slice, message); the smallest slice is raised
 
     e = ms - eye
-    sq_gaps = np.einsum("kij,kij->k", e, e)
-    sure = sq_gaps < 1.0 - _PD_SCREEN_MARGIN
+    sure = np.einsum("kij,kij->k", e, e) < 1.0 - _PD_SCREEN_MARGIN
     unsure = np.flatnonzero(~sure)
     solved = len(ms)
     if unsure.size:
@@ -385,16 +381,13 @@ def _solve_lyapunov(ms: np.ndarray, b: np.ndarray, stacked: bool, w0=None):
     # every slice before the first non-positive-definite one is solved
     ms, sure = ms[:solved], sure[:solved]
     a = ms + eye
-    if w0 is not None:
-        w0 = w0[:solved]
     if sure.all():
-        w, done = _newton_schulz_inverse(a, sq_gaps[:solved], w0)
+        w, done = _newton_schulz_inverse(a)
     else:
         # the slices the screen left unsure keep LAPACK's inverse
         w = np.empty_like(a)
         w[~sure] = np.linalg.inv(a[~sure])
-        w[sure], done = _newton_schulz_inverse(
-            a[sure], sq_gaps[:solved][sure], None if w0 is None else w0[sure])
+        w[sure], done = _newton_schulz_inverse(a[sure])
     stuck = np.flatnonzero(sure)[~done]
     if stuck.size:
         failures.append((int(stuck[0]), (
@@ -433,33 +426,25 @@ def _solve_lyapunov(ms: np.ndarray, b: np.ndarray, stacked: bool, w0=None):
     if failures:
         k, message = min(failures, key=lambda f: f[0])
         raise DomainError(message, sample_index=k if stacked else None)
-    return s, w
+    return s
 
 
-def _newton_schulz_inverse(a: np.ndarray, sq_gaps: np.ndarray, w0=None):
+def _newton_schulz_inverse(a: np.ndarray):
     """``(W, done)``: W_k = A_k^-1 for every slice of an (N, n, n) stack A = M
-    + I with sq_gaps[k] = ||M_k - I||_F^2 < 1, by steps W <- W + W R,
-    R = I - A W; ``done`` marks the slices that converged.
+    + I with ||M_k - I||_F < 1, by steps W <- W + W R, R = I - A W; ``done``
+    marks the slices that converged.
 
-    From W = I/2, R = (I - M)/2 has ||R||_F^2 = sq_gaps / 4 < 1/4, and each
+    The start W = I - A/4 = (3I - M)/4 is the first step from I/2, taken in
+    closed form: its R = (I - A/2)^2 = (M - I)^2 / 4 has ||R||_F < 1/4. Each
     step squares R, so the slice's own step in which ||R||_F^2 falls below
-    ``LYAP_TAIL`` leaves an error of rounding size; then R = 0 freezes it,
-    so its bits do not depend on the other slices. A slice of ``w0`` starts
-    there when its ||R||_F^2 is below sq_gaps / 4, the cold start's, else at
-    I/2, so no start needs more than the six steps of the cold bound, within
-    ``INVERSE_MAX_STEPS``.
+    ``LYAP_TAIL`` leaves an error of rounding size, the fifth at the latest,
+    within ``INVERSE_MAX_STEPS``; then R = 0 freezes the slice, so its bits
+    do not depend on the other slices.
     """
     eye = np.eye(a.shape[-1])
-    if w0 is None:
-        w = np.broadcast_to(0.5 * eye, a.shape).copy()
-        r = eye - 0.5 * a
-    else:
-        w = w0.copy()
-        r = eye - a @ w
-        cold = ~(np.einsum("kij,kij->k", r, r) < 0.25 * sq_gaps)
-        if cold.any():
-            w[cold] = 0.5 * eye
-            r[cold] = eye - 0.5 * a[cold]
+    w = eye - 0.25 * a
+    half = eye - 0.5 * a
+    r = half @ half
     for _ in range(INVERSE_MAX_STEPS):
         done = np.einsum("kij,kij->k", r, r) < LYAP_TAIL
         w += w @ r

@@ -106,20 +106,17 @@ def _first_far(xtq: np.ndarray, what: str, samples=None):
     )
 
 
-def _polar_factors(xtq: np.ndarray, w0=None):
-    """``(S, W)``: the symmetric S_k with (X^T Q_k) S_k + S_k (Q_k^T X) = 2I of
-    the polar liftings Q_k S_k - X, for one X^T Q or an (N, n, n) stack, and
-    the stack of (X^T Q_k + I)^-1 the solver used, a start ``w0`` for the
-    next call at a nearby X. The guard, then one solve of the slices before
-    the first far one, so an error names the first failing slice with its
-    message, as a per-sample loop would."""
+def _polar_factors(xtq: np.ndarray) -> np.ndarray:
+    """The symmetric S_k with (X^T Q_k) S_k + S_k (Q_k^T X) = 2I of the polar
+    liftings Q_k S_k - X, for one X^T Q or an (N, n, n) stack. The guard,
+    then one solve of the slices before the first far one, so an error names
+    the first failing slice with its message, as a per-sample loop would."""
     n = xtq.shape[-1]
     first, far = _first_far(xtq, "polar lifting")
-    s, w = _solve_lyapunov(xtq.reshape(-1, n, n)[:first], 2.0 * np.eye(n),
-                           xtq.ndim == 3, w0)
+    s = _solve_lyapunov(xtq.reshape(-1, n, n)[:first], 2.0 * np.eye(n), xtq.ndim == 3)
     if far is not None:
         raise far
-    return s.reshape(xtq.shape), w
+    return s.reshape(xtq.shape)
 
 
 def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -150,7 +147,7 @@ def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     round trip through ``polar_retraction`` reproduces Q to solver accuracy.
     """
     _check_points(x, q, ("x", "q"))
-    s, _ = _polar_factors(x.X.T @ q.X)
+    s = _polar_factors(x.X.T @ q.X)
     # tangency defect of Q S - X equals the solver residual, already bounded
     return TangentVector._unchecked(x, q.X @ s - x.X)
 

@@ -12,7 +12,6 @@ from stiefelmean.averaging import (
     _combined_tangent,
     fixed_point_mean,
 )
-from stiefelmean import maps
 from stiefelmean.errors import DomainError, StiefelMeanError, ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, solve_lyapunov_sym
 from stiefelmean.manifold import (
@@ -228,38 +227,6 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     assert np.linalg.norm(batched - loop) < 1e-13
 
 
-@pytest.mark.parametrize("p, n, weighted", [(40, 6, False), (40, 6, True), (200, 10, False)],
-                         ids=["St(40,6)-unweighted", "St(40,6)-weighted", "St(200,10)"])
-def test_polar_run_carrying_inverses_matches_cold_solves(p, n, weighted, monkeypatch):
-    # Each polar tangent after the first starts its Newton-Schulz inverses
-    # from the last one's; a run that solves every tangent from I/2 ends at
-    # the same point to rounding, in as many iterations. Nothing is carried
-    # from one call to the next.
-    cloud = small_cloud(61, sigma=0.01, n_samples=50, p=p, n=n)
-    initial = perturb_initial_guess(cloud.stack[0], 0.01, 62)
-    weights = list(np.random.default_rng(63).uniform(0.2, 3.0, 50)) if weighted else None
-    config = AveragingConfig(pair=MapPair.POLAR, weights=weights)
-    polar_factors = maps._polar_factors
-    carried = []
-
-    def recording(xtq, w0=None):
-        carried.append(w0 is not None)
-        return polar_factors(xtq, w0)
-    monkeypatch.setattr(maps, "_polar_factors", recording)
-    warm = fixed_point_mean(cloud, config, initial)
-    again = fixed_point_mean(cloud, config, initial)
-    # one tangent per iteration and one for the residual
-    assert carried == 2 * ([False] + [True] * warm.iterations_used)
-    assert np.array_equal(again.final_point.X, warm.final_point.X)
-    monkeypatch.setattr(maps, "_polar_factors", lambda xtq, w0=None: polar_factors(xtq))
-    cold = fixed_point_mean(cloud, config, initial)
-    assert warm.converged and cold.converged
-    assert warm.iterations_used == cold.iterations_used
-    assert np.abs(warm.final_point.X - cold.final_point.X).max() <= 1e-14
-    assert np.abs(np.subtract(warm.step_sizes, cold.step_sizes)).max() <= 1e-14
-    assert abs(warm.residual_field_norm - cold.residual_field_norm) <= 1e-14
-
-
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     # the lifting of the ambient mean against the mean of the liftings
@@ -460,21 +427,15 @@ def reference_mean(cloud, config, initial, screen=False):
 
 def assert_same_run(cloud, config, initial, screen=False):
     """fixed_point_mean and the reference loop give the same bits, or raise
-    the same error with the same iteration and sample. The polar run solves
-    every tangent from a cold start here, as the reference does;
-    test_polar_run_carrying_inverses_matches_cold_solves covers the carried
-    starts."""
-    polar_factors = maps._polar_factors
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "_polar_factors", lambda xtq, w0=None: polar_factors(xtq))
-        try:
-            report = fixed_point_mean(cloud, config, initial)
-        except StiefelMeanError as exc:
-            with pytest.raises(type(exc)) as err:
-                reference_mean(cloud, config, initial, screen)
-            assert (str(err.value), err.value.iteration, err.value.sample_index) == (
-                str(exc), exc.iteration, exc.sample_index)
-            return exc
+    the same error with the same iteration and sample."""
+    try:
+        report = fixed_point_mean(cloud, config, initial)
+    except StiefelMeanError as exc:
+        with pytest.raises(type(exc)) as err:
+            reference_mean(cloud, config, initial, screen)
+        assert (str(err.value), err.value.iteration, err.value.sample_index) == (
+            str(exc), exc.iteration, exc.sample_index)
+        return exc
     x, steps, deltas, residual = reference_mean(cloud, config, initial, screen)
     assert np.array_equal(report.final_point.X, x.X)
     assert report.step_sizes == steps

@@ -468,11 +468,16 @@ def test_lyapunov_needs_no_eigenvalues_when_every_slice_is_certified(monkeypatch
     assert np.array_equal(solve_lyapunov_sym(ms, b), np.array(expected))
 
 
-def _certified_stack(rng, n, radii):
-    """I + G_k with ||G_k||_F = radii[k] < 1: every slice certified, from
-    slices that need one Newton-Schulz step to slices at the certificate's
-    edge that need six."""
+def _certified_stack(rng, n, radii, structure="dense"):
+    """I + G_k with ||G_k||_F = radii[k] < 1, G_k of ``structure`` "dense",
+    "upper-triangular" or "rank-one" (symmetric, so ||G_k^2||_F =
+    ||G_k||_F^2): every slice certified, from slices that need one
+    Newton-Schulz step to slices at the certificate's edge that need five."""
     g = rng.standard_normal((len(radii), n, n))
+    if structure == "upper-triangular":
+        g = np.triu(g)
+    elif structure == "rank-one":
+        g = g[:, :, :1] * np.swapaxes(g[:, :, :1], 1, 2)
     g *= (np.asarray(radii) / np.sqrt(np.einsum("kij,kij->k", g, g)))[:, None, None]
     return np.eye(n) + g
 
@@ -533,38 +538,36 @@ def test_newton_schulz_takes_its_last_step_before_freezing():
     rng = np.random.default_rng(28)
     n = 5
     ms = _certified_stack(rng, n, CERTIFIED_RADII)
-    e = ms - np.eye(n)
     a = ms + np.eye(n)
-    w, done = kernels._newton_schulz_inverse(a, np.einsum("kij,kij->k", e, e))
+    w, done = kernels._newton_schulz_inverse(a)
     assert done.all()
     r = np.eye(n) - a @ w
     assert np.sqrt(np.einsum("kij,kij->k", r, r)).max() < 1e-14
     assert np.abs(w - np.linalg.inv(a)).max() < 1e-15
 
 
-def test_newton_schulz_restarts_a_start_no_closer_than_half_the_identity():
-    # a start nearer the inverse than I/2 is kept and lands within rounding
-    # of the cold result; any other start is replaced by I/2, the cold bits
-    rng = np.random.default_rng(29)
-    n = 4
-    ms = _certified_stack(rng, n, (0.05, 0.3, 0.7, 0.95))
-    e = ms - np.eye(n)
-    sq = np.einsum("kij,kij->k", e, e)
-    a = ms + np.eye(n)
-    cold, _ = kernels._newton_schulz_inverse(a, sq)
-    near = np.linalg.inv(a) + 1e-6 * rng.standard_normal(a.shape)
-    warm, done = kernels._newton_schulz_inverse(a, sq, near)
-    assert done.all()
-    assert np.abs(warm - cold).max() < 1e-15
-    for far in (np.zeros_like(a), np.full_like(a, np.nan), -near):
-        again, done = kernels._newton_schulz_inverse(a, sq, far)
-        assert done.all() and np.array_equal(again, cold)
+@pytest.mark.parametrize("structure", ["dense", "upper-triangular", "rank-one"])
+@pytest.mark.parametrize("n", [1, 2, 4, 10, 16, 30])
+def test_newton_schulz_needs_at_most_five_steps(n, structure, monkeypatch):
+    # From W = (3I - M)/4, R = (M - I)^2 / 4 has ||R||_F <= ||M - I||_F^2 / 4
+    # < 1/4, normal M - I or not, and five squarings take ||R||_F^2 below
+    # LYAP_TAIL; the start I/2 needs six near the certificate's edge, where
+    # a rank-one M - I has ||(M - I)^j||_F = ||M - I||_F^j.
+    monkeypatch.setattr(kernels, "INVERSE_MAX_STEPS", 5)
+    rng = np.random.default_rng(29 + n)
+    radii = CERTIFIED_RADII + (0.99, 0.999, 0.999, 0.999)
+    ms = _certified_stack(rng, n, radii, structure)
+    b = rng.standard_normal((n, n))
+    b = b + b.T
+    for m, s in zip(ms, solve_lyapunov_sym(ms, b)):
+        oracle = lyapunov_kron_oracle(m, b)
+        assert np.linalg.norm(s - oracle) < 1e-11 * max(1.0, np.linalg.norm(oracle))
 
 
 def test_newton_schulz_cap_names_its_slice(monkeypatch):
-    # one step solves only the identity slices, I/2 being their inverse; the
-    # first other slice reaches the cap, unless a slice before it fails
-    # earlier
+    # one step solves only the identity slices, whose start (3I - M)/4 = I/2
+    # is their inverse; the first other slice reaches the cap, unless a
+    # slice before it fails earlier
     monkeypatch.setattr(kernels, "INVERSE_MAX_STEPS", 1)
     two = 2.0 * np.eye(2)
     near = np.eye(2) + np.array([[0.1, 0.0], [0.05, -0.1]])

@@ -107,7 +107,7 @@ def test_sample_set_names_the_first_non_finite_array(bad):
     blocks[4][2, 1] = bad
     with pytest.raises(ValidationError) as err:
         SampleSet(dims, None, 0.1, 0, blocks)
-    assert str(err.value) == "sample 4: entries must be finite"
+    assert str(err.value) == "sample 4: X must be finite"
 
 
 def test_sample_set_stack_is_read_only_and_backs_the_samples():
@@ -287,6 +287,35 @@ def test_point_and_defects_take_x_by_the_matrix_rule():
     assert StiefelPoint([[1], [0]]).X.dtype == np.float64
 
 
+def test_point_and_tangent_run_the_matrix_rule_once_per_argument(monkeypatch):
+    # StiefelPoint checks X only inside orthonormality_defect, which it calls
+    # by its module name; TangentVector checks V only inside tangency_defect
+    x = random_point(9, 3, 7)
+    v = project_to_tangent(x, np.ones((9, 3))).V
+    calls = []
+    check_matrix, defect = manifold._check_matrix, manifold.orthonormality_defect
+
+    def counted(a, name, *args, **kwargs):
+        calls.append(name)
+        return check_matrix(a, name, *args, **kwargs)
+
+    def counted_defect(a):
+        calls.append("defect")
+        return defect(a)
+    monkeypatch.setattr(manifold, "_check_matrix", counted)
+    monkeypatch.setattr(manifold, "orthonormality_defect", counted_defect)
+    for value in (x.X, x.X.tolist(), np.asfortranarray(x.X), 2.0 * x.X, np.full((9, 3), np.inf)):
+        calls.clear()
+        try:
+            StiefelPoint(value)
+        except ValidationError:
+            pass
+        assert calls == ["defect", "X"]
+    calls.clear()
+    TangentVector(x, v)
+    assert calls == ["X", "V"]
+
+
 def test_check_stiefel_names_the_first_failing_sample():
     dims, blocks = raw_cloud(64)
     stack = np.array(blocks)
@@ -304,7 +333,7 @@ def test_check_stiefel_names_the_first_failing_sample():
         manifold._check_stiefel(stack[2])
     assert (str(err.value), err.value.defect) == (expected, defect)
     stack[1, 0, 0] = np.nan
-    with pytest.raises(ValidationError, match="^sample 1: entries must be finite$"):
+    with pytest.raises(ValidationError, match="^sample 1: X must be finite$"):
         manifold._check_stiefel(stack)
 
 
