@@ -13,11 +13,18 @@ spread sigma and the generation seed. When the literal token ``C`` is
 appended, the first block is the center of the distribution and N further
 blocks follow; otherwise exactly N blocks follow. Each block is p lines of
 n space-separated decimal values written with 17 significant digits, which
-round-trips float64 exactly.
+round-trips float64 exactly. Between blocks the writer puts one empty line
+and the reader accepts one or more blank or whitespace-only lines, as it
+does before the first block and after the last. A layout error names one
+line: the file's last line for a missing block, the last row of a short
+block, row p + 1 of a long one, the first line of trailing content, and the
+row itself for a wrong value count. A bad value also names its column and
+is reported first when it comes before a layout error.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import List, Tuple
 
 import numpy as np
@@ -80,39 +87,30 @@ def read_matrix_blocks(path) -> Tuple[dict, np.ndarray]:
     expected = count + (1 if has_center else 0)
     cells: List[str] = []
     row_lines: List[int] = []  # 1-based line number of each value row
-    i = 1
-    total = len(lines)
-    try:
-        for b in range(expected):
-            while i < total and not lines[i].strip():
-                i += 1
-            if i >= total:
-                raise FileFormatError(
-                    f"expected {expected} blocks, found {b}", line=total
-                )
-            for r in range(p):
-                if i >= total or not lines[i].strip():
-                    raise FileFormatError(
-                        f"block {b}: expected {p} rows, got {r}", line=i
-                    )
-                parts = lines[i].split()
-                if len(parts) != n:
-                    raise FileFormatError(
-                        f"expected {n} values, got {len(parts)}", line=i + 1
-                    )
-                cells.extend(parts)
-                row_lines.append(i + 1)
-                i += 1
-            if i < total and lines[i].strip():
-                raise FileFormatError("expected a blank line between blocks", line=i + 1)
-        while i < total:
-            if lines[i].strip():
-                raise FileFormatError("trailing content after the last block", line=i + 1)
-            i += 1
-    except FileFormatError:
+
+    def fail(message, line):
         # a bad value in an earlier row comes first in the file
         _check_values(cells, row_lines, n)
-        raise
+        raise FileFormatError(message, line=line)
+
+    # runs of indexes into lines, blank or not; line i + 1 is lines[i]
+    blank = [not text.strip() for text in lines]
+    runs = groupby(range(1, len(lines)), key=blank.__getitem__)
+    for b, rows in enumerate(list(run) for is_blank, run in runs if not is_blank):
+        if b == expected:
+            fail("trailing content after the last block", rows[0] + 1)
+        for i in rows[:p]:
+            parts = lines[i].split()
+            if len(parts) != n:
+                fail(f"expected {n} values, got {len(parts)}", i + 1)
+            cells.extend(parts)
+            row_lines.append(i + 1)
+        if len(rows) > p:
+            fail("expected a blank line between blocks", rows[p] + 1)
+        if len(rows) < p:
+            fail(f"block {b}: expected {p} rows, got {len(rows)}", rows[-1] + 1)
+    if len(row_lines) < expected * p:
+        fail(f"expected {expected} blocks, found {len(row_lines) // p}", len(lines))
     values = _check_values(cells, row_lines, n)
     header = {
         "p": dims.p, "n": dims.n, "count": count, "sigma": sigma, "seed": seed,

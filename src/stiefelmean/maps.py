@@ -257,10 +257,10 @@ def composition_discrepancy_closed_form(x: StiefelPoint, q: StiefelPoint) -> flo
         Delta = || I - [I + M - M(M + M^T)/2]
                       [2I - (M - M^T)^2/4 - M M^T]^(-1/2) ||_F
 
-    The bracket under the inverse square root equals I + V^T V of the lifted
-    tangent, hence is symmetric positive definite whenever the pair is close
-    enough; ``spd_inv_sqrt`` checks its symmetry to rounding and reports a
-    failure of definiteness as the arguments being too far apart.
+    For any X and Q on one St(p, n) the bracket under the inverse square
+    root equals I + V^T V with V = Q - X (X^T Q + Q^T X)/2, the orthographic
+    lifting's formula, so its eigenvalues are at least 1: the closed form is
+    defined for every pair, also past the lifting's locality guard.
     """
     _check_points(x, q, ("x", "q"))
     n = x.dims.n
@@ -269,11 +269,4 @@ def composition_discrepancy_closed_form(x: StiefelPoint, q: StiefelPoint) -> flo
     left = eye + m - 0.5 * m @ (m + m.T)
     d = m - m.T
     bracket = 2.0 * eye - 0.25 * (d @ d) - m @ m.T
-    try:
-        inv_sqrt = spd_inv_sqrt(bracket)
-    except DomainError as exc:
-        raise DomainError(
-            "closed-form composition discrepancy: arguments too far apart "
-            f"({exc})"
-        ) from exc
-    return float(np.linalg.norm(eye - left @ inv_sqrt))
+    return float(np.linalg.norm(eye - left @ spd_inv_sqrt(bracket)))

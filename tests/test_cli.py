@@ -8,6 +8,7 @@ import pytest
 
 import stiefelmean.experiments as experiments
 from stiefelmean.cli import main
+from stiefelmean.errors import DomainError
 from stiefelmean.fileio import read_matrix_blocks, read_sample_set, write_sample_set
 from stiefelmean.manifold import (
     TOL_ORTH,
@@ -137,6 +138,37 @@ def test_mean_non_finite_weight_exits_1_at_its_line(sample_file, tmp_path, capsy
     assert run("mean", "--in", sample_file, "--weights", wfile) == 1
     assert capsys.readouterr().err == (
         f"usage error: {wfile}: line 3: weight must be finite and positive, got {token}\n"
+    )
+
+
+def test_mean_weights_file_skips_blank_lines(sample_file, tmp_path):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text("\n" + "\n \n".join(["1.0"] * 10) + "\n\n\t\n")
+    out = tmp_path / "spaced.txt"
+    assert run("mean", "--in", sample_file, "--weights", wfile, "--out", out,
+               "--trace", tmp_path / "spaced.csv") == 0
+    plain = tmp_path / "plain.txt"
+    assert run("mean", "--in", sample_file, "--out", plain,
+               "--trace", tmp_path / "plain.csv") == 0
+    assert out.read_text() == plain.read_text()
+
+
+def test_mean_unparseable_weight_exits_1_at_its_line(sample_file, tmp_path, capsys):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text("1.0\n\n1,5\n" + "\n".join(["1.0"] * 8) + "\n")
+    assert run("mean", "--in", sample_file, "--weights", wfile) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {wfile}: line 3: could not parse weight '1,5'\n"
+    )
+
+
+@pytest.mark.parametrize("count", [9, 11])
+def test_mean_wrong_weight_count_exits_1(sample_file, tmp_path, capsys, count):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text("\n".join(["1.0"] * count) + "\n")
+    assert run("mean", "--in", sample_file, "--weights", wfile) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {wfile}: expected 10 weights (one per sample), got {count}\n"
     )
 
 
@@ -284,6 +316,25 @@ def test_exp_convergence(tmp_path, capsys):
     assert (tmp_path / "convergence_12.csv").exists()
     out = capsys.readouterr().out
     assert out.count("converged=True") == 3
+
+
+def test_exp_convergence_prints_a_failed_pair_and_exits_0(tmp_path, capsys, monkeypatch):
+    inner = experiments.fixed_point_mean
+
+    def failing(samples, config, initial):
+        if config.pair.label == "ortho":
+            raise DomainError("injected failure")
+        return inner(samples, config, initial)
+
+    monkeypatch.setattr(experiments, "fixed_point_mean", failing)
+    code = run("exp", "--kind", "convergence", "--seed", 12,
+               "--outdir", tmp_path, "--N", 8, "--sigma", 0.05)
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert err == "pair=ortho FAILED: injected failure\n"
+    assert out.count("converged=True") == 2
+    text = (tmp_path / "convergence_12.csv").read_text()
+    assert "# pair=ortho FAILED: injected failure\n" in text
 
 
 def test_exp_runtime_small(tmp_path):

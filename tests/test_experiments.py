@@ -312,6 +312,76 @@ def test_runtime_trials_time_every_pair_on_one_cloud(monkeypatch):
         assert [c[2] for c in block[1::2]] == order
 
 
+def test_runtime_drops_and_counts_a_failed_trial(monkeypatch, tmp_path):
+    calls, ortho_clouds = [], []
+    inner = experiments.fixed_point_mean
+
+    def failing(samples, config, initial):
+        calls.append((samples, config.pair.label))
+        if (config.pair.label, samples.dims.n) == ("ortho", 3):
+            ortho_clouds.append(samples)
+            if len(ortho_clouds) == 3:  # its warm-up in trial 1
+                raise DomainError("injected failure")
+        return inner(samples, config, initial)
+
+    monkeypatch.setattr(experiments, "fixed_point_mean", failing)
+    spec = default_spec("runtime_vs_n", seed=14, p=8, sweep=(2, 3),
+                        n_samples=3, trials=3)
+    result = run_experiment(spec)
+    assert result.failures == {("ortho", 3): 1}
+    assert len(result.records) == len(ALL_PAIRS) * 2 * 3 - 1
+    # the median comes from the two remaining trials
+    kept = [r for r in result.records if (r.pair, r.dim) == ("ortho", 3)]
+    assert [r.trial for r in kept] == [0, 2]
+    assert result.medians[("ortho", 3)] == float(np.median([r.wall_time for r in kept]))
+    # the other pairs still run, warm-up and timed, on the cloud ortho failed on
+    on_it = [label for samples, label in calls if samples is ortho_clouds[2]]
+    assert sorted(on_it) == ["mixed", "mixed", "ortho", "polar", "polar"]
+    path = tmp_path / csv_filename(spec)
+    result.write_csv(path)
+    failed = [line for line in path.read_text().splitlines() if "failed_trials" in line]
+    assert failed == ["# failed_trials pair=ortho dim=3 count=1"]
+
+
+def test_runtime_counts_every_pair_when_the_cloud_fails(monkeypatch):
+    inner = experiments.generate_samples
+    seen = []
+
+    def failing(center, sigma, n_samples, seed):
+        seen.append(center.dims.n)
+        if seen[-1] == 2 and seen.count(2) == 2:  # the cloud of trial 1 at n = 2
+            raise ValidationError("injected failure")
+        return inner(center, sigma, n_samples, seed)
+
+    monkeypatch.setattr(experiments, "generate_samples", failing)
+    spec = default_spec("runtime_vs_n", seed=15, p=8, sweep=(2, 3),
+                        n_samples=3, trials=2)
+    result = run_experiment(spec)
+    assert result.failures == {(pair.label, 2): 1 for pair in ALL_PAIRS}
+    assert sorted({(r.dim, r.trial) for r in result.records}) == [(2, 0), (3, 0), (3, 1)]
+    assert len(result.records) == len(ALL_PAIRS) * 3
+
+
+def test_convergence_records_a_failed_pair(monkeypatch, tmp_path):
+    inner = experiments.fixed_point_mean
+
+    def failing(samples, config, initial):
+        if config.pair.label == "mixed":
+            raise DomainError("injected failure at iteration 2")
+        return inner(samples, config, initial)
+
+    monkeypatch.setattr(experiments, "fixed_point_mean", failing)
+    spec = default_spec("convergence", seed=6, n_samples=8, sigma=0.05)
+    result = run_experiment(spec)
+    assert result.failures == {"mixed": "injected failure at iteration 2"}
+    assert set(result.reports) == {"polar", "ortho"}
+    assert {row[0] for row in result.rows} == {"polar", "ortho"}
+    path = tmp_path / csv_filename(spec)
+    result.write_csv(path)
+    assert "# pair=mixed FAILED: injected failure at iteration 2" in (
+        path.read_text().splitlines())
+
+
 # ---------------------------------------------------------------- dispatch
 
 def test_run_experiment_dispatch():

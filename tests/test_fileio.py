@@ -289,3 +289,61 @@ def test_edge_tokens_rejected_as_float_rejects(tmp_path, token, message):
         read_matrix_blocks(_write(tmp_path, f"1 1 1 0.0 7\n{token}\n"))
     assert (err.value.line, err.value.column) == (2, 1)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("", "missing header line", 1),
+    ("\n2 1 1 0.0 7\n1.0\n0.0\n", "missing header line", 1),
+    ("2 1 1\n1.0\n0.0\n", "header needs 'p n N sigma seed [C]', got 3 tokens", 1),
+    ("2 1 1 0.0 7 C 9\n1.0\n0.0\n",
+     "header needs 'p n N sigma seed [C]', got 7 tokens", 1),
+    ("2 1 1 0.0 7 X\n1.0\n0.0\n", "unexpected header token 'X'", 1),
+    # a missing block is reported at the file's last line
+    ("2 1 1 0.0 7\n", "expected 1 blocks, found 0", 1),
+    ("2 1 2 0.0 7\n1.0\n0.0\n", "expected 2 blocks, found 1", 3),
+    ("2 1 2 0.0 7 C\n1.0\n0.0\n\n0.0\n1.0\n\n\n", "expected 3 blocks, found 2", 8),
+    # a short block is reported at its last row
+    ("2 1 2 0.0 7\n1.0\n\n1.0\n0.0\n", "block 0: expected 2 rows, got 1", 2),
+    ("2 1 2 0.0 7\n1.0\n0.0\n\n1.0\n", "block 1: expected 2 rows, got 1", 5),
+    ("3 1 1 0.0 7\n1.0\n0.0\n\n", "block 0: expected 3 rows, got 2", 3),
+    ("2 2 1 0.0 7\n1.0 0.0\n0.0\n", "expected 2 values, got 1", 3),
+    ("2 2 1 0.0 7\n1.0 0.0 0.0\n0.0 1.0\n", "expected 2 values, got 3", 2),
+    # a long block is reported at its row p + 1, the last block included
+    ("2 1 2 0.0 7\n1.0\n0.0\n1.0\n0.0\n", "expected a blank line between blocks", 4),
+    ("2 1 1 0.0 7\n1.0\n0.0\nabc def\n", "expected a blank line between blocks", 4),
+    # trailing content is reported at its first line
+    ("2 1 1 0.0 7\n1.0\n0.0\n\nleftover\n", "trailing content after the last block", 5),
+    ("2 1 1 0.0 7\n1.0\n0.0\n\n \n\n1.0\n0.0\n",
+     "trailing content after the last block", 7),
+])
+def test_layout_errors_name_their_message_and_line(tmp_path, text, message, line):
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(_write(tmp_path, text))
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}: {message}", line, None
+    )
+
+
+def _relaid(text, before, between, after):
+    # the writer's text with other runs of blank lines around its blocks
+    head, body = text.split("\n", 1)
+    blocks = body.rstrip("\n").split("\n\n")
+    return head + "\n" + before + between.join(blocks) + "\n" + after
+
+
+@pytest.mark.parametrize("before, between, after", [
+    ("\n", "\n\n", ""),
+    ("", "\n\n\n\n", ""),
+    ("", "\n  \n\t\n", ""),
+    (" \n\n", "\n \n", "\n\n \t\n"),
+    ("", "\n\n", "\n\n\n"),
+])
+def test_blank_line_runs_read_as_the_writers_layout(tmp_path, cloud, before, between, after):
+    path = tmp_path / "set.txt"
+    write_sample_set(path, cloud)
+    header, blocks = read_matrix_blocks(path)
+    relaid = _write(tmp_path, _relaid(path.read_text(), before, between, after))
+    assert relaid.read_text() != path.read_text()
+    header2, blocks2 = read_matrix_blocks(relaid)
+    assert header2 == header
+    assert blocks2.tobytes() == blocks.tobytes() and blocks2.shape == blocks.shape

@@ -230,6 +230,15 @@ def test_retract_lift_reject_a_non_member(pair):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("retraction", [polar_retraction, orthographic_retraction])
+def test_retractions_reject_a_tangent_at_another_point(retraction):
+    x = random_point(6, 2, 8)
+    v = random_tangent(nearby_point(x, 0.05, 9), 0.1, 10)
+    with pytest.raises(ValidationError) as err:
+        retraction(x, v)
+    assert str(err.value) == "tangent vector is anchored at a different point"
+
+
 def test_lifting_domain_guard():
     x = random_point(8, 3, 10)
     antipode = StiefelPoint(-x.X)  # discrepancy 2 sqrt(3) > guard
@@ -295,6 +304,42 @@ def test_composition_closed_form_equals_direct(seed):
     d1 = composition_discrepancy_direct(x, q)
     d2 = composition_discrepancy_closed_form(x, q)
     assert abs(d1 - d2) < 1e-10
+
+
+def _paired_point(x, kind, seed):
+    rng = np.random.default_rng(seed)
+    p, n = x.dims.p, x.dims.n
+    if kind == "antipodal":
+        return StiefelPoint(-x.X)
+    if kind == "same span":  # Q = X R, R orthogonal
+        return StiefelPoint(x.X @ thin_qr_q_factor(rng.standard_normal((n, n))))
+    if kind == "orthogonal":  # X^T Q = 0
+        g = rng.standard_normal((p, n))
+        return StiefelPoint(thin_qr_q_factor(g - x.X @ (x.X.T @ g)))
+    if kind == "random":
+        return random_point(p, n, seed)
+    return nearby_point(x, float(kind), seed)
+
+
+@given(st.data())
+def test_composition_closed_form_is_defined_for_every_pair(data):
+    # the bracket is I + V^T V, so no pair is too far apart for the closed
+    # form; inside the lifting's guard it is the direct composition
+    p = data.draw(st.integers(1, 11))
+    n = data.draw(st.integers(1, p))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    kinds = ["antipodal", "same span", "random", "0.01", "0.1", "0.5", "1.0"]
+    kind = data.draw(st.sampled_from(kinds + (["orthogonal"] if p >= 2 * n else [])))
+    x = random_point(p, n, seed)
+    q = _paired_point(x, kind, seed + 1)
+    closed = composition_discrepancy_closed_form(x, q)
+    assert isinstance(closed, float) and math.isfinite(closed)
+    try:
+        direct = composition_discrepancy_direct(x, q)
+    except DomainError:
+        assert discrepancy(x, q) >= DOMAIN_GUARD
+        return
+    assert abs(closed - direct) <= 1e-10
 
 
 def test_composition_positive_correlation_with_distance():
