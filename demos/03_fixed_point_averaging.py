@@ -36,10 +36,9 @@ for pair in ALL_PAIRS:
     print(f"        delta(X_i, C) trace: {trace} ...")
 print()
 
-# emphasize sample 0 with a large (renormalized) weight
+# emphasize sample 0 with a large weight; only the weights' ratios matter
 weights = np.ones(len(cloud))
 weights[0] = 1e4
-weights *= len(cloud) / weights.sum()
 config = AveragingConfig(weights=weights)
 report = fixed_point_mean(cloud, config, initial)
 print(f"weighted run (weight ratio 1e4 on sample 0): "

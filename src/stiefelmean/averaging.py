@@ -7,12 +7,8 @@ whose lifted samples average to zero, equivalently a solution of
 
 The iteration below evaluates the right-hand side at the current iterate and
 repeats until the discrepancy between consecutive iterates drops below
-``conv_tol`` or ``max_iters`` is reached. An optional positive weighting of
-the lifted samples generalizes the rule; weights enter exactly as given, the
-1/N factor stays. Large unnormalized weights scale the combined step by
-sum(w)/N, which destabilizes the iteration (and can push the step outside the
-retraction's domain); callers who want strong emphasis on a sample should
-renormalize weights to sum approximately N.
+``conv_tol`` or ``max_iters`` is reached. Positive weights w_k replace 1/N
+by w_k / sum(w), the weighted quasi-arithmetic mean: only their ratios matter.
 
 Where validation happens: ``fixed_point_mean`` checks its inputs at entry
 (the initial point is a ``StiefelPoint``, the cloud a validated
@@ -93,9 +89,9 @@ class AveragingConfig:
     """Knobs of the fixed-point iteration.
 
     ``weights`` may be ``None`` (unweighted) or a sequence of N finite
-    positive reals; ``fixed_point_mean`` runs the weighted rule whenever it
-    is set. The initial guess is the caller's:
-    ``perturb_initial_guess`` derives one from a sample.
+    positive reals with a finite, normal sum; ``fixed_point_mean`` runs the
+    weighted rule, which divides by sum(w), whenever it is set. The initial
+    guess is the caller's: ``perturb_initial_guess`` derives one from a sample.
     """
 
     pair: MapPair = MapPair.MIXED
@@ -118,9 +114,9 @@ class AveragingReport:
     ``iterates_delta_to_center`` tracks the discrepancy of every iterate
     (including the initial guess) to the sample set's center when that is
     known, else ``None``. ``residual_field_norm`` is the norm of the combined
-    lifted-sample tangent at the final point divided by N, using the same
-    weighting the run used; the mean is a zero of that field. ``converged``
-    implies the last step size is below the configured tolerance.
+    lifted-sample tangent (1/sum(w)) sum_k w_k lift(X, X_k) at the final
+    point, with the run's weights; the mean is a zero of that field.
+    ``converged`` implies the last step size is below the configured tolerance.
     """
 
     final_point: StiefelPoint
@@ -164,11 +160,15 @@ def _resolve_weights(weights: Optional[Sequence[float]], n_samples: int) -> np.n
     if bad.size:
         k = int(bad[0])
         raise ValidationError(f"weights must be finite and positive, got {w[k]} at index {k}")
+    with np.errstate(over="ignore"):  # the rule divides by sum(w)
+        total = w.sum()
+    if not (np.isfinite(total) and total >= np.finfo(float).tiny):
+        raise ValidationError(f"the sum of the weights must be finite and normal, got {total}")
     return w
 
 
 def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(1/N) sum_k w_k Q_k, accumulated in sample order."""
+    """(1/sum(w)) sum_k w_k Q_k, accumulated in sample order."""
     rows = stack.reshape(len(stack), -1)
     if rows.shape[1] == 1:
         # NumPy sums a single contiguous column pairwise, not in sample order
@@ -180,7 +180,7 @@ def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
         # same bits as the loop above; unit weights need no (N, p n) product
         terms = rows if np.all(w == 1.0) else w[:, None] * rows
         acc = np.add.reduce(terms, axis=0, initial=0.0)
-    acc /= len(w)
+    acc /= w.sum()
     return acc.reshape(stack.shape[1:])
 
 
@@ -240,15 +240,15 @@ def _locality_certificate(stack: np.ndarray):
 
 def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
     """Set up, once per run, the combined tangent ``(x, e) ->
-    (1/N) sum_k w_k lift(X, Q_k)`` on arrays, for an iterate X of
+    (1/sum(w)) sum_k w_k lift(X, Q_k)`` on arrays, for an iterate X of
     orthonormality defect e; a ``DomainError`` names the first failing
     sample in ``sample_index``.
 
     The orthographic lifting Q - X sym(X^T Q) is linear in Q, so for the
     orthographic-lifting pairs this is the lifting of the weighted ambient
-    mean Q_w = (1/N) sum_k w_k Q_k, computed here once; the locality
+    mean Q_w = (1/sum(w)) sum_k w_k Q_k, computed here once; the locality
     certificate guards the samples. The polar tangent is (sum_k w_k Q_k S_k
-    - (sum_k w_k) X) / N, with every S_k from the polar core of ``maps``,
+    - sum(w) X) / sum(w), with every S_k from the polar core of ``maps``,
     the solve the public polar lifting runs; nothing is kept between calls.
     """
     n_samples, p, n = stack.shape
@@ -264,7 +264,7 @@ def _combined_tangent(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
             s *= weights[:, None, None]
             acc = columns @ s.reshape(n_samples * n, n)
             acc -= weight_sum * x
-            acc /= n_samples
+            acc /= weight_sum
             return acc
         return tangent
 
@@ -285,8 +285,8 @@ def fixed_point_mean(
     Iterates from ``initial`` until the step discrepancy falls below
     ``config.conv_tol`` or ``config.max_iters`` is exhausted. Every iterate
     is checked as a ``StiefelPoint`` would be. When ``config.weights`` is
-    set, the combined tangent is (1/N) sum_k w_k lift(X, X_k) with the
-    weights used exactly as supplied; with all weights equal to one the
+    set, the combined tangent is (1/sum(w)) sum_k w_k lift(X, X_k), so
+    only the weights' ratios matter; with all weights equal to one the
     trajectory matches the unweighted run bit for bit.
     """
     _check_type(samples, SampleSet, "samples")

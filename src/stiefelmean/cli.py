@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     mean.add_argument("--in", dest="infile", required=True, help="sample-set file")
     mean.add_argument("--pair", default="mixed",
                       help="map pair: polar, ortho or mixed (default: mixed)")
-    mean.add_argument("--weights", help="file with one positive weight per sample")
+    mean.add_argument("--weights", help="file of positive per-sample weights; only ratios matter")
     mean.add_argument("--out", help="mean point output (default: <in>.mean.txt)")
     mean.add_argument("--trace", help="CSV trace output (default: <in>.trace.csv)")
     mean.add_argument("--max-iters", type=int, default=100)

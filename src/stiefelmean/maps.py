@@ -191,8 +191,8 @@ def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
 
 def _ortho_retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     # orthographic_retraction on arrays; Omega is skew and G symmetric, so the
-    # kernel's checks are skipped. V^T V for G would pass an iterate's defect
-    # E = X^T X - I on as about (I - 2 sym(X^T Q_w)) E, growing once sum(w) > N
+    # kernel's checks are skipped. G = (X + V)^T (X + V) - I, not V^T V, so the
+    # step also clears the defect E = X^T X - I an iterate carries
     xtv = x.T @ v
     omega = 0.5 * (xtv - xtv.T)  # drop the rounding-level symmetric part
     y = x + v

@@ -186,12 +186,11 @@ def test_polar_domain_error_matches_per_sample_loop(order, k):
 
 
 def test_retraction_failure_names_its_iteration():
-    # At 0 degrees the weighted tangent of the samples at +-90 degrees has
-    # length (3.0 - 0.2) / 2 = 1.4, beyond the reach 1 of the orthographic
-    # retraction on the circle: its inner iteration fails at iteration 0,
-    # and no sample is to blame.
-    cloud = circle_set([math.pi / 2.0, -math.pi / 2.0])
-    config = AveragingConfig(pair=MapPair.ORTHO, weights=[3.0, 0.2])
+    # At 0 degrees the tangent of one sample at 90 degrees has length 1, the
+    # reach of the orthographic retraction on the circle: its inner iteration
+    # fails at iteration 0, and no sample is to blame.
+    cloud = circle_set([math.pi / 2.0])
+    config = AveragingConfig(pair=MapPair.ORTHO)
     with pytest.raises(DomainError) as err:
         fixed_point_mean(cloud, config, circle_point(0.0))
     assert (err.value.iteration, err.value.sample_index) == (0, None)
@@ -222,7 +221,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     loop = np.zeros_like(x.X)
     for wk, q in zip(w, cloud.samples):
         loop += wk * polar_lifting(x, q).V
-    loop /= len(cloud)
+    loop /= w.sum()
     batched = _combined_tangent(MapPair.POLAR, cloud.stack, w)(x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-13
 
@@ -237,7 +236,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     loop = np.zeros_like(x.X)
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
-    loop /= len(cloud)
+    loop /= w.sum()
     batched = _combined_tangent(MapPair.ORTHO, cloud.stack, w)(x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-15
 
@@ -255,7 +254,7 @@ def test_ambient_mean_sums_in_sample_order(weighted, p, n, n_samples):
     acc = np.zeros((p, n))
     for wk, q in zip(w, cloud.stack):
         acc += wk * q
-    acc /= n_samples
+    acc /= w.sum()
     assert np.array_equal(_ambient_mean(cloud.stack, w), acc)
 
 
@@ -384,7 +383,7 @@ def reference_mean(cloud, config, initial, screen=False):
     qbar = np.zeros(cloud.stack.shape[1:])
     for wk, q in zip(w, samples):
         qbar += wk * q.X
-    qbar /= n_samples
+    qbar /= w.sum()
     # the ambient mean is not a Stiefel point; the orthographic lifting is
     # linear in Q and needs only its array
     qbar = StiefelPoint._unchecked(qbar, cloud.dims)
@@ -407,7 +406,7 @@ def reference_mean(cloud, config, initial, screen=False):
         ws = np.array([wk * solve_lyapunov_sym(m, 2.0 * np.eye(n)) for wk, m in zip(w, xtq)])
         acc = columns @ ws.reshape(n_samples * n, n)
         acc -= w.sum() * x.X
-        acc /= n_samples
+        acc /= w.sum()
         return TangentVector(x, acc)
 
     x = initial
@@ -482,9 +481,9 @@ def test_locality_certificate_raises_what_a_screen_per_iteration_raises(case, pa
     # Multi-iteration runs from an iterate with samples on both sides of the
     # guard: the certificate clears, re-screens and raises exactly where a
     # screen of the whole cloud at every iterate does. A weight of up to
-    # 0.9 N on one sample pulls the iterates toward it and away from the
-    # others, so samples also cross the guard after iteration 0 and in the
-    # residual pass.
+    # 0.9 of the total on one sample pulls the iterates toward it and away
+    # from the others, so samples also cross the guard after iteration 0 and
+    # in the residual pass.
     x, points = case
     n_samples = len(points)
     pull = data.draw(st.floats(0.05, 0.9)) if n_samples > 1 else 1.0
@@ -608,14 +607,14 @@ def test_fixed_point_mean_runs_the_weighted_rule():
 def test_weighted_circle_against_scalar_oracle():
     # two samples at +/- theta with weights (2, 1); the mixed pair on the
     # circle reduces to the scalar recursion
-    #   phi <- phi + atan( (1/N) sum_k w_k sin(theta_k - phi) )
+    #   phi <- phi + atan( (1/sum(w)) sum_k w_k sin(theta_k - phi) )
     # whose fixed point solves tan(phi) = tan(theta) / 3.
     theta = 0.5
     weights = [2.0, 1.0]
     conv_tol = 1e-14
     phi = 0.05
     for _ in range(500):
-        v = sum(w * math.sin(t - phi) for w, t in zip(weights, [theta, -theta])) / 2.0
+        v = sum(w * math.sin(t - phi) for w, t in zip(weights, [theta, -theta])) / sum(weights)
         nphi = phi + math.atan(v)
         step = 1.0 - math.cos(nphi - phi)  # the discrepancy on the circle
         phi = nphi
@@ -637,17 +636,17 @@ def test_weighted_circle_against_scalar_oracle():
 
 def test_long_weighted_mixed_run_stays_orthonormal():
     # The weighted circle of the scalar-oracle test, run with a tolerance
-    # only an exactly zero step meets. Weights summing to 1.5 N amplify any
-    # orthonormality defect the iterate carries into the mixed pair's
-    # combined tangent by about 1.5 per iteration; retracting to the polar
-    # factor of X + V removes the defect on every step instead, so it stays
-    # at rounding level however long the run.
+    # only an exactly zero step meets, so the run goes on through steps at
+    # rounding level. Retracting to the polar factor of X + V removes any
+    # orthonormality defect the iterate carries on every step, so it stays
+    # at rounding level to the end.
     theta = 0.5
     cloud = circle_set([theta, -theta])
     config = AveragingConfig(pair=MapPair.MIXED, conv_tol=1e-300,
                              max_iters=300, weights=[2.0, 1.0])
     report = fixed_point_mean(cloud, config, circle_point(0.05))
-    assert report.iterations_used > 20
+    assert report.converged and report.step_sizes[-1] == 0.0
+    assert report.step_sizes[-3] < 1e-15
     assert orthonormality_defect(report.final_point.X) < 1e-15
     # the step 1 - cos(dphi) rounds to zero once dphi is near 1e-8, which
     # leaves the angle within about 1e-12 of the analytic fixed point
@@ -656,22 +655,84 @@ def test_long_weighted_mixed_run_stays_orthonormal():
 
 
 def test_weight_limit_sweep_pulls_mean_to_sample():
-    # Weights enter the combined tangent exactly as given, so their sum acts
-    # as a step gain; the sweep renormalizes each weight vector to sum N to
-    # stay in the stable regime while the ratio grows.
+    # Only the weights' ratios matter, so a growing weight on sample 0 pulls
+    # the mean to it with no renormalization.
     cloud = small_cloud(28, sigma=0.05, n_samples=8)
     initial = perturb_initial_guess(cloud.stack[0], 0.01, 29)
-    n = len(cloud)
     gaps = []
     for big in (1e2, 1e4, 1e6):
-        raw = np.ones(n)
-        raw[0] = big
-        weights = raw * (n / raw.sum())
+        weights = np.ones(len(cloud))
+        weights[0] = big
         report = fixed_point_mean(cloud, AveragingConfig(weights=weights), initial)
         assert report.converged
         gaps.append(discrepancy(report.final_point, cloud.samples[0]))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 1e-3
+
+
+def induced_arithmetic_mean(stack, weights):
+    """U V^T for the thin SVD U S V^T of (1/sum(w)) sum_k w_k Q_k: the closed
+    form of the ortho and mixed means, where the combined orthographic
+    tangent Q_w - X sym(X^T Q_w) vanishes."""
+    w = np.asarray(weights)
+    u, _, vt = np.linalg.svd(np.tensordot(w, stack, axes=1) / w.sum(), full_matrices=False)
+    return u @ vt
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.integers(2, 8),
+       st.integers(1, 40), st.floats(-3.0, 3.0))
+def test_ortho_and_mixed_weighted_means_are_the_induced_arithmetic_mean(
+        seed, p, n, n_samples, log_scale):
+    # n >= 2: for n = 1 the step discrepancy 1 - x^T y is second order in
+    # the step, so a run that meets conv_tol may stop 1e-7 from the mean
+    p, n = max(p, n), min(p, n)
+    center = generate_center(Dims(p, n), seed)
+    cloud = generate_samples(center, 0.05, n_samples, seed + 1)
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** log_scale * rng.uniform(0.2, 3.0, n_samples)
+    oracle = induced_arithmetic_mean(cloud.stack, weights)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, seed + 2)
+    for pair in (MapPair.ORTHO, MapPair.MIXED):
+        config = AveragingConfig(pair=pair, conv_tol=1e-12, weights=list(weights))
+        report = fixed_point_mean(cloud, config, initial)
+        assert report.converged
+        assert np.linalg.norm(report.final_point.X - oracle) < 1e-9
+
+
+WEIGHT_SCALE_CLOUD = small_cloud(50, sigma=0.05, n_samples=30)
+
+
+@given(st.sampled_from(ALL_PAIRS), st.integers(0, 2**32 - 1), st.integers(-20, 20),
+       st.floats(1e-3, 1e3))
+def test_only_the_weights_ratios_matter(pair, seed, k, scale):
+    # Scaling by a power of two is exact at every operation, so the run keeps
+    # its bits; any other scale only rounds differently.
+    cloud = WEIGHT_SCALE_CLOUD
+    weights = np.random.default_rng(seed).uniform(0.2, 3.0, len(cloud))
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, seed)
+
+    def run(w):
+        report = fixed_point_mean(cloud, AveragingConfig(pair=pair, weights=list(w)), initial)
+        assert report.converged
+        return report
+
+    base = run(weights)
+    doubled = run(math.ldexp(1.0, k) * weights)
+    assert doubled.step_sizes == base.step_sizes
+    assert np.array_equal(doubled.final_point.X, base.final_point.X)
+    assert np.linalg.norm(run(scale * weights).final_point.X - base.final_point.X) < 1e-12
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label)
+def test_extreme_weight_scales_give_the_unweighted_mean(pair):
+    cloud = small_cloud(51, sigma=0.05, n_samples=4)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 52)
+    plain = fixed_point_mean(cloud, AveragingConfig(pair=pair), initial).final_point.X
+    for scale in (1e300, 1e-300):
+        config = AveragingConfig(pair=pair, weights=[scale] * 4)
+        report = fixed_point_mean(cloud, config, initial)
+        assert report.converged
+        assert np.linalg.norm(report.final_point.X - plain) < 1e-12
 
 
 def test_weight_validation():
@@ -698,6 +759,12 @@ def test_weight_validation():
         assert str(err.value) == (
             f"weights must be finite and positive, got {bad} at index 2"
         )
+    # each weight is finite and positive, but their sum overflows or is
+    # below the smallest normal float, which leaves no ratio to average by
+    for weight, total in ((1e308, "inf"), (5e-324, "2e-323")):
+        with pytest.raises(ValidationError) as err:
+            fixed_point_mean(cloud, AveragingConfig(weights=[weight] * 4), initial)
+        assert str(err.value) == f"the sum of the weights must be finite and normal, got {total}"
 
 
 # ---------------------------------------------------------------- trace CSV

@@ -109,14 +109,14 @@ def test_mean_weighted(sample_file, tmp_path):
 def test_mean_retraction_failure_prints_its_iteration_only(tmp_path, capsys):
     # samples at 0 and +-90 degrees on the circle; the initial guess is
     # sample 0 turned slightly, where the weights make the orthographic
-    # tangent about (3.5 - 0.2) / 3 = 1.1 long, past the retraction's reach
+    # tangent about (1 - 1e-6) / (1 + 2e-6) long, at the retraction's reach 1
     points = [StiefelPoint(np.array([[math.cos(t)], [math.sin(t)]]))
               for t in (0.0, math.pi / 2.0, -math.pi / 2.0)]
     cloud = SampleSet(dims=Dims(2, 1), center=points[0], sigma=0.0, seed=5,
                       stack=tuple(points))
     infile, wfile = tmp_path / "circle.txt", tmp_path / "weights.txt"
     write_sample_set(infile, cloud)
-    wfile.write_text("0.3\n3.5\n0.2\n")
+    wfile.write_text("1e-6\n1\n1e-6\n")
     assert run("mean", "--in", infile, "--pair", "ortho", "--weights", wfile) == 2
     assert capsys.readouterr().err == (
         "numerical domain error: retraction failed at iteration 0: inner iteration "
@@ -172,6 +172,17 @@ def test_mean_wrong_weight_count_exits_1(sample_file, tmp_path, capsys, count):
     )
 
 
+@pytest.mark.parametrize("weight, total", [("1e308", "inf"), ("5e-324", "5e-323")])
+def test_mean_weight_sum_out_of_range_exits_2(sample_file, tmp_path, capsys, weight, total):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_text(f"{weight}\n" * 10)
+    assert run("mean", "--in", sample_file, "--weights", wfile) == 2
+    assert capsys.readouterr().err == (
+        f"numerical validation error: the sum of the weights must be finite and normal, "
+        f"got {total}\n"
+    )
+
+
 def test_mean_nan_conv_tol_exits_2_with_one_line(sample_file, capsys):
     assert run("mean", "--in", sample_file, "--conv-tol", "nan") == 2
     assert capsys.readouterr().err == (
@@ -180,9 +191,8 @@ def test_mean_nan_conv_tol_exits_2_with_one_line(sample_file, capsys):
 
 
 def test_weighted_ortho_mean_keeps_its_iterates_orthonormal(tmp_path, capsys):
-    # weights summing to 1.64 N: the orthographic retraction solves on the
-    # Gram of X + V, so the defect an iterate carries does not grow by
-    # |1 - 2 sum(w) / N| per step, which stopped this run at iteration 12
+    # weights drawn from [0.2, 3]: the orthographic retraction solves on the
+    # Gram of X + V, so the defect an iterate carries stays at rounding level
     cloud, wfile = tmp_path / "cloud.txt", tmp_path / "weights.txt"
     assert run("gen", "--p", 20, "--n", 4, "--N", 30, "--sigma", 0.01,
                "--seed", 3, "--out", cloud) == 0
