@@ -1,39 +1,30 @@
 """Fixed-point empirical mean of Stiefel points under a retraction/lifting pair.
 
-The mean of samples X_1..X_N is characterized implicitly: it is the point X
-whose lifted samples average to zero, equivalently a solution of
+The mean of samples Q_1..Q_N with positive weights w_k (all ones unless
+given) is characterized implicitly: it is the point X whose lifted samples
+average to zero, equivalently a solution of
 
-    X = retract_X( (1/N) * sum_k lift_X(X_k) ).
+    X = retract_X( (1/sum(w)) * sum_k w_k lift_X(Q_k) ),
 
-The iteration below evaluates the right-hand side at the current iterate and
-repeats until the discrepancy between consecutive iterates drops below
-``conv_tol`` or ``max_iters`` is reached. Positive weights w_k replace 1/N
-by w_k / sum(w), the weighted quasi-arithmetic mean: only their ratios matter.
+the weighted quasi-arithmetic (Kolmogoroff-Nagumo) mean, in which only the
+weights' ratios matter. ``fixed_point_mean`` evaluates the right-hand side
+at the current iterate until the stop rule of ``AveragingConfig`` holds.
 
-Where validation happens: ``fixed_point_mean`` checks its inputs at entry
-(the initial point is a ``StiefelPoint``, the cloud a validated
-``SampleSet``, the weights are checked once). In between, one loop serves
-all three pairs on plain (p, n) arrays, through the unchecked array cores of
-the maps and kernels that the public maps also call. Each retracted iterate's
-Gram matrix is formed once; its orthonormality defect e is both the check
-``StiefelPoint`` would make (the same ``ValidationError``) and an input of
-the locality certificate. Only the final point is wrapped as a
-``StiefelPoint``.
-
-Polar lifting: the polar pair lays the samples side by side once per run,
-a (p, N n) copy of the stack, so every X^T Q_k is one matrix product, and
-so is sum_k w_k Q_k S_k. The polar core of ``maps`` solves for every S_k,
-each slice's bits those of the public polar lifting. It takes each
-(X^T Q_k + I)^-1 by at most five Newton-Schulz steps from a first-order
-start, at every call, so no state passes from one iteration to the next.
+Where validation happens: ``fixed_point_mean`` checks its inputs at entry.
+In between, one loop serves all three pairs on plain (p, n) arrays, through
+the unchecked array cores of the maps and kernels that the public maps also
+call, so every iterate, step and residual has the bits of a loop over the
+public maps. Each retracted iterate's Gram matrix is formed once; its
+orthonormality defect e is both the check ``StiefelPoint`` would make (the
+same ``ValidationError``) and an input of the locality certificate. Only
+the final point is wrapped as a ``StiefelPoint``.
 
 Locality: every lifting must see each sample closer than ``DOMAIN_GUARD``.
-The exact guard and the polar lifting core live in ``maps``, where the
-public liftings call them too. The polar pair forms every X^T Q_k anyway
-and hands the stack to that core. The orthographic-lifting pairs lift only
-the ambient mean, so their guard screens the whole cloud once, at the
-initial guess X_a, and keeps a bound r_a on max_k ||X_a - Q_k||_F. At a
-later iterate X, with defect e,
+The polar pair hands every X^T Q_k to the polar core of ``maps``, which runs
+the exact guard and solves with ``kernels.solve_lyapunov_sym``. The
+orthographic-lifting pairs lift only the ambient mean, so their guard
+screens the whole cloud once, at the initial guess X_a, and keeps a bound
+r_a on max_k ||X_a - Q_k||_F. At a later iterate X, with defect e,
 
     delta(X, Q_k) <= sqrt(1 + e) (r_a + ||X - X_a||_F) + e,
 
@@ -88,10 +79,16 @@ _SCREEN_MARGIN = 1e-9
 class AveragingConfig:
     """Knobs of the fixed-point iteration.
 
+    ``max_iters`` is an integer >= 1 and ``conv_tol`` a finite positive real.
+    A run stops once the step discrepancy ||I - X_i^T X_{i+1}||_F is below
+    ``conv_tol``. For n = 1 that is 1 - cos(theta) ~ theta^2 / 2, second
+    order in the step angle theta, so a converged run has a last step of up
+    to sqrt(2 conv_tol) and can stop that far from its fixed point: about
+    1e-7 at the default, against at most about 1e-10 for n >= 2.
+
     ``weights`` may be ``None`` (unweighted) or a sequence of N finite
-    positive reals with a finite, normal sum; ``fixed_point_mean`` runs the
-    weighted rule, which divides by sum(w), whenever it is set. The initial
-    guess is the caller's: ``perturb_initial_guess`` derives one from a sample.
+    positive reals with a finite, normal sum. The initial guess is the
+    caller's: ``perturb_initial_guess`` derives one from a sample.
     """
 
     pair: MapPair = MapPair.MIXED
@@ -114,9 +111,10 @@ class AveragingReport:
     ``iterates_delta_to_center`` tracks the discrepancy of every iterate
     (including the initial guess) to the sample set's center when that is
     known, else ``None``. ``residual_field_norm`` is the norm of the combined
-    lifted-sample tangent (1/sum(w)) sum_k w_k lift(X, X_k) at the final
-    point, with the run's weights; the mean is a zero of that field.
-    ``converged`` implies the last step size is below the configured tolerance.
+    lifted-sample tangent at the final point, with the run's weights; the
+    mean is a zero of that field. ``converged`` implies the last step size is
+    below the configured tolerance. ``cumulative_time_ns[i]`` is the time
+    from the start of the loop to the end of iteration i.
     """
 
     final_point: StiefelPoint
@@ -125,7 +123,6 @@ class AveragingReport:
     step_sizes: list = field(default_factory=list)
     iterates_delta_to_center: Optional[list] = None
     cumulative_time_ns: list = field(default_factory=list)
-    wall_time: float = 0.0
     residual_field_norm: float = float("nan")
 
     def write_trace_csv(self, path) -> None:
@@ -283,11 +280,11 @@ def fixed_point_mean(
     """Fixed-point mean of ``samples`` under ``config.pair``.
 
     Iterates from ``initial`` until the step discrepancy falls below
-    ``config.conv_tol`` or ``config.max_iters`` is exhausted. Every iterate
-    is checked as a ``StiefelPoint`` would be. When ``config.weights`` is
-    set, the combined tangent is (1/sum(w)) sum_k w_k lift(X, X_k), so
-    only the weights' ratios matter; with all weights equal to one the
-    trajectory matches the unweighted run bit for bit.
+    ``config.conv_tol`` or ``config.max_iters`` is exhausted; for n = 1 that
+    stop is second order in the step, so a converged run can end about
+    sqrt(2 conv_tol) from its fixed point (see ``AveragingConfig``). Every
+    iterate is checked as a ``StiefelPoint`` would be. With all weights
+    equal to one the trajectory matches the unweighted run bit for bit.
     """
     _check_type(samples, SampleSet, "samples")
     _check_same_dims(_check_type(initial, StiefelPoint, "initial"), samples)
@@ -321,7 +318,6 @@ def fixed_point_mean(
             if step < config.conv_tol:
                 converged = True
                 break
-        wall = (time.perf_counter_ns() - t0) / 1e9
         i = None  # the residual pass
         residual = _frobenius(tangent(x, e))
     except DomainError as exc:
@@ -340,6 +336,5 @@ def fixed_point_mean(
         step_sizes=steps,
         iterates_delta_to_center=deltas,
         cumulative_time_ns=times,
-        wall_time=wall,
         residual_field_norm=residual,
     )

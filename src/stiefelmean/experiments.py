@@ -24,11 +24,12 @@ The first two kinds run a single draw and take no ``trials`` or ``sweep``.
 Every kind runs all three map pairs. A spec works out once the dimensions
 its run uses, ``spec.dims``, and validates them and no others.
 
-Desk-scale defaults keep every run in the minutes range; ``paper_scale=True``
-switches to the full-size protocols (bigger sample counts, wider sweeps, 100
-trials). All randomness derives from the experiment seed via ``derive_seed``,
-so rows are bit-reproducible except for wall-time columns. Each CSV starts
-with '#' comment lines recording the complete spec and seed.
+Desk-scale defaults keep every run in the minutes range;
+``default_spec(..., paper_scale=True)`` selects the full-size protocols
+(bigger sample counts, wider sweeps, 100 trials). All randomness derives
+from the experiment seed via ``derive_seed``, so rows are bit-reproducible
+except for wall-time columns. Each CSV starts with '#' comment lines
+recording the complete spec and seed.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class ExperimentSpec:
     seed: int
     trials: int = 1
     sweep: Optional[Tuple[int, ...]] = None
-    paper_scale: bool = False
     dims: Tuple[Dims, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,7 +91,6 @@ class ExperimentSpec:
             if name != axis:
                 object.__setattr__(self, name, _check_int(getattr(self, name), name, minimum))
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
-        _check_type(self.paper_scale, bool, "paper_scale")
         if axis is None:
             if self.trials != 1 or self.sweep is not None:
                 raise ValidationError(
@@ -122,8 +121,7 @@ class ExperimentSpec:
         return (
             f"kind={self.kind} p={p} n={n} sweep={sweep} "
             f"N={self.n_samples} sigma={self.sigma!r} trials={self.trials} "
-            f"seed={self.seed} pairs={pairs} "
-            f"paper_scale={str(self.paper_scale).lower()}"
+            f"seed={self.seed} pairs={pairs}"
         )
 
 
@@ -134,8 +132,8 @@ def default_spec(kind: str, seed: int, paper_scale: bool = False, **overrides) -
     ``sweep=(5, 10)``.
     """
     entry = _kind(kind)
-    fields = {**entry.desk, **(entry.paper if paper_scale else {}), **overrides}
-    return ExperimentSpec(kind=kind, seed=seed, paper_scale=paper_scale, **fields)
+    paper = entry.paper if _check_type(paper_scale, bool, "paper_scale") else {}
+    return ExperimentSpec(kind=kind, seed=seed, **{**entry.desk, **paper, **overrides})
 
 
 @dataclass
@@ -286,11 +284,10 @@ class RuntimeResult:
 
 
 def _timed_trial(spec, dims, dim_index, trial):
-    """Time every pair on one shared cloud and initial guess.
-
-    The pair order rotates with the trial, so no pair is always timed first
-    or last. Returns ``(label, elapsed, report)`` per pair, in the order
-    timed; ``elapsed`` and ``report`` are ``None`` for a pair that raised.
+    """Time every pair on one shared cloud and initial guess, in the order
+    that rotates with the trial. Returns ``(label, elapsed, report)`` per
+    pair, in the order timed; ``elapsed`` and ``report`` are ``None`` for a
+    pair that raised.
     """
     sample_seed = derive_seed(spec.seed, dim_index, trial, 0)
     init_seed = derive_seed(spec.seed, dim_index, trial, 1)
@@ -316,10 +313,6 @@ def _run_runtime(spec: ExperimentSpec) -> RuntimeResult:
     """Time the full averaging call on each St(p, n) of ``spec.dims``."""
     records: List[TimingRecord] = []
     failures: Dict[Tuple[str, int], int] = {}
-
-    # Each trial cycles through the whole sweep, so slow drift of the
-    # machine's speed hits every dimension alike instead of bending the
-    # runtime curve the sweep is meant to show.
     for trial in range(spec.trials):
         for dim_index, (dim, dims) in enumerate(zip(spec.sweep, spec.dims)):
             try:

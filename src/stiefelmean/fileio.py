@@ -57,7 +57,8 @@ def read_matrix_blocks(path) -> Tuple[dict, np.ndarray]:
     Returns the header as a dict (p, n, count, sigma, seed, has_center) and
     the raw matrix blocks as one (blocks, p, n) array (center first when
     present). Format problems raise ``FileFormatError`` with the offending
-    line (and column for bad values).
+    line (and column for bad values); a header value that breaks its rule
+    in ``manifold`` is an error at line 1 with the rule's message.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

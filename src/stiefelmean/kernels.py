@@ -13,9 +13,8 @@ batched matrix products (the Newton-Schulz inverse of the Lyapunov solver,
 the Taylor steps of the action), and the rest a per-slice LAPACK or Pade
 call; each slice gets the bits its own call would give.
 
-Matrix inputs follow one rule, ``_check_matrix`` (real numbers, shape, finite
-entries and norm, symmetry or skew-symmetry within ``CHECK_RTOL``). Each public
-kernel checks its arguments there and runs an unchecked core, ``_spd_inv_sqrt``,
+Matrix inputs follow one rule, ``_check_matrix``. Each public kernel checks
+its arguments there and runs an unchecked core, ``_spd_inv_sqrt``,
 ``_skew_expm_action`` and so on, which the maps and sampling call directly.
 """
 
@@ -46,10 +45,9 @@ SERIES_TAIL = 1e-17
 
 # solve_lyapunov_sym doubles until every ||U||_F^2 is below LYAP_TAIL, at
 # most LYAP_MAX_DOUBLINGS times (2^50 terms). ||M - I||_F^2 < 1 - margin
-# certifies a slice positive definite; the margin covers its rounding. On a
-# certified slice, (M + I)^-1 takes Newton-Schulz steps until the step in
-# which ||I - (M + I) W||_F^2 falls below LYAP_TAIL, at most
-# INVERSE_MAX_STEPS of them; five suffice from W = (3I - M)/4.
+# certifies a slice positive definite; the margin covers its rounding. A
+# certified slice's Newton-Schulz inverse stops on LYAP_TAIL as well, within
+# INVERSE_MAX_STEPS steps (see _newton_schulz_inverse).
 LYAP_TAIL = 1e-17
 LYAP_MAX_DOUBLINGS = 50
 INVERSE_MAX_STEPS = 8
@@ -240,9 +238,8 @@ def skew_expm(omega) -> np.ndarray:
     argument the diagonal Pade approximant is itself exactly orthogonal in
     exact arithmetic, and squaring preserves that.
 
-    Sampling uses ``skew_expm_action``, which needs only the p x n product
-    exp(omega) X; past its radius it takes this function's Pade path, and
-    the tests use this function as the action's oracle.
+    ``skew_expm_action`` falls back to it past its radius, and the tests
+    use it as the action's oracle.
     """
     return _pade_expm(_check_matrix(omega, "skew_expm Omega", structure="skew-symmetric"))
 

@@ -8,16 +8,16 @@ Randomness contract: every sampling routine takes a nonnegative integer seed
 and draws from ``numpy.random.default_rng(seed)``, i.e. a PCG64 generator with
 normal variates from ``Generator.standard_normal``. Given the same seed,
 outputs are bit-identical across runs; seeds are recorded in every artifact
-this package writes. Rotations are applied by ``skew_expm_action``, a
-Taylor action of the exponential. It replaced a per-sample p x p Pade
-exponential, which changed sample bits once, at the rounding level: a seed's
-samples moved by less than 1e-13. Files written by either sampler still
-read and validate.
+this package writes, and ``derive_seed`` derives the nested ones.
 
-Input rules are written once, here: ``_check_int`` and ``_check_real``, which
-return a Python ``int`` or ``float`` for the frozen types to store,
-``_check_type``, ``_check_same_dims`` and ``_check_stiefel``, the point check
-of an array or stack. Matrix arguments follow ``kernels._check_matrix``.
+Input is checked once, where it enters (a point, a tangent vector, a sample
+set, an averaging config, weights, a file header), by rules written once,
+here: ``_check_int`` and ``_check_real``, which return a Python ``int`` or
+``float`` for the frozen types to store, so no NumPy scalar reaches a file
+or a CSV; ``_check_type``, ``_check_same_dims`` and ``_check_stiefel``, the
+point check of an array or stack. Matrix arguments follow
+``kernels._check_matrix``. A broken rule is a ``ValidationError`` that
+names the argument.
 """
 
 from __future__ import annotations
@@ -346,10 +346,9 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
 
 
 def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
-    """(count, p, n) stack of exp(scale * skew_part(A_k)) @ x, with the p x p
-    standard-normal A_k drawn from ``rng`` in order, in chunks of about
-    ``SAMPLE_CHUNK_BYTES`` (the same stream as one draw per sample), for a
-    checked x: the generators are skew and finite by construction."""
+    """(count, p, n) stack of exp(scale * skew_part(A_k)) @ x, drawn from
+    ``rng`` as ``generate_samples`` describes, for a checked x: the
+    generators are skew and finite by construction."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
     draws = np.empty((chunk, p, p))

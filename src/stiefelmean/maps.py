@@ -14,7 +14,8 @@ Two families are implemented, each locally inverse to its associate:
 mixed polar-retraction with orthographic-lifting. Composing maps from
 different families is not an exact identity; ``composition_discrepancy_*``
 return the mismatch ||I - Q^T P_X(lift_X(Q))||_F as a float, evaluated
-directly or by a closed form driven only by M = Q^T X. The direct one is one
+directly or by a closed form driven only by M = Q^T X. It shrinks like the
+cube of the discrepancy between X and Q. The direct one is one
 slice of an array core that composes the maps over a whole (N, p, n) stack
 of samples at one anchor, which is how the discrepancy experiment runs.
 
@@ -191,8 +192,7 @@ def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
 
 def _ortho_retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     # orthographic_retraction on arrays; Omega is skew and G symmetric, so the
-    # kernel's checks are skipped. G = (X + V)^T (X + V) - I, not V^T V, so the
-    # step also clears the defect E = X^T X - I an iterate carries
+    # kernel's checks are skipped
     xtv = x.T @ v
     omega = 0.5 * (xtv - xtv.T)  # drop the rounding-level symmetric part
     y = x + v

@@ -6,7 +6,7 @@ discrepancy magnitude window of criterion 3 is expected to fail on honest
 measurements; the p=200 runtime dominance clause of criterion 7 is decided by
 timing noise, because there the mixed pair needs 6 outer iterations to the
 orthographic pair's 5 and its cheaper retraction only about makes up for the
-extra one. See the repository notes for the quantitative analysis.
+extra one. CHANGES.md and ROADMAP.md record the measurements.
 
 The heavy runtime protocols (criteria 6 and 7) take several minutes
 combined; everything else finishes in seconds.
@@ -226,7 +226,7 @@ def test_criterion_3_composition_median_window(discrepancy_run):
     yields median point discrepancies near 0.12 and the mismatch scales as
     their cube, putting the median near 1.5e-3, outside the stated window.
     The window would be met around sigma=0.005. The assertion is kept at its
-    stated bounds rather than retuned; see the repository notes.
+    stated bounds rather than retuned; ROADMAP.md records the measurement.
     """
     result, _ = discrepancy_run
     med = result.median_composition
@@ -322,8 +322,8 @@ def test_criterion_7_runtime_scaling_in_rows(runtime_n_run, runtime_p_run):
     retraction, and the mixed pair's retraction is cheaper by about what the
     sixth iteration costs, so strict dominance at p=200 passes or fails with
     timing noise (1.43 vs 1.58 ms, 1.94 vs 1.56 ms and 2.16 vs 2.06 ms were
-    all measured on one 2-core host). The assertion is kept as stated; see
-    the repository notes.
+    all measured on one 2-core host). The assertion is kept as stated;
+    CHANGES.md records the measurements.
     """
     spec_n, result_n, _ = runtime_n_run
     spec_p, result_p, elapsed = runtime_p_run

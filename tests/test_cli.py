@@ -43,6 +43,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "[]"
 
 
+def test_python_dash_m_runs_the_cli_and_returns_its_status(sample_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for path, status, out in ((sample_file, 0, "sample 9: orthonormality defect"),
+                              (tmp_path / "missing.txt", 1, "")):
+        done = subprocess.run([sys.executable, "-m", "stiefelmean", "validate", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == status, done.stderr
+        assert out in done.stdout
+
+
 def test_gen_writes_valid_file(sample_file):
     cloud = read_sample_set(sample_file)
     assert len(cloud) == 10

@@ -110,21 +110,21 @@ def test_runtime_spec_takes_no_value_for_its_swept_dimension():
 _PAIRS = "pairs=polar,ortho,mixed"
 HEADER_LINES = {
     ("discrepancy_stats", False): "kind=discrepancy_stats p=20 n=4 sweep=- N=1000 sigma=0.05 "
-                                  f"trials=1 seed=5 {_PAIRS} paper_scale=false",
+                                  f"trials=1 seed=5 {_PAIRS}",
     ("discrepancy_stats", True): "kind=discrepancy_stats p=20 n=4 sweep=- N=20000 sigma=0.05 "
-                                 f"trials=1 seed=5 {_PAIRS} paper_scale=true",
+                                 f"trials=1 seed=5 {_PAIRS}",
     ("convergence", False): "kind=convergence p=20 n=4 sweep=- N=30 sigma=0.2 trials=1 "
-                            f"seed=5 {_PAIRS} paper_scale=false",
+                            f"seed=5 {_PAIRS}",
     ("convergence", True): "kind=convergence p=20 n=4 sweep=- N=30 sigma=0.2 trials=1 "
-                           f"seed=5 {_PAIRS} paper_scale=true",
+                           f"seed=5 {_PAIRS}",
     ("runtime_vs_n", False): "kind=runtime_vs_n p=100 n=- sweep=5,10,20,30 N=50 sigma=0.01 "
-                             f"trials=20 seed=5 {_PAIRS} paper_scale=false",
+                             f"trials=20 seed=5 {_PAIRS}",
     ("runtime_vs_n", True): "kind=runtime_vs_n p=100 n=- sweep=5,10,15,20,25,30,35,40 N=50 "
-                            f"sigma=0.01 trials=100 seed=5 {_PAIRS} paper_scale=true",
+                            f"sigma=0.01 trials=100 seed=5 {_PAIRS}",
     ("runtime_vs_p", False): "kind=runtime_vs_p p=- n=10 sweep=20,50,100,200 N=50 "
-                             f"sigma=0.01 trials=20 seed=5 {_PAIRS} paper_scale=false",
+                             f"sigma=0.01 trials=20 seed=5 {_PAIRS}",
     ("runtime_vs_p", True): "kind=runtime_vs_p p=- n=10 sweep=20,50,100,200,300,400 N=50 "
-                            f"sigma=0.01 trials=100 seed=5 {_PAIRS} paper_scale=true",
+                            f"sigma=0.01 trials=100 seed=5 {_PAIRS}",
 }
 
 

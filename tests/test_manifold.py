@@ -62,6 +62,15 @@ def test_point_is_immutable():
         x.X = np.zeros((4, 2))
 
 
+def test_tangent_is_immutable_and_both_types_print_their_space():
+    x = canonical_point(4, 2)
+    v = TangentVector(x, np.array([[0.0, 0.5], [-0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(AttributeError, match="^TangentVector is immutable$"):
+        v.V = np.zeros((4, 2))
+    assert repr(x) == "StiefelPoint(St(4,2))"
+    assert repr(v) == "TangentVector(St(4,2), |V|=7.071e-01)"
+
+
 def test_sample_set_requires_samples():
     x = canonical_point(4, 2)
     with pytest.raises(ValidationError):
