@@ -123,18 +123,24 @@ def _cmd_gen(args) -> int:
 
 def _read_weights(path, expected: int):
     weights = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                weights.append(_check_real(float(token), "weight", positive=True))
-            except ValidationError as exc:
-                raise _UsageError(f"{where}: {exc}") from None
-            except ValueError:
-                raise _UsageError(f"{where}: could not parse weight '{token}'") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # lines are counted as in sample files, an undecodable byte included
+        lines = fileio._decode(data).splitlines()
+    except FileFormatError as exc:
+        raise _UsageError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        token = line.strip()
+        if not token:
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            weights.append(_check_real(float(token), "weight", positive=True))
+        except ValidationError as exc:
+            raise _UsageError(f"{where}: {exc}") from None
+        except ValueError:
+            raise _UsageError(f"{where}: could not parse weight '{token}'") from None
     if len(weights) != expected:
         raise _UsageError(
             f"{path}: expected {expected} weights (one per sample), got {len(weights)}"
@@ -268,7 +274,3 @@ def main(argv=None) -> int:
     except StiefelMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

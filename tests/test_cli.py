@@ -172,6 +172,15 @@ def test_mean_unparseable_weight_exits_1_at_its_line(sample_file, tmp_path, caps
     )
 
 
+def test_mean_undecodable_weight_exits_1_at_its_line(sample_file, tmp_path, capsys):
+    wfile = tmp_path / "weights.txt"
+    wfile.write_bytes(b"1.0\n\n1.0\xff\n" + b"1.0\n" * 8)
+    assert run("mean", "--in", sample_file, "--weights", wfile) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {wfile}: line 3: byte 0xff is not UTF-8 text\n"
+    )
+
+
 @pytest.mark.parametrize("count", [9, 11])
 def test_mean_wrong_weight_count_exits_1(sample_file, tmp_path, capsys, count):
     wfile = tmp_path / "weights.txt"
@@ -263,6 +272,16 @@ def test_validate_malformed_file_exits_1(tmp_path, capsys):
     bad.write_text("not a header\n")
     assert run("validate", bad) == 1
     assert "file format error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "mean"])
+def test_undecodable_sample_file_exits_1_with_one_line(sample_file, tmp_path, capsys, command):
+    lines = sample_file.read_bytes().split(b"\n")
+    lines[5] += b"\xff"
+    bad = tmp_path / "undecodable.txt"
+    bad.write_bytes(b"\n".join(lines))
+    assert run(command, *([bad] if command == "validate" else ["--in", bad])) == 1
+    assert capsys.readouterr().err == "file format error: line 6: byte 0xff is not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stiefelmean import manifold
+from stiefelmean import fileio, manifold
 from stiefelmean.errors import FileFormatError, ValidationError
 from stiefelmean.fileio import (
     read_matrix_blocks,
@@ -347,3 +351,124 @@ def test_blank_line_runs_read_as_the_writers_layout(tmp_path, cloud, before, bet
     header2, blocks2 = read_matrix_blocks(relaid)
     assert header2 == header
     assert blocks2.tobytes() == blocks.tobytes() and blocks2.shape == blocks.shape
+
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"2 1 1 0.0 7\xff\n1.0\n0.0\n", "line 1: byte 0xff is not UTF-8 text"),
+    (b"2 1 1 0.0 7\n1.0\n0.0\xff\n", "line 3: byte 0xff is not UTF-8 text"),
+    (b"2 1 1 0.0 7\r\n1.0\r\n\r\n\x80\n", "line 4: byte 0x80 is not UTF-8 text"),
+    # the bad byte is reported before the header error above it
+    (b"2 1 1\n1.0\n\xc3\n", "line 3: byte 0xc3 is not UTF-8 text"),
+], ids=["header", "value row", "crlf", "before a header error"])
+def test_undecodable_byte_is_a_format_error_at_its_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    with pytest.raises(FileFormatError) as err:
+        read_matrix_blocks(path)
+    assert (str(err.value), err.value.column) == (message, None)
+
+
+def _outcome(read, arg):
+    try:
+        header, blocks = read(arg)
+    except FileFormatError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return "read", header, blocks.shape, blocks.tobytes()
+
+
+_SPELLINGS = [repr, "{:.16e}".format, "{:.25e}".format, "{:.40g}".format, "{:+.3E}".format]
+# ties and near-ties (subnormal, at the smallest normal, at 2**53) and
+# spellings the writer never uses
+_GOOD_TOKENS = [
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "7.4109846876186982e-324",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "1e-400", "-0", "+.5",
+    "5.", "1E5", "00012", "9007199254740993",
+]
+_BAD_TOKENS = ["1-2", "1.5.5", "1e", "1_0", "nan", "1e400"]
+_NON_ASCII = [b"\xff", b"\x80", b"\xc2\xa0", b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\x83"]
+_MUTATIONS = [
+    "none", "good token", "bad token", "doubled space", "leading space", "trailing space",
+    "tab", "crlf", "drop blank", "duplicate blank", "extra blank", "non-ascii",
+]
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "cloud.txt"
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_one_pass_path_agrees_with_the_walker(scratch_file, data):
+    # the writer's text for a random cloud with at most one mutation: the
+    # reader gives the walker's header and bits, or its error at its place
+    p = data.draw(st.integers(1, 12), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    cloud = generate_samples(generate_center(Dims(p, n), seed), 0.1,
+                             data.draw(st.integers(1, 20), label="N"), seed + 1)
+    write_sample_set(scratch_file, cloud, include_center=data.draw(st.booleans()))
+    lines = scratch_file.read_bytes().split(b"\n")  # the last item is the empty tail
+    row = data.draw(st.sampled_from([k for k, line in enumerate(lines) if k and line]))
+    blanks = [k for k, line in enumerate(lines[:-1]) if not line]
+    tokens = lines[row].split(b" ")
+    col = data.draw(st.integers(0, n - 1), label="column")
+    kind = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    if kind == "good token":
+        value = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+        spell = data.draw(st.sampled_from(_SPELLINGS))
+        tokens[col] = data.draw(st.sampled_from([spell(value), *_GOOD_TOKENS])).encode()
+    elif kind == "bad token":
+        tokens[col] = data.draw(st.sampled_from(_BAD_TOKENS)).encode()
+    lines[row] = b" ".join(tokens)
+    if kind == "doubled space":
+        lines[row] = lines[row].replace(b" ", b"  ", 1) if n > 1 else lines[row] + b"  "
+    elif kind == "leading space":
+        lines[row] = b" " + lines[row]
+    elif kind == "trailing space":
+        lines[row] += b" "
+    elif kind == "tab":
+        lines[row] = lines[row].replace(b" ", b"\t", 1) if n > 1 else lines[row] + b"\t"
+    elif kind == "crlf":
+        lines = [line + b"\r" for line in lines[:-1]] + [b""]
+    elif kind == "drop blank" and blanks:
+        del lines[data.draw(st.sampled_from(blanks))]
+    elif kind == "duplicate blank" and blanks:
+        lines.insert(data.draw(st.sampled_from(blanks)), b"")
+    elif kind == "extra blank":
+        lines.insert(data.draw(st.integers(1, len(lines) - 1)), b"")
+    text = b"\n".join(lines)
+    if kind == "non-ascii":
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(_NON_ASCII)) + text[at:]
+    scratch_file.write_bytes(text)
+
+    got = _outcome(read_matrix_blocks, scratch_file)
+    assert got == _outcome(fileio._read_lines, scratch_file)
+    if kind in ("none", "good token", "duplicate blank"):
+        head, body = text.split(b"\n", 1)
+        assert fileio._read_canonical(head + b"\n", body) is not None
+
+
+def test_reading_and_writing_hold_bounded_memory(tmp_path):
+    # reading holds the file, its values and one byte mask; writing one
+    # block; a read cloud holds its values once
+    big = generate_samples(generate_center(Dims(40, 4), 103), 0.05, 1000, 104)
+    path = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        write_sample_set(path, big)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        read_matrix_blocks(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = read_sample_set(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert write_peak < size / 4
+    assert read_peak < 3 * size
+    assert held < 1.1 * (loaded.stack.nbytes + loaded.center.X.nbytes)
