@@ -31,8 +31,8 @@ class DomainError(StiefelMeanError):
     far apart, a tangent too large for an inner solver, or an unsolvable
     structured system.
 
-    When raised from inside the averaging loop, ``iteration`` and
-    ``sample_index`` locate the failure.
+    ``iteration`` (of the averaging loop) and ``sample_index`` (of a sample
+    set, or a stack) locate the failure where known.
     """
 
     def __init__(self, message, iteration=None, sample_index=None):

@@ -10,8 +10,8 @@ favor robustness and determinism: QR signs are fixed, symmetric outputs are
 explicitly symmetrized, and the structured solvers verify their own
 residuals. On a stack, a slice that a cheap bound certifies takes a path of
 batched matrix products (the Newton-Schulz inverse of the Lyapunov solver,
-the Taylor steps of the action), and the rest a per-slice LAPACK or Pade
-call; each slice gets the bits its own call would give.
+the Taylor steps of the action), and the rest LAPACK's ``inv`` or SciPy's
+``expm``; each slice gets the bits its own call would give.
 
 Matrix inputs follow one rule, ``_check_matrix``. Each public kernel checks
 its arguments there and runs an unchecked core, ``_spd_inv_sqrt``,
@@ -62,9 +62,6 @@ ACTION_RADIUS = 8.0
 ACTION_STEP_NORM = 4.0
 ACTION_TAIL = 1e-17
 ACTION_MAX_TERMS = 34
-
-# Pade [6/6] numerator coefficients, constant term first.
-_PADE6 = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
 
 
 def _real_array(a, copy: bool = False) -> np.ndarray:
@@ -229,40 +226,29 @@ def _spd_inv_sqrt(s: np.ndarray, eye: np.ndarray) -> np.ndarray:
 
 
 def skew_expm(omega) -> np.ndarray:
-    """Matrix exponential exp(omega) of a skew-symmetric matrix.
+    """Matrix exponential exp(omega) of a skew-symmetric matrix, by SciPy's
+    ``scipy.linalg.expm``, scaling and squaring around a Pade approximant
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on the
+    first call. ``skew_expm_action`` falls back to it past its radius.
 
-    Scaling and squaring with a degree-6 diagonal Pade core. The squaring
-    count is ceil(log2 ||omega||_F) clamped at zero, so the core
-    always sees an argument of Frobenius norm at most 1, where the Pade
-    truncation error is far below the 1e-10 orthogonality budget. For a skew
-    argument the diagonal Pade approximant is itself exactly orthogonal in
-    exact arithmetic, and squaring preserves that.
-
-    ``skew_expm_action`` falls back to it past its radius, and the tests
-    use it as the action's oracle.
+    Raises ``ValidationError`` if ``omega`` is not a finite square matrix
+    skew-symmetric within ``CHECK_RTOL`` (relative to its norm), and
+    ``DomainError`` if its exponential is not finite, as a large enough
+    argument's is in floating point.
     """
-    return _pade_expm(_check_matrix(omega, "skew_expm Omega", structure="skew-symmetric"))
+    omega = _check_matrix(omega, "skew_expm Omega", structure="skew-symmetric")
+    return _skew_expm(omega)
 
 
-def _pade_expm(a: np.ndarray) -> np.ndarray:
-    # skew_expm's scaling and squaring, for an argument already checked
-    p = a.shape[0]
-    nrm = np.linalg.norm(a)
-    if nrm == 0.0:
-        return np.eye(p)
-    squarings = max(0, math.ceil(math.log2(nrm)))
-    a = a / (2.0 ** squarings)
-
-    eye = np.eye(p)
-    a2 = a @ a
-    a4 = a2 @ a2
-    b = _PADE6
-    even = b[0] * eye + b[2] * a2 + b[4] * a4 + b[6] * (a4 @ a2)
-    odd = a @ (b[1] * eye + b[3] * a2 + b[5] * a4)
-    result = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        result = result @ result
-    return result
+def _skew_expm(omega: np.ndarray, sample_index=None) -> np.ndarray:
+    # skew_expm of a checked skew matrix; its DomainError carries sample_index
+    from scipy.linalg import expm  # here: importing the package loads no SciPy
+    with np.errstate(all="ignore"):  # a huge argument's squarings overflow
+        out = expm(omega)
+    if not np.isfinite(out).all():
+        raise DomainError("exp(Omega) is not finite: Omega is too large for floating point",
+                          sample_index=sample_index)
+    return out
 
 
 def skew_expm_action(omega, x) -> np.ndarray:
@@ -282,14 +268,15 @@ def skew_expm_action(omega, x) -> np.ndarray:
 
     A slice with b_k > ``ACTION_RADIUS`` gets ``skew_expm(Omega_k) @ X``, bit
     for bit, so the cost stays bounded for every finite input. The radius,
-    8, was measured on sampled clouds (one BLAS thread, 2-core x86 host): at
-    b = 8 the action took 0.36, 0.75 and 0.57 of the exponential's time per
-    sample on St(200,10), St(40,4) and St(20,4), and 1.5 and 2.1 times it on
-    the wide frames St(100,30) and St(30,30); at b = 32 it took 0.74 of it
-    on St(200,10) and 1.6 times it on St(40,4).
+    8, was measured against SciPy's ``expm`` on a sampling chunk (one BLAS
+    thread, 2-core x86 host): at b = 8 the action took 0.37, 0.80 and 0.95
+    of its time on St(200,10), St(40,4) and St(20,4), at most 0.59 at any
+    smaller b, and 1.6 and 4.1 times it on St(100,30) and St(30,30); at
+    b = 32, 0.76 of it on St(200,10) and 2.1 times it on St(40,4).
 
     Raises ``ValidationError`` for a non-finite input, shapes that do not
-    match, or a slice that is not skew-symmetric within ``CHECK_RTOL``.
+    match, or a slice that is not skew-symmetric within ``CHECK_RTOL``, and
+    ``DomainError``, naming the slice, for a non-finite exponential.
     """
     x = _check_matrix(x, "skew_expm_action X", shape=None)
     p = x.shape[0]
@@ -298,8 +285,9 @@ def skew_expm_action(omega, x) -> np.ndarray:
     return _skew_expm_action(omega, x)
 
 
-def _skew_expm_action(omega: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # skew_expm_action for a finite stack omega of skew matrices and a finite x
+def _skew_expm_action(omega: np.ndarray, x: np.ndarray, first: int = 0) -> np.ndarray:
+    # skew_expm_action for a stack omega of skew matrices (a slice overflowed
+    # to inf takes the far path) and a finite x; slice k is named first + k
     squares = np.einsum("kij,kij->k", omega, omega)
     bound = np.sqrt(0.5 * squares)
     far = bound > ACTION_RADIUS
@@ -323,7 +311,7 @@ def _skew_expm_action(omega: np.ndarray, x: np.ndarray) -> np.ndarray:
             if not live.any():
                 break
     for k in np.flatnonzero(far):
-        out[k] = _pade_expm(omega[k]) @ x
+        out[k] = _skew_expm(omega[k], first + int(k)) @ x
     return out
 
 

@@ -111,7 +111,8 @@ def orthonormality_defect(x) -> float:
     """Frobenius norm of X^T X - I, of a C-ordered copy of X when X is not
     C-ordered: the bits ``StiefelPoint`` and ``SampleSet`` check."""
     x = _check_matrix(x, "X", shape=None)
-    return _gap_to_identity(x, x)
+    with np.errstate(over="ignore"):  # a defect past the largest float is inf
+        return _gap_to_identity(x, x)
 
 
 def _gap_to_identity(x: np.ndarray, y: np.ndarray) -> float:
@@ -132,8 +133,9 @@ def _gaps_to_identity(m: np.ndarray) -> np.ndarray:
 
 def _orthonormality_defects(stack: np.ndarray) -> np.ndarray:
     # the defect of every slice of an (N, p, n) stack, each the bits
-    # orthonormality_defect gives
-    return _gaps_to_identity(np.swapaxes(stack, 1, 2) @ stack)
+    # orthonormality_defect gives, inf or NaN where huge entries overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gaps_to_identity(np.swapaxes(stack, 1, 2) @ stack)
 
 
 def _sq_norm_bound(p: int, n: int) -> float:
@@ -162,15 +164,17 @@ def _checked_defect(x: np.ndarray) -> float:
 
 def _check_stiefel(x: np.ndarray) -> None:
     """Raise ``_checked_defect``'s error for a p x n array that is not a Stiefel
-    point, or, prefixed ``sample k: ``, for the first such slice k of a stack."""
-    if x.ndim == 2:
-        _checked_defect(x)
-        return
-    for k in np.flatnonzero(~(_orthonormality_defects(x) < TOL_ORTH)):
-        try:
-            _checked_defect(x[k])
-        except ValidationError as exc:
-            raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
+    point, or, prefixed ``sample k: ``, for the first such slice k of a stack;
+    entries too large for X^T X give a defect of inf or NaN, which fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.ndim == 2:
+            _checked_defect(x)
+            return
+        for k in np.flatnonzero(~(_orthonormality_defects(x) < TOL_ORTH)):
+            try:
+                _checked_defect(x[k])
+            except ValidationError as exc:
+                raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
 
 
 def tangency_defect(x, v) -> float:
@@ -197,7 +201,7 @@ class StiefelPoint:
         x = _real_array(x)  # the rule's conversion, a no-op on a C-ordered float array
         object.__setattr__(self, "dims", Dims(*x.shape))
         if not defect < TOL_ORTH:
-            _checked_defect(x)  # raises the message
+            _check_stiefel(x)  # raises the message
         object.__setattr__(self, "X", x)
 
     @classmethod
@@ -348,7 +352,7 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
 def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
     """(count, p, n) stack of exp(scale * skew_part(A_k)) @ x, drawn from
     ``rng`` as ``generate_samples`` describes, for a checked x: the
-    generators are skew and finite by construction."""
+    generators are skew by construction."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
     draws = np.empty((chunk, p, p))
@@ -360,8 +364,9 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
         rng.standard_normal(out=a)
         # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
         np.subtract(np.swapaxes(a, 1, 2), a, out=w)
-        w *= 0.5 * scale
-        out[start:start + k] = _skew_expm_action(w, x)
+        with np.errstate(over="ignore"):  # a generator is inf past about 1e307
+            w *= 0.5 * scale
+        out[start:start + k] = _skew_expm_action(w, x, start)
     return out
 
 
@@ -396,6 +401,8 @@ def generate_samples(
     those of the k-sample set. Samples agree with ``skew_expm(...) @ C`` to
     rounding, and are those bits where a rotation is large enough for the
     action to fall back to ``skew_expm``.
+    A rotation that is not finite (sigma past about 1e16 to 1e20) is a
+    ``DomainError`` that names the sample by its index in the set.
     """
     _check_type(center, StiefelPoint, "center")
     sigma = _check_real(sigma, "sigma")
@@ -408,8 +415,8 @@ def generate_samples(
 def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
     """Slightly rotate the p x n array ``x1`` (a ``StiefelPoint`` will do) by
     exp(epsilon * skew_part(A)) with A a fresh standard-normal p x p draw,
-    applied as ``generate_samples`` applies its rotations. Used to produce the
-    starting point of the fixed-point iteration from the first sample."""
+    applied, errors too, as ``generate_samples`` applies its rotations. Used
+    to produce the starting point of the fixed-point iteration from the first sample."""
     x1 = _check_matrix(x1, "x1", shape=None)
     epsilon = _check_real(epsilon, "epsilon", positive=True)
     rng = np.random.default_rng(_check_int(seed, "seed"))

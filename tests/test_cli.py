@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -33,14 +34,53 @@ def sample_file(tmp_path):
     return path
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # no scipy module at all: the CLI's fixed cost stays free of it
-    code = ("import sys, stiefelmean.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+SCIPY_MODULES_AFTER = """
+import json, sys
+def scipy_modules():
+    print("loaded", json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+import stiefelmean
+scipy_modules()
+from stiefelmean.cli import main
+scipy_modules()
+for argv in (["gen", "--p", "20", "--n", "4", "--N", "30", "--sigma", "0.2", "--seed", "1",
+              "--out", "small.txt"],
+             ["validate", "small.txt"],
+             ["mean", "--in", "small.txt"],
+             # every generator's 2-norm bound is past ACTION_RADIUS
+             ["gen", "--p", "6", "--n", "2", "--N", "3", "--sigma", "5", "--seed", "1",
+              "--out", "large.txt"]):
+    assert main(argv) == 0
+    scipy_modules()
+"""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # importing the package or the CLI, and generating, checking and
+    # averaging a small-spread cloud load no scipy module at all; only a
+    # generator past the action's radius loads scipy.linalg, for its expm
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", SCIPY_MODULES_AFTER], env=env, check=True,
+                         capture_output=True, text=True, cwd=tmp_path).stdout
+    lists = [json.loads(line[7:]) for line in out.splitlines() if line.startswith("loaded ")]
+    *small, large = lists
+    assert small == [[]] * 5
+    assert "scipy.linalg" in large
+    assert not any(m.startswith("scipy.stats") for m in large)
+
+
+@pytest.mark.parametrize("sigma", ["1e20", "1e200", "1e308"])
+def test_gen_at_a_huge_spread_exits_2_with_one_line(tmp_path, sigma):
+    # the rotations lose every digit or overflow: a typed error, printed as
+    # one line, in development mode with every warning an error
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "stiefelmean", "gen", "--p", "6",
+         "--n", "2", "--N", "2", "--sigma", sigma, "--seed", "1", "--out", tmp_path / "x.txt"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("numerical ")
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_python_dash_m_runs_the_cli_and_returns_its_status(sample_file, tmp_path):
@@ -51,6 +91,14 @@ def test_python_dash_m_runs_the_cli_and_returns_its_status(sample_file, tmp_path
                               env=env, capture_output=True, text=True)
         assert done.returncode == status, done.stderr
         assert out in done.stdout
+
+
+def test_validate_fails_huge_entries_without_a_warning(tmp_path, capsys):
+    # X^T X overflows: the defect is inf, reported like any other
+    path = tmp_path / "huge.txt"
+    path.write_text("4 2 1 0.0 7\n" + "1e200 1e200\n" * 4)
+    assert run("validate", path) == 2
+    assert "sample 0: orthonormality defect inf [INVALID]" in capsys.readouterr().out
 
 
 def test_gen_writes_valid_file(sample_file):

@@ -305,13 +305,65 @@ def test_skew_expm_orthogonality_defect():
     assert np.linalg.norm(out.T @ out - np.eye(20)) < 1e-10
 
 
-def test_skew_expm_large_scale_stays_orthogonal():
-    # exercises the squaring branch: ||scale*omega||_F well above 1
-    rng = np.random.default_rng(16)
-    omega = random_skew(rng, 30)
-    out = skew_expm(1.7 * omega)
-    assert np.linalg.norm(out.T @ out - np.eye(30)) < 1e-10
-    assert np.allclose(out, scipy.linalg.expm(1.7 * omega), atol=1e-9)
+def block_rotation(q, theta):
+    """(Omega, exp(Omega)) for Omega = Q blockdiag(theta_j J) Q^T, J the
+    quarter turn [[0, -1], [1, 0]] (with a zero block last when p is odd):
+    exp(Omega) = Q blockdiag(R(theta_j)) Q^T in closed form, R the planar
+    rotation. Omega is skew-symmetrized against the rounding of Q B Q^T."""
+    p = len(q)
+    b, r = np.zeros((p, p)), np.eye(p)
+    for j, t in enumerate(theta):
+        i = 2 * j
+        b[i + 1, i], b[i, i + 1] = t, -t
+        r[i:i + 2, i:i + 2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+    omega = q @ b @ q.T
+    return 0.5 * (omega - omega.T), q @ r @ q.T
+
+
+@st.composite
+def rotation_cases(draw):
+    """A random orthogonal Q, 2 <= p <= 30, angles |theta_j| <= 1e3, a frame X
+    on St(p, n), and two rescalings of the angles for the action: one whose
+    2-norm bound sqrt(sum theta_j^2) is within ACTION_RADIUS (the Taylor
+    path) and one past it (the exponential path)."""
+    p = draw(st.integers(2, 30))
+    n = draw(st.integers(1, p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=p // 2, max_size=p // 2)))
+    size = np.linalg.norm(theta)
+    unit = theta / size if size > 0.0 else np.eye(p // 2)[0]
+    radius = kernels.ACTION_RADIUS
+    near = draw(st.floats(0.0, 0.99 * radius)) * unit
+    far = draw(st.floats(1.01 * radius, 1e3)) * unit
+    q = thin_qr_q_factor(rng.standard_normal((p, p)))
+    return q, theta, near, far, thin_qr_q_factor(rng.standard_normal((p, n)))
+
+
+@given(rotation_cases())
+def test_skew_expm_large_scale_stays_orthogonal(case):
+    """skew_expm and both paths of skew_expm_action against the closed form
+    of a block rotation, within 2^10 p eps (1 + max_j |theta_j|), and with an
+    orthonormality defect within the same bound. The largest error seen over
+    3,000 random draws was 112 p eps (1 + max_j |theta_j|), the defect of
+    skew_expm; the Taylor path stayed within 3."""
+    q, theta, near, far, x = case
+    p = len(q)
+
+    def tol(angles):
+        return 2**10 * p * np.finfo(float).eps * (1.0 + np.abs(angles).max())
+
+    for angles in (theta, near, far):
+        omega, exact = block_rotation(q, angles)
+        out = skew_expm(omega)
+        assert np.linalg.norm(out - exact) < tol(angles)
+        assert np.linalg.norm(out.T @ out - np.eye(p)) < tol(angles)
+    (w_near, e_near), (w_far, e_far) = block_rotation(q, near), block_rotation(q, far)
+    bounds = [np.linalg.norm(w) / math.sqrt(2.0) for w in (w_near, w_far)]
+    assert bounds[0] <= kernels.ACTION_RADIUS < bounds[1]
+    out = skew_expm_action(np.array([w_near, w_far]), x)
+    for y, exact, angles in zip(out, (e_near, e_far), (near, far)):
+        assert np.linalg.norm(y - exact @ x) < tol(angles)
+        assert np.linalg.norm(y.T @ y - np.eye(x.shape[1])) < tol(angles)
 
 
 def test_skew_expm_inverse_by_negation():
@@ -379,7 +431,7 @@ def test_skew_expm_action_matches_the_pade_oracle_on_st_200_10():
 
 
 def test_skew_expm_action_sends_only_large_spreads_to_skew_expm():
-    # the Pade path gives skew_expm's bits; the Taylor path differs from
+    # the exponential path gives skew_expm's bits; the Taylor path differs from
     # them at the rounding level
     rng = np.random.default_rng(13)
     x = thin_qr_q_factor(rng.standard_normal((12, 3)))
@@ -389,6 +441,30 @@ def test_skew_expm_action_sends_only_large_spreads_to_skew_expm():
     for k, pade in enumerate(skew_expm(w) @ x for w in omega):
         assert np.array_equal(out[k], pade) == (k >= 2)
         assert np.linalg.norm(out[k] - pade) < 1e-13
+
+
+def test_non_finite_exponentials_are_domain_errors():
+    # past about 1e16 the squarings of scaling and squaring lose every digit,
+    # and past about 1e100 they overflow; norms past 1e154 fail the matrix
+    # rule. Either is a typed error, never a warning or a non-finite result
+    rng = np.random.default_rng(17)
+    x = thin_qr_q_factor(rng.standard_normal((6, 2)))
+    omega = random_skew(rng, 6)
+    for scale in (1e20, 1e100, 1e150):
+        try:
+            assert np.isfinite(skew_expm(scale * omega)).all()
+        except DomainError as exc:
+            assert exc.sample_index is None
+    with pytest.raises(DomainError, match="not finite") as err:
+        skew_expm(1e120 * omega)
+    assert err.value.sample_index is None
+    with pytest.raises(ValidationError, match="must be finite"):
+        skew_expm(1e200 * omega)
+    # the first slice whose exponential is not finite, by its index in the stack
+    stack = np.array([0.1 * omega, 20.0 * omega, 1e120 * omega, 1e130 * omega])
+    with pytest.raises(DomainError, match="not finite") as err:
+        skew_expm_action(stack, x)
+    assert err.value.sample_index == 2
 
 
 def test_skew_expm_action_rejects_bad_input():

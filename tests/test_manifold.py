@@ -4,12 +4,13 @@ import reprlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stiefelmean import manifold, maps
 from stiefelmean.averaging import AveragingConfig
-from stiefelmean.errors import ValidationError
+from stiefelmean.errors import DomainError, StiefelMeanError, ValidationError
 from stiefelmean.experiments import default_spec
 from stiefelmean.fileio import read_sample_set, write_point, write_sample_set
 from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
@@ -555,6 +556,69 @@ def test_large_spread_samples_keep_the_pade_bits():
     center = generate_center(Dims(6, 2), 33)
     cloud = generate_samples(center, 20.0, 9, 34)
     assert np.array_equal(cloud.stack, per_sample_pade_stack(center, 20.0, 9, 34))
+
+
+@pytest.mark.parametrize("sigma", [1e20, 1e200, 1e308])
+def test_huge_spreads_are_typed_errors(sigma):
+    # at 1e20 the rotations lose every digit (zero or non-finite matrices),
+    # at 1e200 their squarings overflow, and at 1e308 so do the generators;
+    # pytest turns any warning into an error
+    center = generate_center(Dims(6, 2), 37)
+    for call in (lambda: generate_samples(center, sigma, 4, 38),
+                 lambda: perturb_initial_guess(center, sigma, 38)):
+        with pytest.raises(StiefelMeanError) as err:
+            call()
+        if sigma > 1e100:
+            assert isinstance(err.value, DomainError)
+            assert err.value.sample_index == 0
+
+
+@given(st.integers(1, 12), st.one_of(st.floats(15.0, 20.0), st.floats(0.0, 308.25)),
+       st.integers(0, 2**32 - 1))
+def test_any_finite_spread_gives_samples_or_a_typed_error(p, log_sigma, seed):
+    # past the action's radius a spread of 1e8 to 1e16 loses orthonormality,
+    # 1e16 to 1e19 or so can give finite entries so large that X^T X
+    # overflows (drawn half the time), and more gives non-finite rotations;
+    # none of it may warn
+    center = generate_center(Dims(p, max(1, p // 3)), seed)
+    sigma = min(10.0**log_sigma, np.finfo(float).max)
+    for call in (lambda: generate_samples(center, sigma, 3, seed).stack,
+                 lambda: perturb_initial_guess(center, sigma, seed).X):
+        try:
+            assert np.isfinite(call()).all()
+        except StiefelMeanError:
+            pass
+
+
+def test_huge_finite_entries_fail_the_point_check_without_a_warning():
+    # X^T X and its norm overflow: the defect is inf, which fails the check
+    huge = np.full((4, 2), 1e100)
+    assert orthonormality_defect(huge) == math.inf
+    with pytest.raises(ValidationError, match="orthonormality defect inf"):
+        StiefelPoint(huge)
+    with pytest.raises(ValidationError, match="sample 1: orthonormality defect"):
+        SampleSet(Dims(4, 2), None, 0.0, 0, [np.eye(4)[:, :2], 1e200 * np.ones((4, 2))])
+
+
+def test_generation_names_a_failing_sample_by_its_index_in_the_cloud(monkeypatch):
+    # chunks of 4 samples, all past the action's radius, and an exponential
+    # that is not finite for sample 9, slice 1 of the third chunk
+    p = 6
+    monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", 4 * 8 * p * p)
+    expm, calls = scipy.linalg.expm, []
+
+    def failing_expm(omega):
+        out = expm(omega)
+        calls.append(omega.shape)
+        if len(calls) == 10:
+            out[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "expm", failing_expm)
+    with pytest.raises(DomainError, match="not finite") as err:
+        generate_samples(generate_center(Dims(p, 2), 39), 20.0, 12, 40)
+    assert calls == [(p, p)] * 10
+    assert err.value.sample_index == 9
 
 
 @pytest.mark.parametrize("p, n, chunk", [
