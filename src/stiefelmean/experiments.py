@@ -29,7 +29,8 @@ Desk-scale defaults keep every run in the minutes range;
 (bigger sample counts, wider sweeps, 100 trials). All randomness derives
 from the experiment seed via ``derive_seed``, so rows are bit-reproducible
 except for wall-time columns. Each CSV starts with '#' comment lines
-recording the complete spec and seed.
+recording the complete spec and seed, then the machine: the CPUs the
+process may use, the NumPy version and the BLAS NumPy was built against.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .manifold import (
     _check_int,
     _check_real,
     _check_type,
+    _usable_cpus,
     derive_seed,
     generate_center,
     generate_samples,
@@ -153,9 +155,19 @@ def csv_filename(spec: ExperimentSpec) -> str:
     return f"{spec.kind}_{spec.seed}.csv"
 
 
+def _machine() -> str:
+    """The machine line of an experiment CSV, after the spec."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # NumPy before 1.26 returns no build dicts
+        blas = "unknown"
+    return f"machine cpus={_usable_cpus()} numpy={np.__version__} blas={blas}"
+
+
 def _write_csv(path, spec: ExperimentSpec, summary_lines, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# stiefelmean experiment {spec.describe()}\n")
+        fh.write(f"# {_machine()}\n")
         for line in summary_lines:
             fh.write(f"# {line}\n")
         fh.write(header + "\n")

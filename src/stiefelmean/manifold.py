@@ -8,7 +8,11 @@ Randomness contract: every sampling routine takes a nonnegative integer seed
 and draws from ``numpy.random.default_rng(seed)``, i.e. a PCG64 generator with
 normal variates from ``Generator.standard_normal``. Given the same seed,
 outputs are bit-identical across runs; seeds are recorded in every artifact
-this package writes, and ``derive_seed`` derives the nested ones.
+this package writes, and ``derive_seed`` derives the nested ones. Sampling
+a cloud of two chunks or more (``SAMPLE_CHUNK_BYTES``) on a process that
+may use two CPUs applies each chunk's rotations on one worker thread while
+the next chunk is drawn; the thread ends with the call, and the bits are
+those of applying each chunk in turn on one thread.
 
 Input is checked once, where it enters (a point, a tangent vector, a sample
 set, an averaging config, weights, a file header), by rules written once,
@@ -24,7 +28,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import reprlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -49,7 +56,10 @@ TOL_ORTH = 1e-9
 TOL_TAN = 1e-9
 
 # generate_samples draws its p x p generators in chunks of about this many
-# bytes, so its working memory stays bounded for any sample count.
+# bytes, so its working memory stays bounded for any sample count: one
+# draws buffer and, when a worker thread applies one chunk while the next
+# is drawn, two generator buffers (one otherwise), each this size, and
+# the action's p x n buffers for the chunk being applied.
 SAMPLE_CHUNK_BYTES = 1 << 20
 
 
@@ -349,24 +359,60 @@ def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
     return _gap_to_identity(x.X, y.X)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
     """(count, p, n) stack of exp(scale * skew_part(A_k)) @ x, drawn from
     ``rng`` as ``generate_samples`` describes, for a checked x: the
-    generators are skew by construction."""
+    generators are skew by construction.
+
+    When the stack spans two chunks or more and the process may use two
+    CPUs, one worker thread applies chunk i while this thread draws chunk
+    i + 1; the normal draws and the BLAS products release the interpreter
+    lock, so the two overlap. Otherwise each chunk is applied here, as soon
+    as it is drawn. Either way the draws are the same, in the same order,
+    and each chunk is applied to its own slice of the output, so the bits
+    are too. Chunk i is waited for before chunk i + 1 is handed over, so
+    the first failing sample's error is raised, and the worker ends with
+    the call. It runs under the caller's NumPy error state, which a new
+    thread would not inherit."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
+    overlap = count > chunk and _usable_cpus() > 1
     draws = np.empty((chunk, p, p))
-    omega = np.empty_like(draws)
+    # two generator buffers when overlapping: one drawn, one being applied
+    generators = [np.empty_like(draws) for _ in range(1 + overlap)]
     out = np.empty((count,) + x.shape)
-    for start in range(0, count, chunk):
-        k = min(chunk, count - start)
-        a, w = draws[:k], omega[:k]
-        rng.standard_normal(out=a)
-        # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
-        np.subtract(np.swapaxes(a, 1, 2), a, out=w)
-        with np.errstate(over="ignore"):  # a generator is inf past about 1e307
-            w *= 0.5 * scale
-        out[start:start + k] = _skew_expm_action(w, x, start)
+    errstate = np.geterr()
+
+    def apply(w: np.ndarray, start: int) -> None:
+        with np.errstate(**errstate):
+            out[start:start + len(w)] = _skew_expm_action(w, x, start)
+
+    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as worker:
+        applied = None  # the result getter of the chunk on the worker
+        for i, start in enumerate(range(0, count, chunk)):
+            k = min(chunk, count - start)
+            a, w = draws[:k], generators[i % len(generators)][:k]
+            rng.standard_normal(out=a)
+            # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
+            np.subtract(np.swapaxes(a, 1, 2), a, out=w)
+            with np.errstate(over="ignore"):  # a generator is inf past about 1e307
+                w *= 0.5 * scale
+            if applied is not None:
+                applied()  # chunk i - 1 is written, or its error is raised
+            if worker is None:
+                apply(w, start)
+            else:
+                applied = worker.submit(apply, w, start).result
+        if applied is not None:
+            applied()
     return out
 
 
@@ -397,12 +443,16 @@ def generate_samples(
     so the set is bit-identical across runs for a fixed seed. They are made
     in chunks of about ``SAMPLE_CHUNK_BYTES``, and ``skew_expm_action``
     applies each chunk's rotations to C without forming a p x p exponential,
-    so memory stays bounded in ``n_samples`` and the first k samples are
-    those of the k-sample set. Samples agree with ``skew_expm(...) @ C`` to
-    rounding, and are those bits where a rotation is large enough for the
-    action to fall back to ``skew_expm``.
-    A rotation that is not finite (sigma past about 1e16 to 1e20) is a
-    ``DomainError`` that names the sample by its index in the set.
+    so memory stays bounded in ``n_samples`` (about three chunks in flight)
+    and the first k samples are those of the k-sample set. When there are
+    two chunks or more and the process may use two CPUs, a worker thread
+    that lives only for this call applies chunk i while chunk i + 1 is
+    drawn; the bits are the same as with one thread, or one CPU.
+    Samples agree with ``skew_expm(...) @ C`` to rounding, and are those
+    bits where a rotation is large enough for the action to fall back to
+    ``skew_expm``. A rotation that is not finite (sigma past about 1e16 to
+    1e20) is a ``DomainError`` that names the first such sample by its
+    index in the set.
     """
     _check_type(center, StiefelPoint, "center")
     sigma = _check_real(sigma, "sigma")
@@ -415,8 +465,10 @@ def generate_samples(
 def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
     """Slightly rotate the p x n array ``x1`` (a ``StiefelPoint`` will do) by
     exp(epsilon * skew_part(A)) with A a fresh standard-normal p x p draw,
-    applied, errors too, as ``generate_samples`` applies its rotations. Used
-    to produce the starting point of the fixed-point iteration from the first sample."""
+    applied, errors too, as ``generate_samples`` applies its rotations. One
+    draw is one chunk, so it is applied on the calling thread, with no
+    worker. Used to produce the starting point of the fixed-point iteration
+    from the first sample."""
     x1 = _check_matrix(x1, "x1", shape=None)
     epsilon = _check_real(epsilon, "epsilon", positive=True)
     rng = np.random.default_rng(_check_int(seed, "seed"))

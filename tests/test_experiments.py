@@ -1,7 +1,11 @@
+import re
+import threading
+
 import numpy as np
 import pytest
 
 import stiefelmean.experiments as experiments
+import stiefelmean.manifold as manifold
 from stiefelmean.errors import DomainError, ValidationError
 from stiefelmean.experiments import (
     ExperimentSpec,
@@ -135,7 +139,21 @@ def test_csv_header_line_of_each_default_spec(tmp_path, kind, paper_scale):
     path = tmp_path / csv_filename(spec)
     experiments._write_csv(path, spec, [], "columns", [])
     expected = "# stiefelmean experiment " + HEADER_LINES[(kind, paper_scale)]
-    assert path.read_text().splitlines()[0] == expected
+    lines = path.read_text().splitlines()
+    assert lines[0] == expected
+    assert lines[1] == f"# machine cpus={manifold._usable_cpus()} numpy={np.__version__} " \
+                       f"blas={np.show_config(mode='dicts')['Build Dependencies']['blas']['name']}"
+    assert lines[2:] == ["columns"]
+
+
+def test_machine_line_without_build_information(monkeypatch):
+    # NumPy before 1.26 has no show_config(mode="dicts")
+    def show_config():
+        pass
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    assert re.fullmatch(r"machine cpus=3 numpy=\S+ blas=unknown", experiments._machine())
 
 
 def test_numpy_sigma_is_described_as_a_python_float():
@@ -310,6 +328,26 @@ def test_runtime_trials_time_every_pair_on_one_cloud(monkeypatch):
         shift = trial % len(labels)
         assert order == labels[shift:] + labels[:shift]
         assert [c[2] for c in block[1::2]] == order
+
+
+def test_no_thread_outlives_generation_into_the_timed_runs(monkeypatch):
+    # St(100, 4) clouds of 40 samples span four chunks of 13, so a worker
+    # thread applies them; it must be gone before any pair is timed
+    monkeypatch.setattr(manifold, "_usable_cpus", lambda: 2)
+    counts = []
+    inner = experiments.fixed_point_mean
+
+    def counted(samples, config, initial):
+        counts.append(threading.active_count())
+        return inner(samples, config, initial)
+
+    monkeypatch.setattr(experiments, "fixed_point_mean", counted)
+    assert manifold.SAMPLE_CHUNK_BYTES // (8 * 100 * 100) == 13
+    before = threading.active_count()
+    spec = default_spec("runtime_vs_p", seed=14, n=4, sweep=(90, 100), n_samples=40, trials=2)
+    assert not run_experiment(spec).failures
+    assert counts == [before] * (2 * 2 * 2 * len(ALL_PAIRS))
+    assert threading.active_count() == before
 
 
 def test_runtime_drops_and_counts_a_failed_trial(monkeypatch, tmp_path):

@@ -1,6 +1,8 @@
 import math
 import re
 import reprlib
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from stiefelmean.averaging import AveragingConfig
 from stiefelmean.errors import DomainError, StiefelMeanError, ValidationError
 from stiefelmean.experiments import default_spec
 from stiefelmean.fileio import read_sample_set, write_point, write_sample_set
-from stiefelmean.kernels import skew_expm, skew_part, thin_qr_q_factor
+from stiefelmean.kernels import _skew_expm_action, skew_expm, skew_part, thin_qr_q_factor
 from stiefelmean.manifold import (
     TOL_ORTH,
     Dims,
@@ -574,20 +576,23 @@ def test_huge_spreads_are_typed_errors(sigma):
 
 
 @given(st.integers(1, 12), st.one_of(st.floats(15.0, 20.0), st.floats(0.0, 308.25)),
-       st.integers(0, 2**32 - 1))
-def test_any_finite_spread_gives_samples_or_a_typed_error(p, log_sigma, seed):
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_any_finite_spread_gives_samples_or_a_typed_error(p, log_sigma, seed, chunk):
     # past the action's radius a spread of 1e8 to 1e16 loses orthonormality,
     # 1e16 to 1e19 or so can give finite entries so large that X^T X
     # overflows (drawn half the time), and more gives non-finite rotations;
-    # none of it may warn
+    # none of it may warn, on the worker thread either: chunks of 1 or 2
+    # of the 3 samples go to a worker, a chunk of 3 is applied inline
     center = generate_center(Dims(p, max(1, p // 3)), seed)
     sigma = min(10.0**log_sigma, np.finfo(float).max)
-    for call in (lambda: generate_samples(center, sigma, 3, seed).stack,
-                 lambda: perturb_initial_guess(center, sigma, seed).X):
-        try:
-            assert np.isfinite(call()).all()
-        except StiefelMeanError:
-            pass
+    with mock.patch.object(manifold, "SAMPLE_CHUNK_BYTES", chunk * 8 * p * p), \
+            mock.patch.object(manifold, "_usable_cpus", lambda: 2):
+        for call in (lambda: generate_samples(center, sigma, 3, seed).stack,
+                     lambda: perturb_initial_guess(center, sigma, seed).X):
+            try:
+                assert np.isfinite(call()).all()
+            except StiefelMeanError:
+                pass
 
 
 def test_huge_finite_entries_fail_the_point_check_without_a_warning():
@@ -600,25 +605,53 @@ def test_huge_finite_entries_fail_the_point_check_without_a_warning():
         SampleSet(Dims(4, 2), None, 0.0, 0, [np.eye(4)[:, :2], 1e200 * np.ones((4, 2))])
 
 
+class ChunkCountingRng:
+    """A generator that counts the chunks drawn from it and flags each count."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+        self.reached = [threading.Event() for _ in range(8)]
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        self.drawn += 1
+        self.reached[self.drawn].set()
+
+
 def test_generation_names_a_failing_sample_by_its_index_in_the_cloud(monkeypatch):
     # chunks of 4 samples, all past the action's radius, and an exponential
-    # that is not finite for sample 9, slice 1 of the third chunk
+    # that is not finite for the failing samples: 9 is slice 1 of the third
+    # chunk, 5 slice 1 of the second; inline (1 CPU) and on a worker (2).
+    # On the worker, sample 5 fails only once the third chunk is drawn,
+    # and the error still names it
     p = 6
+    center = generate_center(Dims(p, 2), 39)
     monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", 4 * 8 * p * p)
-    expm, calls = scipy.linalg.expm, []
+    expm, default_rng = scipy.linalg.expm, np.random.default_rng
+    for cpus in (1, 2):
+        for failing, first in (({9}, 9), ({5, 9}, 5)):
+            monkeypatch.setattr(manifold, "_usable_cpus", lambda: cpus)
+            rng, calls = ChunkCountingRng(default_rng(40)), []
+            monkeypatch.setattr(manifold.np.random, "default_rng", lambda seed: rng)
 
-    def failing_expm(omega):
-        out = expm(omega)
-        calls.append(omega.shape)
-        if len(calls) == 10:
-            out[0, 0] = math.nan
-        return out
+            def failing_expm(omega):
+                out = expm(omega)
+                calls.append(omega.shape)
+                if len(calls) - 1 in failing:
+                    if cpus == 2 and len(calls) - 1 < 8:
+                        assert rng.reached[3].wait(10)
+                    out[0, 0] = math.nan
+                return out
 
-    monkeypatch.setattr(scipy.linalg, "expm", failing_expm)
-    with pytest.raises(DomainError, match="not finite") as err:
-        generate_samples(generate_center(Dims(p, 2), 39), 20.0, 12, 40)
-    assert calls == [(p, p)] * 10
-    assert err.value.sample_index == 9
+            monkeypatch.setattr(scipy.linalg, "expm", failing_expm)
+            before = threading.active_count()
+            with pytest.raises(DomainError, match="not finite") as err:
+                generate_samples(center, 20.0, 12, 40)
+            assert calls == [(p, p)] * (first + 1)
+            assert err.value.sample_index == first
+            # inline, no chunk past the failing one is drawn; on a worker, one is
+            assert rng.drawn == min(3, first // 4 + cpus)
+            assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("p, n, chunk", [
@@ -626,16 +659,67 @@ def test_generation_names_a_failing_sample_by_its_index_in_the_cloud(monkeypatch
 ])
 def test_generate_samples_prefix_is_the_smaller_cloud(monkeypatch, p, n, chunk):
     """The first k samples of a cloud are the k-sample cloud, for k on both
-    sides of a chunk boundary; ``chunk`` None keeps the module's chunk size."""
+    sides of a chunk boundary; ``chunk`` None keeps the module's chunk size.
+    Clouds are made as the machine allows, and with one CPU, inline."""
     if chunk is None:
         chunk = manifold.SAMPLE_CHUNK_BYTES // (8 * p * p)
     else:
         monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", chunk * 8 * p * p)
     center = generate_center(Dims(p, n), 35)
     full = generate_samples(center, 0.05, 2 * chunk + 1, 36)
+    monkeypatch.setattr(manifold, "_usable_cpus", lambda: 1)
     for k in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
         head = generate_samples(center, 0.05, k, 36)
         assert np.array_equal(head.stack, full.stack[:k])
+    assert np.array_equal(generate_samples(center, 0.05, 2 * chunk + 1, 36).stack, full.stack)
+
+
+def serial_rotation_stack(x, scale, count, seed, chunk):
+    """The sampling rule chunk by chunk in draw order, on this thread."""
+    rng, p, out = np.random.default_rng(seed), x.shape[0], []
+    for start in range(0, count, chunk):
+        a = rng.standard_normal((min(chunk, count - start), p, p))
+        out.append(_skew_expm_action((np.swapaxes(a, 1, 2) - a) * (0.5 * scale), x, start))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2, 5])
+@pytest.mark.parametrize("p, n, sigma", [(40, 4, 0.05), (200, 10, 0.01), (6, 2, 20.0)])
+def test_generation_has_the_bits_of_the_serial_chunk_loop(monkeypatch, p, n, sigma, chunks,
+                                                          cpus):
+    # 13 samples in 1, 2 or 5 chunks, the last one short but for one chunk;
+    # sigma 20 sends every St(6, 2) rotation to the exponential
+    count = 13
+    chunk = -(-count // chunks)
+    monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", chunk * 8 * p * p)
+    monkeypatch.setattr(manifold, "_usable_cpus", lambda: cpus)
+    center = generate_center(Dims(p, n), 41)
+    before = threading.active_count()
+    cloud = generate_samples(center, sigma, count, 42)
+    assert np.array_equal(cloud.stack, serial_rotation_stack(center.X, sigma, count, 42, chunk))
+    guess = perturb_initial_guess(cloud.stack[3], sigma, 43)
+    assert np.array_equal(guess.X, serial_rotation_stack(cloud.stack[3], sigma, 1, 43, 1)[0])
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rotations_are_applied_under_the_callers_error_state(monkeypatch, cpus):
+    # NumPy's error state belongs to a thread; the worker takes the caller's
+    seen = []
+
+    def action(omega, x, first):
+        seen.append((first, np.geterr()["over"]))
+        return np.broadcast_to(x, omega.shape[:1] + x.shape)
+
+    monkeypatch.setattr(manifold, "_skew_expm_action", action)
+    monkeypatch.setattr(manifold, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", 2 * 8 * 6 * 6)
+    center = generate_center(Dims(6, 2), 44)
+    with np.errstate(over="raise"):
+        cloud = generate_samples(center, 0.1, 5, 45)
+    assert seen == [(0, "raise"), (2, "raise"), (4, "raise")]
+    assert np.array_equal(cloud.stack, np.broadcast_to(center.X, (5, 6, 2)))
 
 
 # ---------------------------------------------------------------- perturb
