@@ -375,13 +375,14 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
     When the stack spans two chunks or more and the process may use two
     CPUs, one worker thread applies chunk i while this thread draws chunk
     i + 1; the normal draws and the BLAS products release the interpreter
-    lock, so the two overlap. Otherwise each chunk is applied here, as soon
-    as it is drawn. Either way the draws are the same, in the same order,
-    and each chunk is applied to its own slice of the output, so the bits
-    are too. Chunk i is waited for before chunk i + 1 is handed over, so
-    the first failing sample's error is raised, and the worker ends with
-    the call. It runs under the caller's NumPy error state, which a new
-    thread would not inherit."""
+    lock, so the two overlap. The last chunk, with nothing left to draw,
+    is applied here. Otherwise each chunk is applied here, as soon as it
+    is drawn. Either way the draws are the same, in the same order, and
+    each chunk is applied to its own slice of the output, so the bits are
+    too. Chunk i is waited for before chunk i + 1 is handed over or
+    applied, so the first failing sample's error is raised, and the worker
+    ends with the call. It runs under the caller's NumPy error state,
+    which a new thread would not inherit."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
     overlap = count > chunk and _usable_cpus() > 1
@@ -407,12 +408,10 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
                 w *= 0.5 * scale
             if applied is not None:
                 applied()  # chunk i - 1 is written, or its error is raised
-            if worker is None:
-                apply(w, start)
-            else:
+            if worker is not None and start + k < count:
                 applied = worker.submit(apply, w, start).result
-        if applied is not None:
-            applied()
+            else:  # inline, or the last chunk, with nothing left to draw meanwhile
+                apply(w, start)
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import reprlib
+import sys
 import threading
 from unittest import mock
 
@@ -606,16 +607,16 @@ def test_huge_finite_entries_fail_the_point_check_without_a_warning():
 
 
 class ChunkCountingRng:
-    """A generator that counts the chunks drawn from it and flags each count."""
+    """A generator that counts the chunks drawn from it."""
 
     def __init__(self, rng):
-        self.rng, self.drawn = rng, 0
-        self.reached = [threading.Event() for _ in range(8)]
+        self.rng, self.drawn, self.third_drawn = rng, 0, threading.Event()
 
     def standard_normal(self, out):
         self.rng.standard_normal(out=out)
         self.drawn += 1
-        self.reached[self.drawn].set()
+        if self.drawn == 3:
+            self.third_drawn.set()
 
 
 def test_generation_names_a_failing_sample_by_its_index_in_the_cloud(monkeypatch):
@@ -639,7 +640,7 @@ def test_generation_names_a_failing_sample_by_its_index_in_the_cloud(monkeypatch
                 calls.append(omega.shape)
                 if len(calls) - 1 in failing:
                     if cpus == 2 and len(calls) - 1 < 8:
-                        assert rng.reached[3].wait(10)
+                        assert rng.third_drawn.wait(10)
                     out[0, 0] = math.nan
                 return out
 
@@ -689,14 +690,20 @@ def serial_rotation_stack(x, scale, count, seed, chunk):
 def test_generation_has_the_bits_of_the_serial_chunk_loop(monkeypatch, p, n, sigma, chunks,
                                                           cpus):
     # 13 samples in 1, 2 or 5 chunks, the last one short but for one chunk;
-    # sigma 20 sends every St(6, 2) rotation to the exponential
+    # sigma 20 sends every St(6, 2) rotation to the exponential. The
+    # interpreter lock changes hands as often as it can, so the two threads
+    # interleave finely
     count = 13
     chunk = -(-count // chunks)
     monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", chunk * 8 * p * p)
     monkeypatch.setattr(manifold, "_usable_cpus", lambda: cpus)
     center = generate_center(Dims(p, n), 41)
-    before = threading.active_count()
-    cloud = generate_samples(center, sigma, count, 42)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cloud = generate_samples(center, sigma, count, 42)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(cloud.stack, serial_rotation_stack(center.X, sigma, count, 42, chunk))
     guess = perturb_initial_guess(cloud.stack[3], sigma, 43)
     assert np.array_equal(guess.X, serial_rotation_stack(cloud.stack[3], sigma, 1, 43, 1)[0])
