@@ -10,9 +10,10 @@ normal variates from ``Generator.standard_normal``. Given the same seed,
 outputs are bit-identical across runs; seeds are recorded in every artifact
 this package writes, and ``derive_seed`` derives the nested ones. Sampling
 a cloud of two chunks or more (``SAMPLE_CHUNK_BYTES``) on a process that
-may use two CPUs applies each chunk's rotations on one worker thread while
-the next chunk is drawn; the thread ends with the call, and the bits are
-those of applying each chunk in turn on one thread.
+may use two CPUs draws each next chunk on one worker thread while the
+calling thread applies the rotations of the last one; the thread ends with
+the call, and the bits are those of drawing and applying each chunk in
+turn on one thread.
 
 Input is checked once, where it enters (a point, a tangent vector, a sample
 set, an averaging config, weights, a file header), by rules written once,
@@ -30,7 +31,6 @@ import math
 import numbers
 import os
 import reprlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,9 +57,9 @@ TOL_TAN = 1e-9
 
 # generate_samples draws its p x p generators in chunks of about this many
 # bytes, so its working memory stays bounded for any sample count: one
-# draws buffer and, when a worker thread applies one chunk while the next
-# is drawn, two generator buffers (one otherwise), each this size, and
-# the action's p x n buffers for the chunk being applied.
+# generator buffer and one draws buffer, two when a worker thread draws the
+# next chunk while this one is applied, each this size, and the action's
+# p x n buffers for the chunk being applied.
 SAMPLE_CHUNK_BYTES = 1 << 20
 
 
@@ -373,45 +373,50 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
     generators are skew by construction.
 
     When the stack spans two chunks or more and the process may use two
-    CPUs, one worker thread applies chunk i while this thread draws chunk
-    i + 1; the normal draws and the BLAS products release the interpreter
-    lock, so the two overlap. The last chunk, with nothing left to draw,
-    is applied here. Otherwise each chunk is applied here, as soon as it
-    is drawn. Either way the draws are the same, in the same order, and
-    each chunk is applied to its own slice of the output, so the bits are
-    too. Chunk i is waited for before chunk i + 1 is handed over or
-    applied, so the first failing sample's error is raised, and the worker
-    ends with the call. It runs under the caller's NumPy error state,
-    which a new thread would not inherit."""
+    CPUs, one worker thread draws chunk i + 1 while this thread applies
+    chunk i; the draw releases the interpreter lock for its whole length,
+    so the two overlap. The draws are the same either way, in the same
+    order, into a second buffer, and every chunk is applied here in turn,
+    so the bits, the error state and the first failing sample's error are
+    those of the one-thread loop. This thread waits for a draw by yielding
+    its CPU, not by sleeping on a lock: on a 2-vCPU virtual machine the
+    averaging timed after a generation that slept ran up to 50 % slower.
+    The worker ends with the call."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
-    overlap = count > chunk and _usable_cpus() > 1
-    draws = np.empty((chunk, p, p))
-    # two generator buffers when overlapping: one drawn, one being applied
-    generators = [np.empty_like(draws) for _ in range(1 + overlap)]
+    starts = range(0, count, chunk)
+    overlap = len(starts) > 1 and _usable_cpus() > 1 and hasattr(os, "sched_yield")
+    draws = [np.empty((chunk, p, p)) for _ in range(1 + overlap)]
+    omega = np.empty_like(draws[0])
     out = np.empty((count,) + x.shape)
-    errstate = np.geterr()
 
-    def apply(w: np.ndarray, start: int) -> None:
-        with np.errstate(**errstate):
-            out[start:start + len(w)] = _skew_expm_action(w, x, start)
+    def draw(i: int) -> np.ndarray:
+        a = draws[i % len(draws)][:min(chunk, count - starts[i])]
+        rng.standard_normal(out=a)
+        return a
 
-    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as worker:
-        applied = None  # the result getter of the chunk on the worker
-        for i, start in enumerate(range(0, count, chunk)):
-            k = min(chunk, count - start)
-            a, w = draws[:k], generators[i % len(generators)][:k]
-            rng.standard_normal(out=a)
+    worker = None
+    if overlap:
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(max_workers=1)
+    with worker or nullcontext():
+        a = draw(0)
+        for i, start in enumerate(starts):
+            more = i + 1 < len(starts)
+            if worker is not None and more:
+                drawn = worker.submit(draw, i + 1)  # into the buffer not read below
+            w = omega[:len(a)]
             # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
             np.subtract(np.swapaxes(a, 1, 2), a, out=w)
             with np.errstate(over="ignore"):  # a generator is inf past about 1e307
                 w *= 0.5 * scale
-            if applied is not None:
-                applied()  # chunk i - 1 is written, or its error is raised
-            if worker is not None and start + k < count:
-                applied = worker.submit(apply, w, start).result
-            else:  # inline, or the last chunk, with nothing left to draw meanwhile
-                apply(w, start)
+            out[start:start + len(a)] = _skew_expm_action(w, x, start)
+            if more and worker is None:
+                a = draw(i + 1)
+            elif more:
+                while not drawn.done():
+                    os.sched_yield()
+                a = drawn.result()
     return out
 
 
@@ -445,8 +450,8 @@ def generate_samples(
     so memory stays bounded in ``n_samples`` (about three chunks in flight)
     and the first k samples are those of the k-sample set. When there are
     two chunks or more and the process may use two CPUs, a worker thread
-    that lives only for this call applies chunk i while chunk i + 1 is
-    drawn; the bits are the same as with one thread, or one CPU.
+    that lives only for this call draws chunk i + 1 while chunk i is
+    applied; the bits are the same as with one thread, or one CPU.
     Samples agree with ``skew_expm(...) @ C`` to rounding, and are those
     bits where a rotation is large enough for the action to fall back to
     ``skew_expm``. A rotation that is not finite (sigma past about 1e16 to
@@ -465,7 +470,7 @@ def perturb_initial_guess(x1, epsilon: float, seed: int) -> StiefelPoint:
     """Slightly rotate the p x n array ``x1`` (a ``StiefelPoint`` will do) by
     exp(epsilon * skew_part(A)) with A a fresh standard-normal p x p draw,
     applied, errors too, as ``generate_samples`` applies its rotations. One
-    draw is one chunk, so it is applied on the calling thread, with no
+    draw is one chunk, so it is drawn on the calling thread, with no
     worker. Used to produce the starting point of the fixed-point iteration
     from the first sample."""
     x1 = _check_matrix(x1, "x1", shape=None)

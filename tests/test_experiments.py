@@ -141,8 +141,9 @@ def test_csv_header_line_of_each_default_spec(tmp_path, kind, paper_scale):
     expected = "# stiefelmean experiment " + HEADER_LINES[(kind, paper_scale)]
     lines = path.read_text().splitlines()
     assert lines[0] == expected
-    assert lines[1] == f"# machine cpus={manifold._usable_cpus()} numpy={np.__version__} " \
-                       f"blas={np.show_config(mode='dicts')['Build Dependencies']['blas']['name']}"
+    # the BLAS name is NumPy's build information, or "unknown" without it
+    assert re.fullmatch(rf"# machine cpus={manifold._usable_cpus()} "
+                        rf"numpy={re.escape(np.__version__)} blas=\S+", lines[1])
     assert lines[2:] == ["columns"]
 
 
@@ -332,7 +333,7 @@ def test_runtime_trials_time_every_pair_on_one_cloud(monkeypatch):
 
 def test_no_thread_outlives_generation_into_the_timed_runs(monkeypatch):
     # St(100, 4) clouds of 40 samples span four chunks of 13, so a worker
-    # thread applies them; it must be gone before any pair is timed
+    # thread draws them; it must be gone before any pair is timed
     monkeypatch.setattr(manifold, "_usable_cpus", lambda: 2)
     counts = []
     inner = experiments.fixed_point_mean

@@ -582,8 +582,8 @@ def test_any_finite_spread_gives_samples_or_a_typed_error(p, log_sigma, seed, ch
     # past the action's radius a spread of 1e8 to 1e16 loses orthonormality,
     # 1e16 to 1e19 or so can give finite entries so large that X^T X
     # overflows (drawn half the time), and more gives non-finite rotations;
-    # none of it may warn, on the worker thread either: chunks of 1 or 2
-    # of the 3 samples go to a worker, a chunk of 3 is applied inline
+    # none of it may warn, with a worker either: chunks of 1 or 2 of the 3
+    # samples are drawn on a worker, a chunk of 3 inline
     center = generate_center(Dims(p, max(1, p // 3)), seed)
     sigma = min(10.0**log_sigma, np.finfo(float).max)
     with mock.patch.object(manifold, "SAMPLE_CHUNK_BYTES", chunk * 8 * p * p), \
@@ -622,9 +622,9 @@ class ChunkCountingRng:
 def test_generation_names_a_failing_sample_by_its_index_in_the_cloud(monkeypatch):
     # chunks of 4 samples, all past the action's radius, and an exponential
     # that is not finite for the failing samples: 9 is slice 1 of the third
-    # chunk, 5 slice 1 of the second; inline (1 CPU) and on a worker (2).
-    # On the worker, sample 5 fails only once the third chunk is drawn,
-    # and the error still names it
+    # chunk, 5 slice 1 of the second; inline (1 CPU) and with a worker that
+    # draws (2). With the worker, sample 5 fails only once the third chunk
+    # is drawn, and the error still names it
     p = 6
     center = generate_center(Dims(p, 2), 39)
     monkeypatch.setattr(manifold, "SAMPLE_CHUNK_BYTES", 4 * 8 * p * p)
@@ -712,7 +712,8 @@ def test_generation_has_the_bits_of_the_serial_chunk_loop(monkeypatch, p, n, sig
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_rotations_are_applied_under_the_callers_error_state(monkeypatch, cpus):
-    # NumPy's error state belongs to a thread; the worker takes the caller's
+    # NumPy's error state belongs to a thread; the rotations are applied
+    # under the caller's, also while a worker draws
     seen = []
 
     def action(omega, x, first):
