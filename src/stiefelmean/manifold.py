@@ -379,9 +379,10 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
     order, into a second buffer, and every chunk is applied here in turn,
     so the bits, the error state and the first failing sample's error are
     those of the one-thread loop. This thread waits for a draw by yielding
-    its CPU, not by sleeping on a lock: on a 2-vCPU virtual machine the
-    averaging timed after a generation that slept ran up to 50 % slower.
-    The worker ends with the call."""
+    its CPU, not by sleeping on a lock, and the worker is told to end after
+    the last draw, so it is gone, not waited for, once the last chunk is
+    applied: on a 2-vCPU virtual machine the averaging timed after a
+    generation whose calling thread slept ran up to 50 % slower."""
     p = x.shape[0]
     chunk = max(1, min(count, SAMPLE_CHUNK_BYTES // (8 * p * p)))
     starts = range(0, count, chunk)
@@ -405,6 +406,8 @@ def _rotate(x: np.ndarray, scale: float, count: int, rng) -> np.ndarray:
             more = i + 1 < len(starts)
             if worker is not None and more:
                 drawn = worker.submit(draw, i + 1)  # into the buffer not read below
+                if i + 2 == len(starts):
+                    worker.shutdown(wait=False)
             w = omega[:len(a)]
             # (scale / 2)(A^T - A) is the same bits as scale * skew_part(A)
             np.subtract(np.swapaxes(a, 1, 2), a, out=w)
