@@ -7,8 +7,8 @@ average to zero, equivalently a solution of
     X = retract_X( (1/sum(w)) * sum_k w_k lift_X(Q_k) ),
 
 the weighted quasi-arithmetic (Kolmogoroff-Nagumo) mean, in which only the
-weights' ratios matter. ``fixed_point_mean`` evaluates the right-hand side
-at the current iterate until the stop rule of ``AveragingConfig`` holds.
+weights' ratios matter. ``fixed_point_mean`` retracts along the combined
+lifted field until its norm at the current iterate is below ``conv_tol``.
 
 Where validation happens: ``fixed_point_mean`` checks its inputs at entry.
 In between, one loop serves all three pairs on plain (p, n) arrays, through
@@ -30,13 +30,13 @@ r_a on max_k ||X_a - Q_k||_F. At a later iterate X, with defect e,
 
 so one p x n difference clears every sample when that bound is below the
 guard by the screen's margin; otherwise the cloud is screened again at X,
-which becomes the anchor. The final residual uses the same certificate.
+which becomes the anchor.
 
-A ``DomainError`` aborts the run, and ``fixed_point_mean`` attaches its
-iteration in one place (``None`` in the residual pass): a lifting failure
-names the first failing sample, with the message a per-sample loop would
-give, a retraction failure no sample. Running past ``max_iters`` is not an
-error; it is reported through ``converged=False`` with the full trace.
+A ``DomainError`` aborts the run, and ``fixed_point_mean`` attaches, in one
+place, the index of the iterate it failed at: a lifting failure names the
+first failing sample, with the message a per-sample loop would give, a
+retraction failure no sample. Running past ``max_iters`` is not an error;
+it is reported through ``converged=False`` with the full trace.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ class AveragingConfig:
     """Knobs of the fixed-point iteration.
 
     ``max_iters`` is an integer >= 1 and ``conv_tol`` a finite positive real.
-    A run stops once the step discrepancy ||I - X_i^T X_{i+1}||_F is below
-    ``conv_tol``. For n = 1 that is 1 - cos(theta) ~ theta^2 / 2, second
-    order in the step angle theta, so a converged run has a last step of up
-    to sqrt(2 conv_tol) and can stop that far from its fixed point: about
-    1e-7 at the default, against at most about 1e-10 for n >= 2.
+    A run stops at the first iterate where the combined lifted field, whose
+    zero is the mean, has a Frobenius norm below ``conv_tol``, or after
+    ``max_iters`` steps. So a converged run's field is below ``conv_tol``.
+    Every retraction has dR_X(0) = id, so that norm is first order in the
+    whole step the iteration would take next.
 
     ``weights`` may be ``None`` (unweighted) or a sequence of N finite
     positive reals with a finite, normal sum. The initial guess is the
@@ -107,13 +107,14 @@ class AveragingConfig:
 class AveragingReport:
     """Outcome and per-iteration trace of one averaging run.
 
-    ``step_sizes[i]`` is the discrepancy between iterates i and i+1;
-    ``iterates_delta_to_center`` tracks the discrepancy of every iterate
-    (including the initial guess) to the sample set's center when that is
-    known, else ``None``. ``residual_field_norm`` is the norm of the combined
-    lifted-sample tangent at the final point, with the run's weights; the
-    mean is a zero of that field. ``converged`` implies the last step size is
-    below the configured tolerance. ``cumulative_time_ns[i]`` is the time
+    ``residual_field_norm`` is the norm of the combined lifted-sample
+    tangent at the final point, with the run's weights: the mean is a zero
+    of that field, and this norm is the only stop measure, so ``converged``
+    is ``residual_field_norm < conv_tol``. ``step_sizes[i]`` is the paper's
+    discrepancy ||I - X_i^T X_{i+1}||_F, recorded only; it is empty when no
+    step was taken. ``iterates_delta_to_center`` tracks the discrepancy of
+    every iterate (including the initial guess) to the sample set's center
+    when that is known, else ``None``. ``cumulative_time_ns[i]`` is the time
     from the start of the loop to the end of iteration i.
     """
 
@@ -279,12 +280,12 @@ def fixed_point_mean(
 ) -> AveragingReport:
     """Fixed-point mean of ``samples`` under ``config.pair``.
 
-    Iterates from ``initial`` until the step discrepancy falls below
-    ``config.conv_tol`` or ``config.max_iters`` is exhausted; for n = 1 that
-    stop is second order in the step, so a converged run can end about
-    sqrt(2 conv_tol) from its fixed point (see ``AveragingConfig``). Every
-    iterate is checked as a ``StiefelPoint`` would be. With all weights
-    equal to one the trajectory matches the unweighted run bit for bit.
+    From ``initial``, evaluates the combined tangent V_i at iterate X_i,
+    stops if ||V_i||_F < ``config.conv_tol`` or ``config.max_iters`` steps
+    are taken, and otherwise steps to X_{i+1} = retract_{X_i}(V_i). A
+    converged run's field is below ``conv_tol``. Every iterate is checked
+    as a ``StiefelPoint`` would be. With all weights equal to one the
+    trajectory matches the unweighted run bit for bit.
     """
     _check_type(samples, SampleSet, "samples")
     _check_same_dims(_check_type(initial, StiefelPoint, "initial"), samples)
@@ -303,23 +304,20 @@ def fixed_point_mean(
     deltas = None if center is None else [_gap_to_identity(x, center)]
     steps: list = []
     times: list = []
-    converged = False
     t0 = time.perf_counter_ns()
     try:
-        for i in range(config.max_iters):
-            x_next = step_along(x, tangent(x, e))
+        for i in range(config.max_iters + 1):
+            v = tangent(x, e)
+            residual = _frobenius(v)
+            if residual < config.conv_tol or i == config.max_iters:
+                break
+            x_next = step_along(x, v)
             e = _checked_defect(x_next)
-            step = _gap_to_identity(x_next, x)
-            steps.append(step)
+            steps.append(_gap_to_identity(x_next, x))
             times.append(time.perf_counter_ns() - t0)
             if deltas is not None:
                 deltas.append(_gap_to_identity(x_next, center))
             x = x_next
-            if step < config.conv_tol:
-                converged = True
-                break
-        i = None  # the residual pass
-        residual = _frobenius(tangent(x, e))
     except DomainError as exc:
         # the tangent names its failing sample, a retraction none
         k = exc.sample_index
@@ -331,8 +329,8 @@ def fixed_point_mean(
     return AveragingReport(
         # every iterate passed _checked_defect
         final_point=StiefelPoint._unchecked(x, samples.dims),
-        iterations_used=len(steps),
-        converged=converged,
+        iterations_used=i,
+        converged=residual < config.conv_tol,
         step_sizes=steps,
         iterates_delta_to_center=deltas,
         cumulative_time_ns=times,

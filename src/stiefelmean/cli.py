@@ -170,9 +170,9 @@ def _cmd_mean(args) -> int:
     report.write_trace_csv(trace)
 
     status = "converged" if report.converged else "did NOT converge"
+    last = f"last step {report.step_sizes[-1]:.3e}, " if report.step_sizes else ""
     print(f"{pair.label} mean {status} after {report.iterations_used} iterations "
-          f"(last step {report.step_sizes[-1]:.3e}, residual field "
-          f"{report.residual_field_norm:.3e})")
+          f"({last}residual field {report.residual_field_norm:.3e})")
     if cloud.center is not None:
         print(f"discrepancy to the stored center: "
               f"{discrepancy(report.final_point, cloud.center):.6e}")

@@ -31,8 +31,9 @@ class DomainError(StiefelMeanError):
     far apart, a tangent too large for an inner solver, or an unsolvable
     structured system.
 
-    ``iteration`` (of the averaging loop) and ``sample_index`` (of a sample
-    set, or a stack) locate the failure where known.
+    ``iteration`` (the index of the averaging iterate whose lifting or
+    retraction failed) and ``sample_index`` (of a sample set, or a stack)
+    locate the failure where known.
     """
 
     def __init__(self, message, iteration=None, sample_index=None):

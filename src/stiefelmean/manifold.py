@@ -253,10 +253,9 @@ class TangentVector:
 
     @classmethod
     def _unchecked(cls, anchor: StiefelPoint, v: np.ndarray) -> "TangentVector":
-        # Internal fast path for vectors whose tangency is already guaranteed
-        # (lifting residual checks, or sums of tangents at one anchor). The
-        # defect re-check costs a full p x n^2 product, which would otherwise
-        # dominate the averaging loop's per-sample cost.
+        # Internal fast path for the public liftings, whose solve or
+        # construction already bounds the tangency defect that the re-check,
+        # a full p x n^2 product, would measure.
         out = object.__new__(cls)
         object.__setattr__(out, "anchor", anchor)
         object.__setattr__(out, "V", v)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stiefelmean import averaging
 from stiefelmean.averaging import (
     AveragingConfig,
     _ambient_mean,
@@ -373,8 +374,9 @@ def reference_mean(cloud, config, initial, screen=False):
     summed in sample order; for polar, one ``solve_lyapunov_sym`` call per
     sample, the X^T Q_k and the weighted sum of the Q_k S_k formed through
     the samples side by side, the products the averaging loop makes. The
-    step is ``retract``, every iterate a ``StiefelPoint``, every
-    discrepancy ``discrepancy``.
+    run stops once the tangent's norm is below ``conv_tol`` or after
+    ``max_iters`` steps; the step is ``retract``, every iterate a
+    ``StiefelPoint``, every discrepancy ``discrepancy``.
     """
     pair, samples = config.pair, cloud.samples
     n_samples, p, n = cloud.stack.shape
@@ -413,15 +415,16 @@ def reference_mean(cloud, config, initial, screen=False):
     center = cloud.center
     deltas = None if center is None else [discrepancy(x, center)]
     steps = []
-    for i in range(config.max_iters):
-        x_next = retract(pair, x, tangent(x, i))
+    for i in range(config.max_iters + 1):
+        v = tangent(x, i)
+        if v.norm() < config.conv_tol or i == config.max_iters:
+            break
+        x_next = retract(pair, x, v)
         steps.append(discrepancy(x_next, x))
         if center is not None:
             deltas.append(discrepancy(x_next, center))
         x = x_next
-        if steps[-1] < config.conv_tol:
-            break
-    return x, steps, deltas, tangent(x, None).norm()
+    return x, steps, deltas, v.norm()
 
 
 def assert_same_run(cloud, config, initial, screen=False):
@@ -441,7 +444,7 @@ def assert_same_run(cloud, config, initial, screen=False):
     assert report.iterates_delta_to_center == deltas
     assert report.residual_field_norm == residual
     assert report.iterations_used == len(steps)
-    assert report.converged == (steps[-1] < config.conv_tol)
+    assert report.converged == (residual < config.conv_tol)
     return report
 
 
@@ -482,8 +485,8 @@ def test_locality_certificate_raises_what_a_screen_per_iteration_raises(case, pa
     # guard: the certificate clears, re-screens and raises exactly where a
     # screen of the whole cloud at every iterate does. A weight of up to
     # 0.9 of the total on one sample pulls the iterates toward it and away
-    # from the others, so samples also cross the guard after iteration 0 and
-    # in the residual pass.
+    # from the others, so samples also cross the guard after iteration 0,
+    # up to the last iterate.
     x, points = case
     n_samples = len(points)
     pull = data.draw(st.floats(0.05, 0.9)) if n_samples > 1 else 1.0
@@ -495,21 +498,21 @@ def test_locality_certificate_raises_what_a_screen_per_iteration_raises(case, pa
     assert_same_run(cloud, config, StiefelPoint(x), screen=True)
 
 
-@pytest.mark.parametrize("max_iters, iteration", [(100, 1), (1, None)])
-def test_locality_certificate_follows_the_iterate_across_the_guard(max_iters, iteration):
+@pytest.mark.parametrize("max_iters", [100, 1])
+def test_locality_certificate_follows_the_iterate_across_the_guard(max_iters):
     # Samples at +-90 degrees on the circle sit at discrepancy 1 and
     # ||X_0 - Q||_F = sqrt(2) < DOMAIN_GUARD from X_0 = 0 degrees, so the
     # screen at X_0 bounds every sample inside the guard. The weights pull
     # X_1 to 38.7 degrees (mixed) or 53.1 degrees (ortho), 128.7 or 143.1
     # degrees from the second sample: discrepancy 1.63 or 1.80. Only a
     # certificate that adds ||X_1 - X_0||_F to its bound catches that, at
-    # iteration 1 or, with one iteration, in the residual pass.
+    # iteration 1, also when X_1 is the last iterate.
     cloud = circle_set([math.pi / 2.0, -math.pi / 2.0])
     for pair in (MapPair.ORTHO, MapPair.MIXED):
         config = AveragingConfig(pair=pair, max_iters=max_iters, weights=[1.8, 0.2])
         err = assert_same_run(cloud, config, circle_point(0.0), screen=True)
         assert isinstance(err, DomainError)
-        assert (err.iteration, err.sample_index) == (iteration, 1)
+        assert (err.iteration, err.sample_index) == (1, 1)
 
 
 # ---------------------------------------------------------------- residual
@@ -607,51 +610,48 @@ def test_fixed_point_mean_runs_the_weighted_rule():
 def test_weighted_circle_against_scalar_oracle():
     # two samples at +/- theta with weights (2, 1); the mixed pair on the
     # circle reduces to the scalar recursion
-    #   phi <- phi + atan( (1/sum(w)) sum_k w_k sin(theta_k - phi) )
-    # whose fixed point solves tan(phi) = tan(theta) / 3.
+    #   phi <- phi + atan(v),  v = (1/sum(w)) sum_k w_k sin(theta_k - phi),
+    # where |v| is the norm of the combined field and the fixed point solves
+    # tan(phi) = tan(theta) / 3.
     theta = 0.5
     weights = [2.0, 1.0]
     conv_tol = 1e-14
     phi = 0.05
-    for _ in range(500):
+    for steps in range(500):
         v = sum(w * math.sin(t - phi) for w, t in zip(weights, [theta, -theta])) / sum(weights)
-        nphi = phi + math.atan(v)
-        step = 1.0 - math.cos(nphi - phi)  # the discrepancy on the circle
-        phi = nphi
-        if step < conv_tol:
+        if abs(v) < conv_tol:
             break
+        phi += math.atan(v)
 
     cloud = circle_set([theta, -theta])
     config = AveragingConfig(pair=MapPair.MIXED, conv_tol=conv_tol,
                              weights=weights)
     report = fixed_point_mean(cloud, config, circle_point(0.05))
     assert report.converged
+    assert report.iterations_used == steps
     angle = circle_angle(report.final_point)
-    assert angle == pytest.approx(phi, abs=1e-9)
-    # the analytic fixed point solves tan(phi*) = tan(theta)/3; the stopping
-    # rule leaves an angle error around sqrt(2 * conv_tol)
-    assert math.tan(angle) == pytest.approx(math.tan(theta) / 3.0, abs=1e-6)
+    assert angle == pytest.approx(phi, abs=1e-12)
+    # the field, below conv_tol, is first order in the angle error
+    assert math.tan(angle) == pytest.approx(math.tan(theta) / 3.0, abs=1e-12)
     assert angle > 0.0  # tilts toward the weight-2 sample
 
 
 def test_long_weighted_mixed_run_stays_orthonormal():
     # The weighted circle of the scalar-oracle test, run with a tolerance
-    # only an exactly zero step meets, so the run goes on through steps at
-    # rounding level. Retracting to the polar factor of X + V removes any
-    # orthonormality defect the iterate carries on every step, so it stays
-    # at rounding level to the end.
+    # the field at rounding level does not meet, so the run goes on through
+    # 300 steps at rounding level and ends unconverged. Retracting to the
+    # polar factor of X + V removes any orthonormality defect the iterate
+    # carries on every step, so it stays at rounding level to the end.
     theta = 0.5
     cloud = circle_set([theta, -theta])
     config = AveragingConfig(pair=MapPair.MIXED, conv_tol=1e-300,
                              max_iters=300, weights=[2.0, 1.0])
     report = fixed_point_mean(cloud, config, circle_point(0.05))
-    assert report.converged and report.step_sizes[-1] == 0.0
-    assert report.step_sizes[-3] < 1e-15
+    assert not report.converged and report.iterations_used == 300
+    assert max(report.step_sizes[-3:]) < 1e-15
     assert orthonormality_defect(report.final_point.X) < 1e-15
-    # the step 1 - cos(dphi) rounds to zero once dphi is near 1e-8, which
-    # leaves the angle within about 1e-12 of the analytic fixed point
     assert math.tan(circle_angle(report.final_point)) == pytest.approx(
-        math.tan(theta) / 3.0, abs=1e-10)
+        math.tan(theta) / 3.0, abs=1e-13)
 
 
 def test_weight_limit_sweep_pulls_mean_to_sample():
@@ -679,12 +679,10 @@ def induced_arithmetic_mean(stack, weights):
     return u @ vt
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.integers(2, 8),
+@given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.integers(1, 8),
        st.integers(1, 40), st.floats(-3.0, 3.0))
 def test_ortho_and_mixed_weighted_means_are_the_induced_arithmetic_mean(
         seed, p, n, n_samples, log_scale):
-    # n >= 2: for n = 1 the step discrepancy 1 - x^T y is second order in
-    # the step, so a run that meets conv_tol may stop 1e-7 from the mean
     p, n = max(p, n), min(p, n)
     center = generate_center(Dims(p, n), seed)
     cloud = generate_samples(center, 0.05, n_samples, seed + 1)
@@ -699,25 +697,73 @@ def test_ortho_and_mixed_weighted_means_are_the_induced_arithmetic_mean(
         assert np.linalg.norm(report.final_point.X - oracle) < 1e-9
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.integers(1, 30), st.booleans())
-def test_single_column_ortho_and_mixed_means_stop_within_one_step_bound(
-        seed, p, n_samples, weighted):
-    # For n = 1 the stop rule 1 - cos(theta) < conv_tol admits a last step
-    # theta up to sqrt(2 conv_tol) (1 - cos(theta) >= theta^2/2 - theta^4/24).
-    # A linear iteration of rate rho then lies within theta rho / (1 - rho)
-    # of its fixed point, at most theta for rho <= 1/2; here rho, about
-    # 1 - sigma_min of the ambient mean, is about 0.01.
-    center = generate_center(Dims(p, 1), seed)
-    cloud = generate_samples(center, 0.05, n_samples, seed + 1)
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.2, 3.0, n_samples) if weighted else np.ones(n_samples)
-    oracle = induced_arithmetic_mean(cloud.stack, weights)
-    initial = perturb_initial_guess(cloud.stack[0], 0.01, seed + 2)
-    for pair in (MapPair.ORTHO, MapPair.MIXED):
-        config = AveragingConfig(pair=pair, weights=list(weights) if weighted else None)
-        report = fixed_point_mean(cloud, config, initial)
+@st.composite
+def plus_minus_clouds(draw):
+    """A cloud whose center C is the exact mean of every pair, with its
+    weights. C = U_0[:, :n] for a random orthogonal U_0, and the samples
+    come in pairs exp(+-Omega_k) C with Omega_k = U_0 [[0, -B_k^T], [B_k,
+    0]] U_0^T and ||B_k||_F <= spread <= 0.2. The reflection U_0 diag(I_n,
+    -I_{p-n}) U_0^T fixes C and swaps the two samples of a pair, so the
+    parts of their liftings normal to C cancel; C^T Q_k is symmetric, so
+    their parts along C vanish too. The weights are ``None`` or equal within
+    each pair."""
+    p = draw(st.integers(2, 30))
+    n = draw(st.integers(1, p - 1))
+    n_pairs = draw(st.integers(1, 10))
+    spread = draw(st.floats(0.0, 0.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u0 = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    stack = []
+    for _ in range(n_pairs):
+        b = rng.standard_normal((p - n, n))
+        b *= spread * rng.uniform() / np.linalg.norm(b)
+        block = np.zeros((p, p))
+        block[n:, :n], block[:n, n:] = b, -b.T
+        # exp(+-Omega_k) C = U_0 exp(+-block)[:, :n]
+        stack += [u0 @ skew_expm(block)[:, :n], u0 @ skew_expm(-block)[:, :n]]
+    center = StiefelPoint(u0[:, :n])
+    cloud = SampleSet(dims=center.dims, center=center, sigma=spread, seed=0, stack=stack)
+    weights = None
+    if draw(st.booleans()):
+        weights = list(np.repeat(rng.uniform(0.2, 3.0, n_pairs), 2))
+    return cloud, weights
+
+
+@given(plus_minus_clouds(), st.integers(0, 2**32 - 1))
+def test_plus_minus_cloud_center_is_every_pairs_mean(case, seed):
+    # A converged run's field is below conv_tol, which is first order in the
+    # distance to the mean: the point lies within 1e-9 of C.
+    cloud, weights = case
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, seed)
+    for pair in ALL_PAIRS:
+        report = fixed_point_mean(cloud, AveragingConfig(pair=pair, weights=weights), initial)
         assert report.converged
-        assert np.linalg.norm(report.final_point.X - oracle) <= math.sqrt(2.0 * config.conv_tol)
+        assert np.linalg.norm(report.final_point.X - cloud.center.X) <= 1e-9
+
+
+@pytest.mark.parametrize("max_iters", [100, 2])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label)
+def test_one_tangent_per_iterate_and_one_stop_measure(monkeypatch, pair, max_iters):
+    # The combined tangent is evaluated once at every iterate, the last
+    # included, and its norm alone decides convergence, also when
+    # max_iters ends the run.
+    calls = []
+
+    def counted(*args):
+        tangent = _combined_tangent(*args)
+
+        def spy(x, e):
+            calls.append(None)
+            return tangent(x, e)
+        return spy
+    monkeypatch.setattr(averaging, "_combined_tangent", counted)
+    cloud = small_cloud(53, sigma=0.1, n_samples=12)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 54)
+    config = AveragingConfig(pair=pair, max_iters=max_iters)
+    report = fixed_point_mean(cloud, config, initial)
+    assert len(calls) == report.iterations_used + 1
+    assert report.converged == (report.residual_field_norm < config.conv_tol)
+    assert report.converged == (max_iters == 100)
 
 
 WEIGHT_SCALE_CLOUD = small_cloud(50, sigma=0.05, n_samples=30)

@@ -257,6 +257,24 @@ def test_mean_nan_conv_tol_exits_2_with_one_line(sample_file, capsys):
     )
 
 
+@pytest.mark.parametrize("pair", ["polar", "ortho", "mixed"])
+def test_mean_from_a_zero_of_the_field_takes_no_step(tmp_path, capsys, pair):
+    # one sample and an initial guess 1e-300 from it: the field there is
+    # below conv_tol, so the run converges with no step and the line names
+    # none
+    cloud, trace = tmp_path / "cloud.txt", tmp_path / "trace.csv"
+    assert run("gen", "--p", 6, "--n", 2, "--N", 1, "--sigma", 0.1, "--seed", 3,
+               "--out", cloud) == 0
+    capsys.readouterr()
+    assert run("mean", "--in", cloud, "--pair", pair, "--epsilon-init", 1e-300,
+               "--out", tmp_path / "mean.txt", "--trace", trace) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"{pair} mean converged after 0 iterations (residual field ")
+    assert line.endswith(")")
+    rows = trace.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,,")
+
+
 def test_weighted_ortho_mean_keeps_its_iterates_orthonormal(tmp_path, capsys):
     # weights drawn from [0.2, 3]: the orthographic retraction solves on the
     # Gram of X + V, so the defect an iterate carries stays at rounding level
