@@ -174,7 +174,7 @@ def spd_inv_sqrt(s) -> np.ndarray:
     ``DomainError`` if any eigenvalue is at or below ``EPS_SPD``.
     """
     s = _check_matrix(s, "spd_inv_sqrt S", structure="symmetric")
-    return _spd_inv_sqrt(s, np.eye(s.shape[0]))
+    return _spd_inv_sqrt(s)
 
 
 def _series_coefficients(radius: float) -> tuple:
@@ -198,8 +198,9 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _spd_inv_sqrt(s: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    # spd_inv_sqrt for an s symmetric to rounding, with eye = I of its size
+def _spd_inv_sqrt(s: np.ndarray) -> np.ndarray:
+    # spd_inv_sqrt for an s symmetric to rounding
+    eye = np.eye(s.shape[0])
     s = 0.5 * (s + s.T)
     g = s - eye
     gnrm = _frobenius(g)

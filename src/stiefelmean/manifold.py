@@ -148,16 +148,6 @@ def _orthonormality_defects(stack: np.ndarray) -> np.ndarray:
         return _gaps_to_identity(np.swapaxes(stack, 1, 2) @ stack)
 
 
-def _sq_norm_bound(p: int, n: int) -> float:
-    """A bound on ||Q||_F^2 = n + tr(Q^T Q - I) <= n + sqrt(n) TOL_ORTH for
-    every p x n Q that passed the orthonormality check, as every sample of a
-    ``SampleSet`` has. Slack for the check's rounding (u = eps / 2): each
-    ||q_i||^2 is a dot product of length p, within p u, and the norm of
-    Q^T Q - I one of length n^2 and a square root, within (n^2 + 3) u; the
-    factor 1 + (p + n^2 + 4) eps covers both and this expression's own."""
-    return (n + math.sqrt(n) * TOL_ORTH) * (1.0 + (p + n * n + 4) * np.finfo(float).eps)
-
-
 def _checked_defect(x: np.ndarray) -> float:
     """Orthonormality defect of a p x n array that must be a Stiefel point;
     raises the ``ValidationError`` ``StiefelPoint(x)`` would, "X must be

@@ -20,13 +20,26 @@ slice of an array core that composes the maps over a whole (N, p, n) stack
 of samples at one anchor, which is how the discrepancy experiment runs.
 
 All maps are local: liftings reject argument pairs whose discrepancy reaches
-``DOMAIN_GUARD``. The guard is an engineering bound, not a theoretical
-radius; it is sized so that the sample clouds used by the bundled experiments
-(spread up to sigma = 0.2 on St(20, 4)) stay inside it.
+``DOMAIN_GUARD``, the exact guard ``_first_far``. The guard is an
+engineering bound, not a theoretical radius; it is sized so that the sample
+clouds used by the bundled experiments (spread up to sigma = 0.2 on
+St(20, 4)) stay inside it.
+
+The pair parameterizes the averaging loop, and every rule that depends on
+it is written here: ``_iteration`` sets up a pair's combined tangent over a
+cloud and the retraction core that ``retract`` also applies. The polar
+tangent runs the exact guard on every sample. The orthographic-lifting
+pairs lift only the weighted ambient mean; their guard screens the whole
+cloud at the initial guess X_a, keeping a bound r_a on max_k ||X_a - Q_k||_F.
+At a later iterate X of defect e, delta(X, Q_k) <= sqrt(1 + e) (r_a +
+||X - X_a||_F) + e clears every sample when below the guard by
+``_SCREEN_MARGIN``; otherwise the cloud is screened again at X, the new
+anchor. A sample no screen clears goes through the exact guard.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -44,6 +57,7 @@ from .kernels import (
     spd_inv_sqrt,
 )
 from .manifold import (
+    TOL_ORTH,
     StiefelPoint,
     TangentVector,
     _check_points,
@@ -54,6 +68,13 @@ from .manifold import (
 
 # Liftings reject pairs with discrepancy at or above this bound.
 DOMAIN_GUARD = 1.5
+
+# The locality screen clears a sample only when its bound on the discrepancy
+# is below DOMAIN_GUARD by this much. The margin covers the rounding of the
+# iterate's defect e and of the scalar steps of the screen and of the
+# certificate, so a cleared sample is also below the guard as the exact
+# check computes it.
+_SCREEN_MARGIN = 1e-9
 
 
 class MapPair(Enum):
@@ -130,14 +151,13 @@ def polar_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     tangent vector; Y^T Y = I + V^T V is always positive definite.
     """
     _check_anchor(x, v)
-    return StiefelPoint(_polar_retract(x.X, v.V, np.eye(x.dims.n)))
+    return StiefelPoint(_polar_retract(x.X, v.V))
 
 
-def _polar_retract(x: np.ndarray, v: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    # polar_retraction on arrays; eye is I_n. Y^T Y is symmetric by
-    # construction, so the kernel's input check is skipped
+def _polar_retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # polar_retraction on arrays; Y^T Y is symmetric, so no input check runs
     y = x + v
-    return y @ _spd_inv_sqrt(y.T @ y, eye)
+    return y @ _spd_inv_sqrt(y.T @ y)
 
 
 def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
@@ -201,11 +221,16 @@ def _ortho_retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y + x @ _solve_ortho_retraction_eq(omega, g)
 
 
+def _retraction(pair: MapPair):
+    """The array core of the pair's retraction: orthographic for ``ORTHO``, polar else."""
+    return _ortho_retract if pair is MapPair.ORTHO else _polar_retract
+
+
 def retract(pair: MapPair, x: StiefelPoint, v: TangentVector) -> StiefelPoint:
     """Apply the pair's retraction: orthographic for ``ORTHO``, polar for the others."""
-    if _check_type(pair, MapPair, "pair") is MapPair.ORTHO:
-        return orthographic_retraction(x, v)
-    return polar_retraction(x, v)
+    core = _retraction(_check_type(pair, MapPair, "pair"))
+    _check_anchor(x, v)
+    return StiefelPoint(core(x.X, v.V))
 
 
 def lift(pair: MapPair, x: StiefelPoint, q: StiefelPoint) -> TangentVector:
@@ -213,6 +238,122 @@ def lift(pair: MapPair, x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     if _check_type(pair, MapPair, "pair") is MapPair.POLAR:
         return polar_lifting(x, q)
     return orthographic_lifting(x, q)
+
+
+def _sq_norm_bound(p: int, n: int) -> float:
+    """A bound on ||Q||_F^2 = n + tr(Q^T Q - I) <= n + sqrt(n) TOL_ORTH for
+    every p x n Q that passed the orthonormality check, as every sample of a
+    ``SampleSet`` has. Slack for the check's rounding (u = eps / 2): each
+    ||q_i||^2 is a dot product of length p, within p u, and the norm of
+    Q^T Q - I one of length n^2 and a square root, within (n^2 + 3) u; the
+    factor 1 + (p + n^2 + 4) eps covers both and this expression's own."""
+    return (n + math.sqrt(n) * TOL_ORTH) * (1.0 + (p + n * n + 4) * np.finfo(float).eps)
+
+
+def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1/sum(w)) sum_k w_k Q_k, accumulated in sample order."""
+    rows = stack.reshape(len(stack), -1)
+    if rows.shape[1] == 1:
+        # NumPy sums a single contiguous column pairwise, not in sample order
+        acc = np.zeros(1)
+        for wk, q in zip(w, rows):
+            acc += wk * q
+    else:
+        # an axis-0 reduction from 0.0 adds one row at a time, in order, the
+        # same bits as the loop above; unit weights need no (N, p n) product
+        terms = rows if np.all(w == 1.0) else w[:, None] * rows
+        acc = np.add.reduce(terms, axis=0, initial=0.0)
+    acc /= w.sum()
+    return acc.reshape(stack.shape[1:])
+
+
+def _check_locality(x: np.ndarray, e: float, stack: np.ndarray) -> float:
+    """Raise the guard's ``DomainError`` for the first sample of ``stack``
+    at or beyond ``DOMAIN_GUARD`` from ``x``, of defect e; else return r, an
+    upper bound on max_k ||X - Q_k||_F.
+
+    Since I - X^T Q = X^T (X - Q) + (I - X^T X) and ||X||_2 <= sqrt(1 + e),
+    ||I - X^T Q_k||_F <= sqrt(1 + e) ||X - Q_k||_F + e, and ||X - Q_k||_F^2
+    <= ||X||^2 + b - 2 <X, Q_k>, b = ``_sq_norm_bound``, takes one
+    matrix-vector product over the (N, p n) rows of the stack. A sample
+    whose bound, rounding added, is below the guard by ``_SCREEN_MARGIN`` is
+    cleared; every other one goes through the exact guard.
+    """
+    xv = x.ravel()
+    xx = float(xv @ xv)
+    qq = _sq_norm_bound(*x.shape)
+    # Bound on the rounding error of ||X||^2 + b - 2 <X, Q_k> per unit of
+    # ||X||^2 + b: two dot products of length p n and two additions, each
+    # within (p n + 2) u of the sum of the magnitudes, with u = eps / 2.
+    rounding = (xv.size + 2) * np.finfo(float).eps
+    d2 = qq - 2.0 * (stack.reshape(len(stack), -1) @ xv)
+    d2 += xx + rounding * (xx + qq)
+    radius = math.sqrt(max(float(d2.max()), 0.0))
+    # bound < DOMAIN_GUARD - margin, squared; a NaN is not cleared
+    limit = max(DOMAIN_GUARD - _SCREEN_MARGIN - e, 0.0)
+    near = np.flatnonzero(~(d2 < limit * limit / (1.0 + e)))
+    if near.size:
+        _, far = _first_far(x.T @ stack[near], "orthographic lifting", near)
+        if far is not None:
+            raise far
+    return radius
+
+
+def _locality_certificate(stack: np.ndarray):
+    """``check(x, e)``: raise what ``_check_locality`` at X would, for an
+    iterate X of defect e, screening the cloud only where the certificate
+    of the last anchor (see the module docstring) does not clear every
+    sample."""
+    # the computed ||X - X_a||_F^2 times 1 + rounding bounds the exact one:
+    # a difference and a dot product of length p n, as in _check_locality
+    rounding = (stack[0].size + 2) * np.finfo(float).eps
+    anchor = radius = None
+
+    def check(x: np.ndarray, e: float) -> None:
+        nonlocal anchor, radius
+        if anchor is not None:
+            gap = (x - anchor).ravel()
+            moved = math.sqrt(gap.dot(gap) * (1.0 + rounding))
+            if (radius + moved) * math.sqrt(1.0 + e) + e < DOMAIN_GUARD - _SCREEN_MARGIN:
+                return
+        radius = _check_locality(x, e, stack)
+        anchor = x
+    return check
+
+
+def _iteration(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
+    """``(tangent, retract)`` of the pair's averaging iteration over an
+    (N, p, n) ``stack`` with positive ``weights``, set up once per run, on
+    arrays: ``tangent(x, e)`` is (1/sum(w)) sum_k w_k lift(X, Q_k) for an
+    iterate X of orthonormality defect e, a ``DomainError`` naming the first
+    failing sample in ``sample_index``; ``retract(x, v)`` is the pair's
+    retraction. The polar tangent is (sum_k w_k Q_k S_k - sum(w) X) / sum(w),
+    each S_k from the polar core; the orthographic lifting is linear in Q,
+    so the other pairs lift the weighted ambient mean, computed here once.
+    """
+    n_samples, p, n = stack.shape
+    if pair is MapPair.POLAR:
+        weight_sum = weights.sum()
+        # the samples side by side, Q_k in columns k n to k n + n - 1: every
+        # X^T Q_k is one product with it, and so is sum_k w_k Q_k S_k
+        columns = stack.transpose(1, 0, 2).reshape(p, n_samples * n)
+
+        def tangent(x, e):
+            xtq = (x.T @ columns).reshape(n, n_samples, n).transpose(1, 0, 2)
+            s = _polar_factors(np.ascontiguousarray(xtq))
+            s *= weights[:, None, None]
+            acc = columns @ s.reshape(n_samples * n, n)
+            acc -= weight_sum * x
+            acc /= weight_sum
+            return acc
+    else:
+        qbar = _ambient_mean(stack, weights)
+        check_locality = _locality_certificate(stack)
+
+        def tangent(x, e):
+            check_locality(x, e)
+            return _ortho_lift(x, qbar, x.T @ qbar)
+    return tangent, _retraction(pair)
 
 
 def _mixed_composition(c: np.ndarray, q: np.ndarray):

@@ -6,13 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stiefelmean import averaging
-from stiefelmean.averaging import (
-    AveragingConfig,
-    _ambient_mean,
-    _check_locality,
-    _combined_tangent,
-    fixed_point_mean,
-)
+from stiefelmean.averaging import AveragingConfig, fixed_point_mean
 from stiefelmean.errors import DomainError, StiefelMeanError, ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, solve_lyapunov_sym
 from stiefelmean.manifold import (
@@ -31,6 +25,9 @@ from stiefelmean.maps import (
     ALL_PAIRS,
     DOMAIN_GUARD,
     MapPair,
+    _ambient_mean,
+    _check_locality,
+    _iteration,
     lift,
     orthographic_lifting,
     polar_lifting,
@@ -223,7 +220,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * polar_lifting(x, q).V
     loop /= w.sum()
-    batched = _combined_tangent(MapPair.POLAR, cloud.stack, w)(x.X, orthonormality_defect(x.X))
+    batched = _iteration(MapPair.POLAR, cloud.stack, w)[0](x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-13
 
 
@@ -238,7 +235,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
     loop /= w.sum()
-    batched = _combined_tangent(MapPair.ORTHO, cloud.stack, w)(x.X, orthonormality_defect(x.X))
+    batched = _iteration(MapPair.ORTHO, cloud.stack, w)[0](x.X, orthonormality_defect(x.X))
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
@@ -553,35 +550,67 @@ def test_residual_small_at_converged_mean(pair):
 
 # ---------------------------------------------------------------- invariances
 
-def test_sample_order_permutation_invariance():
-    cloud = small_cloud(18, sigma=0.1, n_samples=9)
-    initial = perturb_initial_guess(cloud.stack[0], 0.01, 19)
-    report = fixed_point_mean(cloud, AveragingConfig(), initial)
-    rng = np.random.default_rng(20)
-    order = rng.permutation(len(cloud))
+@st.composite
+def property_clouds(draw):
+    """A cloud of 3 to 12 samples on St(p, n), 1 <= n <= p <= 12, at spread
+    sigma <= 0.2, an initial guess near its first sample, and weights drawn
+    from [0.2, 3] or ``None``."""
+    p = draw(st.integers(1, 12))
+    n = draw(st.integers(1, p))
+    n_samples = draw(st.integers(3, 12))
+    sigma = draw(st.floats(0.0, 0.2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    center = generate_center(Dims(p, n), derive_seed(seed, 0))
+    cloud = generate_samples(center, sigma, n_samples, derive_seed(seed, 1))
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, derive_seed(seed, 2))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.random.default_rng(seed).uniform(0.2, 3.0, n_samples)
+    return cloud, initial, weights
+
+
+def converged_mean(cloud, pair, weights, initial):
+    """The final point of a converged run, else ``None``."""
+    weights = None if weights is None else list(weights)
+    try:
+        report = fixed_point_mean(cloud, AveragingConfig(pair=pair, weights=weights), initial)
+    except StiefelMeanError:
+        return None
+    return report.final_point if report.converged else None
+
+
+@given(property_clouds(), st.data())
+def test_sample_order_permutation_invariance(case, data):
+    # the weights move with their samples
+    cloud, initial, weights = case
+    order = np.array(data.draw(st.permutations(range(len(cloud)))))
     shuffled = SampleSet(
         dims=cloud.dims, center=cloud.center, sigma=cloud.sigma, seed=cloud.seed,
         stack=cloud.stack[order],
     )
-    report2 = fixed_point_mean(shuffled, AveragingConfig(), initial)
-    assert discrepancy(report.final_point, report2.final_point) < 1e-9
+    moved = None if weights is None else weights[order]
+    for pair in ALL_PAIRS:
+        base = converged_mean(cloud, pair, weights, initial)
+        permuted = converged_mean(shuffled, pair, moved, initial)
+        if base is not None and permuted is not None:
+            assert discrepancy(base, permuted) < 1e-9
 
 
-def test_left_rotation_equivariance():
-    cloud = small_cloud(21, sigma=0.1, n_samples=8)
-    initial = perturb_initial_guess(cloud.stack[0], 0.01, 22)
-    rng = np.random.default_rng(23)
-    u = skew_expm(0.6 * skew_part(rng.standard_normal((20, 20))))
+@given(property_clouds(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_left_rotation_equivariance(case, seed, angle):
+    cloud, initial, weights = case
+    p = cloud.dims.p
+    u = skew_expm(angle * skew_part(np.random.default_rng(seed).standard_normal((p, p))))
     rotated = SampleSet(
         dims=cloud.dims, center=None, sigma=cloud.sigma, seed=cloud.seed,
         stack=u @ cloud.stack,
     )
     rotated_initial = StiefelPoint(u @ initial.X)
     for pair in ALL_PAIRS:
-        base = fixed_point_mean(cloud, AveragingConfig(pair=pair), initial)
-        rot = fixed_point_mean(rotated, AveragingConfig(pair=pair), rotated_initial)
-        pushed = StiefelPoint(u @ base.final_point.X)
-        assert discrepancy(rot.final_point, pushed) < 1e-9
+        base = converged_mean(cloud, pair, weights, initial)
+        rot = converged_mean(rotated, pair, weights, rotated_initial)
+        if base is not None and rot is not None:
+            assert discrepancy(rot, StiefelPoint(u @ base.X)) < 1e-9
 
 
 # ---------------------------------------------------------------- weighted
@@ -750,13 +779,13 @@ def test_one_tangent_per_iterate_and_one_stop_measure(monkeypatch, pair, max_ite
     calls = []
 
     def counted(*args):
-        tangent = _combined_tangent(*args)
+        tangent, retract_core = _iteration(*args)
 
         def spy(x, e):
             calls.append(None)
             return tangent(x, e)
-        return spy
-    monkeypatch.setattr(averaging, "_combined_tangent", counted)
+        return spy, retract_core
+    monkeypatch.setattr(averaging, "_iteration", counted)
     cloud = small_cloud(53, sigma=0.1, n_samples=12)
     initial = perturb_initial_guess(cloud.stack[0], 0.01, 54)
     config = AveragingConfig(pair=pair, max_iters=max_iters)
@@ -803,26 +832,29 @@ def test_extreme_weight_scales_give_the_unweighted_mean(pair):
 
 
 def test_weight_validation():
+    # the weights are checked when the config is built, all but their count,
+    # which only the samples give
     cloud = small_cloud(30, n_samples=4)
     initial = perturb_initial_guess(cloud.stack[0], 0.01, 31)
     with pytest.raises(ValidationError):
-        fixed_point_mean(cloud, AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0]), initial)
-    with pytest.raises(ValidationError):
+        AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match=r"^need one weight per sample \(4\), got shape \(2,\)$"):
         fixed_point_mean(cloud, AveragingConfig(weights=[1.0, 1.0]), initial)
     # weights that are not reals, or a callable, are named
     # complex weights are refused, not cast to their real part
+    # a scalar or a nested sequence is not a sequence of reals either
     for bad, shown in ((["a", "b", "c", "d"], "'a'"), (lambda k: 1.0, "<function"),
                        ([1.0, 1.0 + 1e-3j, 1.0, 1.0], "(1+0.001j)"),
-                       (np.ones(4, dtype=complex), "array([1.+0.j")):
+                       (np.ones(4, dtype=complex), "array([1.+0.j"), (2.0, "2.0"),
+                       ([[1.0, 1.0], [1.0, 1.0]], "[[1.0, 1.0], [1.0, 1.0]]")):
         with pytest.raises(ValidationError) as err:
-            fixed_point_mean(cloud, AveragingConfig(weights=bad), initial)
+            AveragingConfig(weights=bad)
         assert str(err.value).startswith("weights must be a sequence of reals, got ")
         assert shown in str(err.value)
     # the first weight that is not finite and positive is named
     for bad in (math.inf, -math.inf, math.nan, 0.0):
-        config = AveragingConfig(weights=[1.0, 1.0, bad, bad])
         with pytest.raises(ValidationError) as err:
-            fixed_point_mean(cloud, config, initial)
+            AveragingConfig(weights=[1.0, 1.0, bad, bad])
         assert str(err.value) == (
             f"weights must be finite and positive, got {bad} at index 2"
         )
@@ -830,8 +862,32 @@ def test_weight_validation():
     # below the smallest normal float, which leaves no ratio to average by
     for weight, total in ((1e308, "inf"), (5e-324, "2e-323")):
         with pytest.raises(ValidationError) as err:
-            fixed_point_mean(cloud, AveragingConfig(weights=[weight] * 4), initial)
+            AveragingConfig(weights=[weight] * 4)
         assert str(err.value) == f"the sum of the weights must be finite and normal, got {total}"
+
+
+def test_weighted_configs_hash_and_compare_as_values():
+    config = AveragingConfig(weights=[1.0, 2.0, 3.0])
+    same = AveragingConfig(weights=np.array([1.0, 2.0, 3.0]))
+    assert config == same and hash(config) == hash(same)
+    assert config.weights == (1.0, 2.0, 3.0)
+    assert all(type(w) is float for w in same.weights)
+    assert config != AveragingConfig(weights=[1.0, 2.0, 4.0])
+    assert len({config, same, AveragingConfig()}) == 2
+
+
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "array"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.label)
+def test_changing_the_callers_weights_leaves_the_config_alone(pair, container):
+    cloud = generate_samples(generate_center(Dims(6, 2), 55), 0.1, 5, 56)
+    initial = perturb_initial_guess(cloud.stack[0], 0.01, 57)
+    weights = container([1.0, 2.0, 0.5, 3.0, 1.5])
+    config = AveragingConfig(pair=pair, weights=weights)
+    before = fixed_point_mean(cloud, config, initial)
+    weights[0] = 100.0
+    after = fixed_point_mean(cloud, config, initial)
+    assert np.array_equal(after.final_point.X, before.final_point.X)
+    assert after.step_sizes == before.step_sizes
 
 
 # ---------------------------------------------------------------- trace CSV

@@ -32,7 +32,6 @@ from stiefelmean.manifold import (
     project_to_tangent,
     tangency_defect,
     _orthonormality_defects,
-    _sq_norm_bound,
 )
 
 
@@ -234,7 +233,7 @@ def test_square_norm_bound_covers_samples_just_inside_the_tolerance(p, n, seed, 
     samples = [s for s in (q, q[::-1]) if orthonormality_defect(s) < TOL_ORTH]
     assume(samples)
     rows = SampleSet(Dims(p, n), None, 0.0, 0, samples).stack.reshape(len(samples), -1)
-    assert np.all(np.einsum("ki,ki->k", rows, rows) <= _sq_norm_bound(p, n))
+    assert np.all(np.einsum("ki,ki->k", rows, rows) <= maps._sq_norm_bound(p, n))
 
 
 # ---------------------------------------------------------------- validate
