@@ -19,8 +19,8 @@ cube of the discrepancy between X and Q. The direct one is one
 slice of an array core that composes the maps over a whole (N, p, n) stack
 of samples at one anchor, which is how the discrepancy experiment runs.
 
-All maps are local: liftings reject argument pairs whose discrepancy reaches
-``DOMAIN_GUARD``, the exact guard ``_first_far``. The guard is an
+All maps are local: the liftings' exact guard, ``_first_far``, rejects
+argument pairs whose discrepancy reaches ``DOMAIN_GUARD``. The guard is an
 engineering bound, not a theoretical radius; it is sized so that the sample
 clouds used by the bundled experiments (spread up to sigma = 0.2 on
 St(20, 4)) stay inside it.
