@@ -571,7 +571,6 @@ def property_clouds(draw):
 
 def converged_mean(cloud, pair, weights, initial):
     """The final point of a converged run, else ``None``."""
-    weights = None if weights is None else list(weights)
     try:
         report = fixed_point_mean(cloud, AveragingConfig(pair=pair, weights=weights), initial)
     except StiefelMeanError:
@@ -838,7 +837,8 @@ def test_weight_validation():
     initial = perturb_initial_guess(cloud.stack[0], 0.01, 31)
     with pytest.raises(ValidationError):
         AveragingConfig(weights=[1.0, -1.0, 1.0, 1.0])
-    with pytest.raises(ValidationError, match=r"^need one weight per sample \(4\), got shape \(2,\)$"):
+    count = r"^need one weight per sample \(4\), got shape \(2,\)$"
+    with pytest.raises(ValidationError, match=count):
         fixed_point_mean(cloud, AveragingConfig(weights=[1.0, 1.0]), initial)
     # weights that are not reals, or a callable, are named
     # complex weights are refused, not cast to their real part
