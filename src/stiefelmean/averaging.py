@@ -22,11 +22,13 @@ its orthonormality defect e is both the check ``StiefelPoint`` would make
 (the same ``ValidationError``) and an input of the locality certificate.
 Only the final point is wrapped as a ``StiefelPoint``.
 
-A ``DomainError`` aborts the run, and ``fixed_point_mean`` attaches, in one
-place, the index of the iterate it failed at: a lifting failure names the
-first failing sample, with the message a per-sample loop would give, a
-retraction failure no sample. Running past ``max_iters`` is not an error;
-it is reported through ``converged=False`` with the full trace.
+A ``DomainError`` aborts the run. ``fixed_point_mean`` re-raises it, in one
+place, as "lifting failed: " or "retraction failed: " followed by the
+message a per-sample loop over the public maps would give, with the
+iterate's index in ``iteration`` and, for a lifting, the first failing
+sample in ``sample_index``; ``str()`` of the error names both once (see
+``errors``). Running past ``max_iters`` is not an error; it is reported
+through ``converged=False`` with the full trace.
 """
 
 from __future__ import annotations
@@ -188,10 +190,7 @@ def fixed_point_mean(
         # the tangent names its failing sample, a retraction none
         k = exc.sample_index
         where = "retraction" if k is None else "lifting"
-        sample = "" if k is None else f", sample {k}"
-        raise DomainError(
-            f"{where} failed at iteration {i}{sample}: {exc}", iteration=i, sample_index=k
-        ) from exc
+        raise DomainError(f"{where} failed: {exc.args[0]}", iteration=i, sample_index=k) from exc
     return AveragingReport(
         # every iterate passed _checked_defect
         final_point=StiefelPoint._unchecked(x, samples.dims),

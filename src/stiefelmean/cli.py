@@ -7,11 +7,13 @@ Subcommands:
                weighted), write the mean point and a CSV iteration trace;
 * ``validate`` check every block of a file against the orthonormality
                invariant and print the defects;
-* ``exp``      run one of the built-in experiments and write its CSV.
+* ``exp``      run one of the built-in experiments, write its CSV and print
+               the CSV's summary lines.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unreadable or
 malformed files), 2 on numerical-domain errors (invariant violations, maps
-evaluated outside their domain), with context on standard error.
+evaluated outside their domain), with the error, and its iteration and
+sample where known, on one line of standard error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .manifold import (
     _check_real,
     _orthonormality_defects,
     derive_seed,
-    discrepancy,
     generate_center,
     generate_samples,
     # unused since validate batches its defects; perfbench/tracer.py
@@ -173,9 +174,8 @@ def _cmd_mean(args) -> int:
     last = f"last step {report.step_sizes[-1]:.3e}, " if report.step_sizes else ""
     print(f"{pair.label} mean {status} after {report.iterations_used} iterations "
           f"({last}residual field {report.residual_field_norm:.3e})")
-    if cloud.center is not None:
-        print(f"discrepancy to the stored center: "
-              f"{discrepancy(report.final_point, cloud.center):.6e}")
+    if report.iterates_delta_to_center is not None:
+        print(f"discrepancy to the stored center: {report.iterates_delta_to_center[-1]:.6e}")
     print(f"mean point written to {out}; iteration trace written to {trace}")
     return 0
 
@@ -220,20 +220,7 @@ def _cmd_exp(args) -> int:
     path = outdir / experiments.csv_filename(spec)
     result.write_csv(path)
     print(f"{kind} finished; CSV written to {path}")
-    if kind == "discrepancy_stats":
-        print(f"median delta={result.median_delta:.6e} "
-              f"median Delta={result.median_composition:.6e} "
-              f"spearman={result.spearman:.4f}")
-    elif kind == "convergence":
-        for label, report in result.reports.items():
-            print(f"pair={label} converged={report.converged} "
-                  f"iterations={report.iterations_used} "
-                  f"final_delta={report.iterates_delta_to_center[-1]:.6e}")
-        for label, msg in result.failures.items():
-            print(f"pair={label} FAILED: {msg}", file=sys.stderr)
-    else:
-        for (label, dim), med in sorted(result.medians.items()):
-            print(f"pair={label} dim={dim} median_wall_time={med:.6f}s")
+    print("\n".join(result.summary()))
     return 0
 
 
@@ -263,10 +250,7 @@ def main(argv=None) -> int:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
-        context = ", ".join(f"{name} {value}" for name, value in (
-            ("iteration", exc.iteration), ("sample", exc.sample_index)) if value is not None)
-        context = f" ({context})" if context else ""
-        print(f"numerical domain error: {exc}{context}", file=sys.stderr)
+        print(f"numerical domain error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"numerical validation error: {exc}", file=sys.stderr)

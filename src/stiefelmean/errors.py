@@ -1,8 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error carries its location where known: ``iteration``, the averaging
+iterate whose lifting or retraction failed, and ``sample_index``, the
+failing sample of a sample set or slice of a stack. ``str()`` appends
+`` (iteration i, sample k)`` for the fields that are set, the one place a
+location is written, so no message names one. ``FileFormatError`` writes
+its ``line`` and ``column`` as a prefix of its message instead.
+"""
 
 
 class StiefelMeanError(Exception):
     """Base class for all library-specific errors."""
+
+    def __init__(self, message, iteration=None, sample_index=None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.sample_index = sample_index
+
+    def __str__(self):
+        where = ", ".join(f"{name} {value}" for name, value in (
+            ("iteration", self.iteration), ("sample", self.sample_index)) if value is not None)
+        return f"{self.args[0]} ({where})" if where else str(self.args[0])
 
 
 class ValidationError(StiefelMeanError, ValueError):
@@ -12,8 +30,8 @@ class ValidationError(StiefelMeanError, ValueError):
     e.g. the Frobenius orthonormality defect of a would-be Stiefel point.
     """
 
-    def __init__(self, message, defect=None):
-        super().__init__(message)
+    def __init__(self, message, defect=None, sample_index=None):
+        super().__init__(message, sample_index=sample_index)
         self.defect = defect
 
 
@@ -29,17 +47,7 @@ class RankDeficientError(ValidationError):
 class DomainError(StiefelMeanError):
     """A locally-defined map was evaluated outside its domain: arguments too
     far apart, a tangent too large for an inner solver, or an unsolvable
-    structured system.
-
-    ``iteration`` (the index of the averaging iterate whose lifting or
-    retraction failed) and ``sample_index`` (of a sample set, or a stack)
-    locate the failure where known.
-    """
-
-    def __init__(self, message, iteration=None, sample_index=None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.sample_index = sample_index
+    structured system."""
 
 
 class FileFormatError(StiefelMeanError):

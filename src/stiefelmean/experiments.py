@@ -31,6 +31,9 @@ from the experiment seed via ``derive_seed``, so rows are bit-reproducible
 except for wall-time columns. Each CSV starts with '#' comment lines
 recording the complete spec and seed, then the machine: the CPUs the
 process may use, the NumPy version and the BLAS NumPy was built against.
+Then come the lines of the result's ``summary()``, which ``stiefelmean
+exp`` also prints: medians, each pair's outcome or error, or the timing
+protocol with its medians and failure counts.
 """
 
 from __future__ import annotations
@@ -177,20 +180,24 @@ def _write_csv(path, spec: ExperimentSpec, summary_lines, header: str, rows) -> 
 
 @dataclass
 class DiscrepancyStatsResult:
+    """Per-sample rows, their medians and their Spearman rank correlation."""
+
     spec: ExperimentSpec
     rows: List[Tuple[int, float, float]]
     median_delta: float
     median_composition: float
     spearman: float
 
-    def write_csv(self, path) -> None:
-        summary = [
+    def summary(self) -> List[str]:
+        return [
             f"median_delta_C_Xk={self.median_delta:.17g}",
             f"median_Delta_C_Xk={self.median_composition:.17g}",
             f"spearman_rank_correlation={self.spearman:.17g}",
         ]
+
+    def write_csv(self, path) -> None:
         rows = [(k, f"{d:.17g}", f"{dd:.17g}") for k, d, dd in self.rows]
-        _write_csv(path, self.spec, summary, "k,delta_C_Xk,Delta_C_Xk", rows)
+        _write_csv(path, self.spec, self.summary(), "k,delta_C_Xk,Delta_C_Xk", rows)
 
 
 def _run_discrepancy_stats(spec: ExperimentSpec) -> DiscrepancyStatsResult:
@@ -221,25 +228,28 @@ def _run_discrepancy_stats(spec: ExperimentSpec) -> DiscrepancyStatsResult:
 
 @dataclass
 class ConvergenceResult:
+    """Each pair's report, or its error's text in ``failures``, and rows
+    tracing every iterate's discrepancy to the center."""
+
     spec: ExperimentSpec
     rows: List[Tuple[str, int, float]]
     reports: Dict[str, AveragingReport]
     failures: Dict[str, str]
 
+    def summary(self) -> List[str]:
+        lines = [
+            f"pair={label} converged={str(report.converged).lower()} "
+            f"iterations={report.iterations_used} "
+            f"final_delta_to_center={report.iterates_delta_to_center[-1]:.17g} "
+            f"residual_field_norm={report.residual_field_norm:.17g}"
+            for label, report in self.reports.items()
+        ]
+        lines += [f"pair={label} FAILED: {message}" for label, message in self.failures.items()]
+        return lines
+
     def write_csv(self, path) -> None:
-        summary = []
-        for label, report in self.reports.items():
-            deltas = report.iterates_delta_to_center
-            summary.append(
-                f"pair={label} converged={str(report.converged).lower()} "
-                f"iterations={report.iterations_used} "
-                f"final_delta_to_center={deltas[-1]:.17g} "
-                f"residual_field_norm={report.residual_field_norm:.17g}"
-            )
-        for label, message in self.failures.items():
-            summary.append(f"pair={label} FAILED: {message}")
         rows = [(label, i, f"{d:.17g}") for label, i, d in self.rows]
-        _write_csv(path, self.spec, summary, "pair,iter,delta_to_center", rows)
+        _write_csv(path, self.spec, self.summary(), "pair,iter,delta_to_center", rows)
 
 
 def _run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
@@ -267,32 +277,34 @@ def _run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
 
 @dataclass
 class RuntimeResult:
+    """Every timed run, and the median wall time and failed trials per (pair, dim)."""
+
     spec: ExperimentSpec
     records: List[TimingRecord]
     medians: Dict[Tuple[str, int], float]
     failures: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
-    def write_csv(self, path) -> None:
-        summary = [
+    def summary(self) -> List[str]:
+        return [
             "timing protocol: paired trials; each trial draws one cloud and "
             "initial guess shared by every pair, and times the pairs on it in "
             "an order that rotates with the trial; trials cycle through the "
             "sweep; one untimed warm-up run precedes each timed run; medians "
             "over trials",
+            *(f"median pair={label} dim={dim} wall_time_s={med:.17g}"
+              for (label, dim), med in sorted(self.medians.items())),
+            *(f"failed_trials pair={label} dim={dim} count={cnt}"
+              for (label, dim), cnt in sorted(self.failures.items())),
         ]
-        for (label, dim), med in sorted(self.medians.items()):
-            summary.append(f"median pair={label} dim={dim} wall_time_s={med:.17g}")
-        for (label, dim), cnt in sorted(self.failures.items()):
-            summary.append(f"failed_trials pair={label} dim={dim} count={cnt}")
+
+    def write_csv(self, path) -> None:
         rows = [
             (r.pair, r.dim, r.trial, f"{r.wall_time:.9f}", r.iterations,
              str(r.converged).lower())
             for r in self.records
         ]
-        _write_csv(
-            path, self.spec, summary,
-            "pair,dim,trial,wall_time_s,iterations,converged", rows,
-        )
+        _write_csv(path, self.spec, self.summary(),
+                   "pair,dim,trial,wall_time_s,iterations,converged", rows)
 
 
 def _timed_trial(spec, dims, dim_index, trial):
@@ -384,5 +396,5 @@ def _kind(kind: str) -> _Kind:
 def run_experiment(spec: ExperimentSpec):
     """Run ``spec`` with its kind's runner. Returns a
     ``DiscrepancyStatsResult``, a ``ConvergenceResult`` or, for the runtime
-    kinds, a ``RuntimeResult``; each has ``write_csv(path)``."""
+    kinds, a ``RuntimeResult``; each has ``summary()`` and ``write_csv(path)``."""
     return _KINDS[spec.kind].run(spec)

@@ -239,7 +239,7 @@ def _check_values(cells: List[str], row_lines: List[int], n: int) -> np.ndarray:
 
 def read_sample_set(path) -> SampleSet:
     """Read and validate a sample set; every block must satisfy the Stiefel
-    orthonormality invariant (a ``ValidationError`` names the first that does not)."""
+    orthonormality invariant (a ``ValidationError`` locates the first that does not)."""
     header, blocks = read_matrix_blocks(path)
     dims = Dims(header["p"], header["n"])
     center = None

@@ -147,8 +147,8 @@ def thin_qr_q_factor(a) -> np.ndarray:
     diag = np.diag(r)
     scale = np.max(np.abs(diag))
     bad = np.flatnonzero(np.abs(diag) <= RANK_RTOL * scale)
-    if scale == 0.0 or bad.size:
-        column = 0 if scale == 0.0 else int(bad[0])
+    if bad.size:
+        column = int(bad[0])
         raise RankDeficientError(
             f"input is numerically rank deficient at column {column}", column
         )

@@ -148,33 +148,30 @@ def _orthonormality_defects(stack: np.ndarray) -> np.ndarray:
         return _gaps_to_identity(np.swapaxes(stack, 1, 2) @ stack)
 
 
-def _checked_defect(x: np.ndarray) -> float:
+def _checked_defect(x: np.ndarray, sample_index=None) -> float:
     """Orthonormality defect of a p x n array that must be a Stiefel point;
     raises the ``ValidationError`` ``StiefelPoint(x)`` would, "X must be
-    finite" where the matrix rule would reject its entries."""
+    finite" where the matrix rule would reject its entries, located at
+    ``sample_index``."""
     defect = _gap_to_identity(x, x)
     if not defect < TOL_ORTH:
         if not np.all(np.isfinite(x)):
-            raise ValidationError("X must be finite")
-        raise ValidationError(
-            f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}", defect=defect
-        )
+            raise ValidationError("X must be finite", sample_index=sample_index)
+        raise ValidationError(f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}",
+                              defect=defect, sample_index=sample_index)
     return defect
 
 
 def _check_stiefel(x: np.ndarray) -> None:
     """Raise ``_checked_defect``'s error for a p x n array that is not a Stiefel
-    point, or, prefixed ``sample k: ``, for the first such slice k of a stack;
-    entries too large for X^T X give a defect of inf or NaN, which fails."""
+    point, or, with k in ``sample_index``, for the first such slice k of a
+    stack; entries too large for X^T X give a defect of inf or NaN, which fails."""
     with np.errstate(over="ignore", invalid="ignore"):
         if x.ndim == 2:
             _checked_defect(x)
             return
         for k in np.flatnonzero(~(_orthonormality_defects(x) < TOL_ORTH)):
-            try:
-                _checked_defect(x[k])
-            except ValidationError as exc:
-                raise ValidationError(f"sample {k}: {exc}", defect=exc.defect) from None
+            _checked_defect(x[k], int(k))
 
 
 def tangency_defect(x, v) -> float:
@@ -306,7 +303,7 @@ class SampleSet:
             for k, x in enumerate(self.stack):
                 if np.shape(x) != (p, n):
                     raise ValidationError(
-                        f"sample {k} has shape {np.shape(x)}, expected {(p, n)}"
+                        f"shape {np.shape(x)}, expected {(p, n)}", sample_index=k
                     ) from error
             raise ValidationError("samples must be real numbers") from error
         _check_stiefel(stack)
@@ -333,8 +330,14 @@ def project_to_tangent(point: StiefelPoint, a) -> TangentVector:
     """
     x = _check_type(point, StiefelPoint, "point").X
     a = _check_matrix(a, "A", shape=x.shape)
-    xta = x.T @ a
-    return TangentVector(point, a - x @ (0.5 * (xta + xta.T)))
+    return TangentVector(point, _project_to_tangent(x, a, x.T @ a))
+
+
+def _project_to_tangent(x: np.ndarray, a: np.ndarray, xta: np.ndarray) -> np.ndarray:
+    # project_to_tangent on arrays, given xta = X^T A; also of every slice of
+    # an (N, p, n) stack a with its (N, n, n) stack xta. The orthographic
+    # lifting of Q is this projection of Q.
+    return a - x @ (0.5 * (xta + xta.swapaxes(-1, -2)))
 
 
 def discrepancy(x: StiefelPoint, y: StiefelPoint) -> float:
@@ -417,15 +420,10 @@ def generate_center(dims: Dims, seed: int) -> StiefelPoint:
     p x n matrix with independent standard-normal entries.
 
     Deterministic for a fixed seed, which must be a nonnegative integer.
-    Rank deficiency has probability zero; if it does occur numerically the
-    draw is retried once, then the error propagates.
     """
     _check_type(dims, Dims, "dims")
     rng = np.random.default_rng(_check_int(seed, "seed"))
-    try:
-        return StiefelPoint(thin_qr_q_factor(rng.standard_normal((dims.p, dims.n))))
-    except ValidationError:  # a rank-deficient draw: the one retry
-        return StiefelPoint(thin_qr_q_factor(rng.standard_normal((dims.p, dims.n))))
+    return StiefelPoint(thin_qr_q_factor(rng.standard_normal((dims.p, dims.n))))
 
 
 def generate_samples(

@@ -64,6 +64,7 @@ from .manifold import (
     _check_stiefel,
     _check_type,
     _gaps_to_identity,
+    _project_to_tangent,
 )
 
 # Liftings reject pairs with discrepancy at or above this bound.
@@ -176,9 +177,9 @@ def polar_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
 def orthographic_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
     """Tangent projection of Q - X, evaluated as Q - X sym(X^T Q).
 
-    Algebraically identical to projecting Q - X with the tangent projector;
-    this form needs only two thin products, which is what makes the mixed
-    pair cheap.
+    The projection maps X to zero, so this is the tangent projection of Q
+    itself, and it is computed by the array core of ``project_to_tangent``:
+    two thin products, which is what makes the mixed pair cheap.
     """
     _check_points(x, q, ("x", "q"))
     xtq = x.X.T @ q.X
@@ -187,13 +188,7 @@ def orthographic_lifting(x: StiefelPoint, q: StiefelPoint) -> TangentVector:
         raise far
     # X^T V + V^T X = -(E S + S E) with E = X^T X - I, so the defect is
     # bounded by twice the anchor's construction tolerance; skip the re-check
-    return TangentVector._unchecked(x, _ortho_lift(x.X, q.X, xtq))
-
-
-def _ortho_lift(x: np.ndarray, q: np.ndarray, xtq: np.ndarray) -> np.ndarray:
-    # orthographic_lifting on arrays, given xtq = X^T Q; also of every slice
-    # of an (N, p, n) stack q with its (N, n, n) stack xtq
-    return q - x @ (0.5 * (xtq + xtq.swapaxes(-1, -2)))
+    return TangentVector._unchecked(x, _project_to_tangent(x.X, q.X, xtq))
 
 
 def orthographic_retraction(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
@@ -352,7 +347,7 @@ def _iteration(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
 
         def tangent(x, e):
             check_locality(x, e)
-            return _ortho_lift(x, qbar, x.T @ qbar)
+            return _project_to_tangent(x, qbar, x.T @ qbar)
     return tangent, _retraction(pair)
 
 
@@ -376,7 +371,7 @@ def _mixed_composition(c: np.ndarray, q: np.ndarray):
     n = c.shape[1]
     stack = q.reshape(-1, *c.shape)
     ctq = ctq.reshape(-1, n, n)
-    y = c + _ortho_lift(c, stack, ctq)
+    y = c + _project_to_tangent(c, stack, ctq)
     w, u = np.linalg.eigh(np.swapaxes(y, 1, 2) @ y)
     r = y @ ((u / np.sqrt(w)[:, None, :]) @ np.swapaxes(u, 1, 2))
     _check_stiefel(r.reshape(q.shape))

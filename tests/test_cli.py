@@ -177,10 +177,53 @@ def test_mean_retraction_failure_prints_its_iteration_only(tmp_path, capsys):
     wfile.write_text("1e-6\n1\n1e-6\n")
     assert run("mean", "--in", infile, "--pair", "ortho", "--weights", wfile) == 2
     assert capsys.readouterr().err == (
-        "numerical domain error: retraction failed at iteration 0: inner iteration "
+        "numerical domain error: retraction failed: inner iteration "
         "did not reach residual 1.0e-12 within 100 steps; tangent too large for "
         "the orthographic retraction (iteration 0)\n"
     )
+
+
+@pytest.mark.parametrize("pair", ["polar", "ortho", "mixed"])
+def test_mean_lifting_failure_names_its_iteration_and_sample_once(tmp_path, capsys, pair):
+    # at sigma 3 on the circle St(2, 1), sample 5 is the first sample past
+    # the guard from the initial guess, so every pair's first tangent fails
+    cloud = tmp_path / "cloud.txt"
+    assert run("gen", "--p", 2, "--n", 1, "--N", 20, "--sigma", 3, "--seed", 1,
+               "--out", cloud) == 0
+    capsys.readouterr()
+    assert run("mean", "--in", cloud, "--pair", pair) == 2
+    err = capsys.readouterr().err
+    lifting = "polar" if pair == "polar" else "orthographic"
+    assert err == (
+        f"numerical domain error: lifting failed: {lifting} lifting: arguments too far "
+        "apart (discrepancy 1.999 >= 1.5) (iteration 0, sample 5)\n")
+    assert err.count("iteration 0") == err.count("sample 5") == 1
+
+
+@pytest.mark.parametrize("pair", ["polar", "ortho", "mixed"])
+@pytest.mark.parametrize("n_samples, epsilon", [(10, "0.01"), (1, "1e-300")],
+                         ids=["steps", "no-step"])
+def test_mean_prints_the_center_discrepancy_of_the_point_it_writes(
+        tmp_path, capsys, pair, n_samples, epsilon):
+    # the discrepancy line is that of the written mean point to the stored
+    # center, formatted as before, also for a run that takes no step
+    cloud, out, trace = tmp_path / "cloud.txt", tmp_path / "mean.txt", tmp_path / "trace.csv"
+    assert run("gen", "--p", 6, "--n", 2, "--N", n_samples, "--sigma", 0.1, "--seed", 3,
+               "--out", cloud) == 0
+    capsys.readouterr()
+    assert run("mean", "--in", cloud, "--pair", pair, "--epsilon-init", epsilon,
+               "--out", out, "--trace", trace) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [row.split(",") for row in trace.read_text().splitlines()[1:]]
+    last = f"last step {float(rows[-1][1]):.3e}, " if len(rows) > 1 else ""
+    assert lines[0].startswith(
+        f"{pair} mean converged after {len(rows) - 1} iterations ({last}residual field ")
+    center = read_sample_set(cloud).center
+    mean = StiefelPoint(read_matrix_blocks(out)[1][0])
+    assert lines[1:] == [
+        f"discrepancy to the stored center: {discrepancy(mean, center):.6e}",
+        f"mean point written to {out}; iteration trace written to {trace}",
+    ]
 
 
 def test_mean_bad_weights(sample_file, tmp_path, capsys):
@@ -420,7 +463,7 @@ def test_exp_convergence(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "convergence_12.csv").exists()
     out = capsys.readouterr().out
-    assert out.count("converged=True") == 3
+    assert out.count("converged=true") == 3
 
 
 def test_exp_convergence_prints_a_failed_pair_and_exits_0(tmp_path, capsys, monkeypatch):
@@ -436,10 +479,27 @@ def test_exp_convergence_prints_a_failed_pair_and_exits_0(tmp_path, capsys, monk
                "--outdir", tmp_path, "--N", 8, "--sigma", 0.05)
     assert code == 0
     out, err = capsys.readouterr()
-    assert err == "pair=ortho FAILED: injected failure\n"
-    assert out.count("converged=True") == 2
+    assert err == ""
+    assert out.endswith("\npair=ortho FAILED: injected failure\n")
+    assert out.count("converged=true") == 2
     text = (tmp_path / "convergence_12.csv").read_text()
     assert "# pair=ortho FAILED: injected failure\n" in text
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("discrepancy", ("--N", 20)),
+    ("convergence", ("--N", 8, "--sigma", 0.05)),
+    ("runtime-n", ("--p", 6, "--sweep", "2,3", "--N", 3, "--trials", 1)),
+    ("runtime-p", ("--n", 2, "--sweep", "3,4", "--N", 3, "--trials", 1)),
+])
+def test_exp_prints_the_summary_its_csv_writes(tmp_path, capsys, kind, flags):
+    assert run("exp", "--kind", kind, "--seed", 14, "--outdir", tmp_path, *flags) == 0
+    first, *printed = capsys.readouterr().out.splitlines()
+    (csv,) = tmp_path.iterdir()
+    assert first == f"{csv.stem[:-len('_14')]} finished; CSV written to {csv}"
+    comments = [line for line in csv.read_text().splitlines() if line.startswith("#")]
+    assert comments[1].startswith("# machine ")
+    assert printed and printed == [line[len("# "):] for line in comments[2:]]
 
 
 def test_exp_runtime_small(tmp_path):

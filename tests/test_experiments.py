@@ -230,7 +230,7 @@ def test_discrepancy_stats_names_the_first_far_sample():
     with pytest.raises(DomainError) as err:
         run_experiment(spec)
     assert err.value.sample_index == k
-    assert str(err.value) == str(expected)
+    assert str(err.value) == f"{expected} (sample {k})"
 
 
 # ---------------------------------------------------------------- convergence

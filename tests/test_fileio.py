@@ -188,7 +188,8 @@ def test_read_sample_set_names_the_bad_sample(tmp_path):
     text = "2 1 3 0.0 7 C\n1.0\n0.0\n\n0.0\n1.0\n\n1.0\n0.0\n\n0.0\n-2.0\n"
     with pytest.raises(ValidationError) as err:
         read_sample_set(_write(tmp_path, text))
-    assert str(err.value).startswith("sample 2: orthonormality defect")
+    assert str(err.value) == "orthonormality defect 3.000e+00 >= 1.0e-09 (sample 2)"
+    assert err.value.sample_index == 2
     assert err.value.defect == pytest.approx(3.0, rel=1e-12)
 
 

@@ -121,6 +121,11 @@ def test_qr_rank_deficiency_reports_column():
     with pytest.raises(RankDeficientError) as err:
         thin_qr_q_factor(a)
     assert err.value.column == 2
+    # a zero matrix: every R diagonal entry is at most RANK_RTOL times 0
+    with pytest.raises(RankDeficientError) as err:
+        thin_qr_q_factor(np.zeros((3, 2)))
+    assert (str(err.value), err.value.column) == (
+        "input is numerically rank deficient at column 0", 0)
 
 
 def test_qr_rejects_wide_input():

@@ -87,7 +87,8 @@ def test_sample_set_checks_dims():
         SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=(x, y))
     with pytest.raises(ValidationError) as err:
         SampleSet(dims=x.dims, center=x, sigma=0.1, seed=0, stack=(x.X, x.X, x.X[:3]))
-    assert str(err.value) == "sample 2 has shape (3, 2), expected (4, 2)"
+    assert str(err.value) == "shape (3, 2), expected (4, 2) (sample 2)"
+    assert err.value.sample_index == 2
     # a complex sample is refused, not cast to its real part
     for not_numbers in (np.full((2, 4, 2), "a"), [x.X, [[object()] * 2] * 4],
                         [x.X + 1j, x.X], np.array([x.X, x.X]) + 1e-3j):
@@ -109,7 +110,8 @@ def test_sample_set_names_the_first_off_manifold_array():
     blocks[5] = 3.0 * blocks[5]
     with pytest.raises(ValidationError) as err:
         SampleSet(dims, None, 0.1, 0, blocks)
-    assert str(err.value).startswith("sample 3: orthonormality defect")
+    assert str(err.value) == "orthonormality defect 5.196e+00 >= 1.0e-09 (sample 3)"
+    assert err.value.sample_index == 3
     assert err.value.defect == pytest.approx(3.0 * math.sqrt(3), rel=1e-12)
 
 
@@ -119,7 +121,8 @@ def test_sample_set_names_the_first_non_finite_array(bad):
     blocks[4][2, 1] = bad
     with pytest.raises(ValidationError) as err:
         SampleSet(dims, None, 0.1, 0, blocks)
-    assert str(err.value) == "sample 4: X must be finite"
+    assert str(err.value) == "X must be finite (sample 4)"
+    assert err.value.sample_index == 4
 
 
 def test_sample_set_stack_is_read_only_and_backs_the_samples():
@@ -166,11 +169,13 @@ def test_sample_set_takes_one_stack_whole():
     assert np.array_equal(fortran.stack, stack)
     with pytest.raises(ValidationError) as err:
         SampleSet(dims, None, 0.1, 0, stack[:, :5])
-    assert str(err.value) == "sample 0 has shape (5, 3), expected (7, 3)"
+    assert str(err.value) == "shape (5, 3), expected (7, 3) (sample 0)"
+    assert err.value.sample_index == 0
     stack[2] *= 2.0
     with pytest.raises(ValidationError) as err:
         SampleSet(dims, None, 0.1, 0, stack)
-    assert str(err.value).startswith("sample 2: orthonormality defect")
+    assert str(err.value) == "orthonormality defect 5.196e+00 >= 1.0e-09 (sample 2)"
+    assert err.value.sample_index == 2
 
 
 def test_generate_samples_validates_the_cloud_once(monkeypatch):
@@ -339,14 +344,16 @@ def test_check_stiefel_names_the_first_failing_sample():
     expected = f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}"
     with pytest.raises(ValidationError) as err:
         manifold._check_stiefel(stack)
-    assert (str(err.value), err.value.defect) == ("sample 2: " + expected, defect)
+    assert (str(err.value), err.value.defect) == (expected + " (sample 2)", defect)
+    assert err.value.sample_index == 2
     # one array names no sample, as StiefelPoint does not
     with pytest.raises(ValidationError) as err:
         manifold._check_stiefel(stack[2])
-    assert (str(err.value), err.value.defect) == (expected, defect)
+    assert (str(err.value), err.value.defect, err.value.sample_index) == (expected, defect, None)
     stack[1, 0, 0] = np.nan
-    with pytest.raises(ValidationError, match="^sample 1: X must be finite$"):
+    with pytest.raises(ValidationError, match=r"^X must be finite \(sample 1\)$") as err:
         manifold._check_stiefel(stack)
+    assert err.value.sample_index == 1
 
 
 # ---------------------------------------------------------------- projector
@@ -601,8 +608,10 @@ def test_huge_finite_entries_fail_the_point_check_without_a_warning():
     assert orthonormality_defect(huge) == math.inf
     with pytest.raises(ValidationError, match="orthonormality defect inf"):
         StiefelPoint(huge)
-    with pytest.raises(ValidationError, match="sample 1: orthonormality defect"):
+    with pytest.raises(ValidationError) as err:
         SampleSet(Dims(4, 2), None, 0.0, 0, [np.eye(4)[:, :2], 1e200 * np.ones((4, 2))])
+    assert str(err.value) == "orthonormality defect inf >= 1.0e-09 (sample 1)"
+    assert err.value.sample_index == 1
 
 
 class ChunkCountingRng:

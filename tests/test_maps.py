@@ -167,6 +167,15 @@ def test_orthographic_lifting_matches_projector_formula(seed):
     assert np.linalg.norm(v.V - oracle.V) < 1e-13
 
 
+@pytest.mark.parametrize("p, n", [(6, 2), (20, 4), (200, 10)])
+def test_orthographic_lifting_is_the_tangent_projection_of_q(p, n):
+    # the projection sends X to zero, so lifting Q is projecting Q itself:
+    # both run one array core and give the same bits
+    x = random_point(p, n, 500 + p)
+    q = nearby_point(x, 0.05, 600 + p)
+    assert np.array_equal(project_to_tangent(x, q.X).V, orthographic_lifting(x, q).V)
+
+
 def test_orthographic_retraction_zero_tangent():
     x = random_point(10, 3, 6)
     out = orthographic_retraction(x, random_tangent(x, 1e-300, 7))
@@ -383,7 +392,7 @@ def test_mixed_composition_core_matches_the_public_map_loop(data):
         k, exc = expected
         with pytest.raises(DomainError) as err:
             maps._mixed_composition(center.X, cloud.stack)
-        assert (str(err.value), err.value.sample_index) == (str(exc), k)
+        assert (str(err.value), err.value.sample_index) == (f"{exc} (sample {k})", k)
         return
     deltas, comps = maps._mixed_composition(center.X, cloud.stack)
     assert np.array_equal(deltas, expected[0])
@@ -410,8 +419,8 @@ def test_mixed_composition_checks_the_retracted_points(monkeypatch):
     with pytest.raises(ValidationError) as err:
         maps._mixed_composition(center.X, cloud.stack)
     defect = orthonormality_defect(1.5 * seen[0][2])
-    assert str(err.value) == f"sample 2: orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e}"
-    assert err.value.defect == defect
+    assert str(err.value) == f"orthonormality defect {defect:.3e} >= {TOL_ORTH:.1e} (sample 2)"
+    assert (err.value.defect, err.value.sample_index) == (defect, 2)
     for q, r in zip(cloud.samples, seen[0]):
         expected = polar_retraction(center, orthographic_lifting(center, q)).X
         assert np.abs(r - expected).max() < 1e-14
