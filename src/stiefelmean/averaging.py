@@ -17,10 +17,10 @@ the weights included, when it is built, and ``fixed_point_mean`` checks its
 other inputs at entry. In between, the loop runs on plain (p, n) arrays,
 through the unchecked array cores of the maps and kernels that the public
 maps also call, so every iterate, step and residual has the bits of a loop
-over the public maps. Each retracted iterate's Gram matrix is formed once;
-its orthonormality defect e is both the check ``StiefelPoint`` would make
-(the same ``ValidationError``) and an input of the locality certificate.
-Only the final point is wrapped as a ``StiefelPoint``.
+over the public maps. Each retracted iterate gets the orthonormality check
+``StiefelPoint`` would make (the same ``ValidationError``), whose bound is
+all the locality certificate in ``maps`` assumes of an iterate: the
+tangent takes the iterate alone. Only the final point is wrapped.
 
 A ``DomainError`` aborts the run. ``fixed_point_mean`` re-raises it, in one
 place, as "lifting failed: " or "retraction failed: " followed by the
@@ -168,19 +168,18 @@ def fixed_point_mean(
     tangent, step_along = _iteration(config.pair, samples.stack, weights)
     center = None if samples.center is None else samples.center.X
     x = initial.X
-    e = _gap_to_identity(x, x)
     deltas = None if center is None else [_gap_to_identity(x, center)]
     steps: list = []
     times: list = []
     t0 = time.perf_counter_ns()
     try:
         for i in range(config.max_iters + 1):
-            v = tangent(x, e)
+            v = tangent(x)
             residual = _frobenius(v)
             if residual < config.conv_tol or i == config.max_iters:
                 break
             x_next = step_along(x, v)
-            e = _checked_defect(x_next)
+            _checked_defect(x_next)
             steps.append(_gap_to_identity(x_next, x))
             times.append(time.perf_counter_ns() - t0)
             if deltas is not None:

@@ -225,21 +225,15 @@ def _cmd_exp(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
     handler = {
         "gen": _cmd_gen,
         "mean": _cmd_mean,
         "validate": _cmd_validate,
         "exp": _cmd_exp,
-    }[args.command]
+    }
     try:
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return handler[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

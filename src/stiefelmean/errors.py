@@ -37,9 +37,11 @@ class ValidationError(StiefelMeanError, ValueError):
 
 class RankDeficientError(ValidationError):
     """A matrix expected to have full column rank does not; ``column`` is the
-    index of the first offending column."""
+    index of the first offending column. It defaults to ``None`` so that
+    unpickling, which calls the class with the message alone, then restores
+    it with the other fields."""
 
-    def __init__(self, message, column):
+    def __init__(self, message, column=None):
         super().__init__(message)
         self.column = column
 

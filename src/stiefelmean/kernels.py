@@ -81,8 +81,8 @@ def _check_matrix(a, name: str, shape="square", ndim=(2,), structure=None) -> np
     then finite entries and Frobenius norms, then, for ``structure``
     "symmetric" ("skew-symmetric"), a defect ||M - M^T||_F (||M + M^T||_F)
     <= ``CHECK_RTOL`` * max(1, ||M||_F) of each matrix M. A ``ValidationError``
-    names the argument and, for a stack, the first failing slice; a structure
-    failure carries its defect."""
+    names the argument and, for a stack, the first failing slice in
+    ``sample_index``; a structure failure carries its defect."""
     try:
         a = _real_array(a)
     except (TypeError, ValueError):
@@ -99,25 +99,24 @@ def _check_matrix(a, name: str, shape="square", ndim=(2,), structure=None) -> np
         want = f"{want} or {stack}" if 2 in ndim else stack
     if a.ndim not in ndim or not fits:
         raise ValidationError(f"{name} must be {want}, got shape {a.shape}")
-    where = name + (" slice {}" if a.ndim == 3 else "")
     slices = a.reshape(-1, r, c)
+    stacked = a.ndim == 3  # a stack's failing slice k goes in sample_index
     # NaN and inf entries give a NaN or inf norm, and so do entries whose
     # squares overflow, which no kernel could use
     norms = np.sqrt(np.einsum("kij,kij->k", slices, slices))
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
-        raise ValidationError(f"{where.format(bad[0])} must be finite")
+        k = int(bad[0])
+        raise ValidationError(f"{name} must be finite", sample_index=k if stacked else None)
     if structure is not None:
         t = np.swapaxes(slices, 1, 2)
         d = slices + t if structure == "skew-symmetric" else slices - t
         defects = np.sqrt(np.einsum("kij,kij->k", d, d))
         bad = np.flatnonzero(defects > CHECK_RTOL * np.maximum(1.0, norms))
         if bad.size:
-            k = bad[0]
-            raise ValidationError(
-                f"{where.format(k)} must be {structure}, got defect {defects[k]:.3e}",
-                defect=float(defects[k]),
-            )
+            k = int(bad[0])
+            raise ValidationError(f"{name} must be {structure}, got defect {defects[k]:.3e}",
+                                  defect=float(defects[k]), sample_index=k if stacked else None)
     return a
 
 
@@ -204,7 +203,7 @@ def _spd_inv_sqrt(s: np.ndarray) -> np.ndarray:
     s = 0.5 * (s + s.T)
     g = s - eye
     gnrm = _frobenius(g)
-    if gnrm <= SERIES_RADIUS and 1.0 - gnrm > EPS_SPD:
+    if gnrm <= SERIES_RADIUS:
         # the coefficients up to the first degree whose tail bound is below
         # SERIES_TAIL, then Horner's rule in G
         degree = 1

@@ -31,10 +31,14 @@ cloud and the retraction core that ``retract`` also applies. The polar
 tangent runs the exact guard on every sample. The orthographic-lifting
 pairs lift only the weighted ambient mean; their guard screens the whole
 cloud at the initial guess X_a, keeping a bound r_a on max_k ||X_a - Q_k||_F.
-At a later iterate X of defect e, delta(X, Q_k) <= sqrt(1 + e) (r_a +
-||X - X_a||_F) + e clears every sample when below the guard by
-``_SCREEN_MARGIN``; otherwise the cloud is screened again at X, the new
-anchor. A sample no screen clears goes through the exact guard.
+Every iterate X has orthonormality defect below ``TOL_ORTH`` (the initial
+guess is a ``StiefelPoint``, and the loop checks each retracted iterate),
+so ||X||_2 <= sqrt(1 + TOL_ORTH), and I - X^T Q = X^T (X - Q) + (I - X^T X)
+gives delta(X, Q_k) <= sqrt(1 + TOL_ORTH) ||X - Q_k||_F + TOL_ORTH. A bound
+on ||X - Q_k||_F below ``_CLEAR`` thus clears sample k; at a later iterate
+X, r_a + ||X - X_a||_F < ``_CLEAR`` clears every sample, and otherwise the
+cloud is screened again at X, the new anchor. A sample no screen clears
+goes through the exact guard.
 """
 
 from __future__ import annotations
@@ -70,12 +74,12 @@ from .manifold import (
 # Liftings reject pairs with discrepancy at or above this bound.
 DOMAIN_GUARD = 1.5
 
-# The locality screen clears a sample only when its bound on the discrepancy
-# is below DOMAIN_GUARD by this much. The margin covers the rounding of the
-# iterate's defect e and of the scalar steps of the screen and of the
-# certificate, so a cleared sample is also below the guard as the exact
-# check computes it.
-_SCREEN_MARGIN = 1e-9
+# The locality screen clears a sample when its bound on ||X - Q_k||_F is
+# below this: then delta(X, Q_k) <= sqrt(1 + TOL_ORTH) ||X - Q_k||_F +
+# TOL_ORTH is below DOMAIN_GUARD by 1e-9, a margin that covers the rounding
+# of the scalar steps of the screen and of the certificate, so a cleared
+# sample is also below the guard as the exact check computes it.
+_CLEAR = (DOMAIN_GUARD - 1e-9 - TOL_ORTH) / math.sqrt(1.0 + TOL_ORTH)
 
 
 class MapPair(Enum):
@@ -112,20 +116,19 @@ def _check_anchor(x: StiefelPoint, v: TangentVector):
         raise ValidationError("tangent vector is anchored at a different point")
 
 
-def _first_far(xtq: np.ndarray, what: str, samples=None):
+def _first_far(xtq: np.ndarray, what: str):
     """The locality guard of one X^T Q or an (N, n, n) stack of X^T Q_k, by
     the exact discrepancies: ``(k, error)`` for the first slice k at or past
-    ``DOMAIN_GUARD``, error naming sample ``samples[k]`` (k by default,
-    ``None`` for one matrix); ``(N, None)`` when every slice is inside."""
+    ``DOMAIN_GUARD``, error naming sample k (``None`` for one matrix);
+    ``(N, None)`` when every slice is inside."""
     d = _gaps_to_identity(xtq.reshape(-1, *xtq.shape[-2:]))
     far = np.flatnonzero(d >= DOMAIN_GUARD)
     if not far.size:
         return len(d), None
     k = int(far[0])
-    index = None if xtq.ndim == 2 else k if samples is None else int(samples[k])
     return k, DomainError(
         f"{what}: arguments too far apart (discrepancy {d[k]:.3f} >= {DOMAIN_GUARD})",
-        sample_index=index,
+        sample_index=None if xtq.ndim == 2 else k,
     )
 
 
@@ -262,56 +265,41 @@ def _ambient_mean(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc.reshape(stack.shape[1:])
 
 
-def _check_locality(x: np.ndarray, e: float, stack: np.ndarray) -> float:
-    """Raise the guard's ``DomainError`` for the first sample of ``stack``
-    at or beyond ``DOMAIN_GUARD`` from ``x``, of defect e; else return r, an
-    upper bound on max_k ||X - Q_k||_F.
-
-    Since I - X^T Q = X^T (X - Q) + (I - X^T X) and ||X||_2 <= sqrt(1 + e),
-    ||I - X^T Q_k||_F <= sqrt(1 + e) ||X - Q_k||_F + e, and ||X - Q_k||_F^2
-    <= ||X||^2 + b - 2 <X, Q_k>, b = ``_sq_norm_bound``, takes one
-    matrix-vector product over the (N, p n) rows of the stack. A sample
-    whose bound, rounding added, is below the guard by ``_SCREEN_MARGIN`` is
-    cleared; every other one goes through the exact guard.
-    """
-    xv = x.ravel()
-    xx = float(xv @ xv)
-    qq = _sq_norm_bound(*x.shape)
-    # Bound on the rounding error of ||X||^2 + b - 2 <X, Q_k> per unit of
-    # ||X||^2 + b: two dot products of length p n and two additions, each
-    # within (p n + 2) u of the sum of the magnitudes, with u = eps / 2.
-    rounding = (xv.size + 2) * np.finfo(float).eps
-    d2 = qq - 2.0 * (stack.reshape(len(stack), -1) @ xv)
-    d2 += xx + rounding * (xx + qq)
-    radius = math.sqrt(max(float(d2.max()), 0.0))
-    # bound < DOMAIN_GUARD - margin, squared; a NaN is not cleared
-    limit = max(DOMAIN_GUARD - _SCREEN_MARGIN - e, 0.0)
-    near = np.flatnonzero(~(d2 < limit * limit / (1.0 + e)))
-    if near.size:
-        _, far = _first_far(x.T @ stack[near], "orthographic lifting", near)
-        if far is not None:
-            raise far
-    return radius
-
-
 def _locality_certificate(stack: np.ndarray):
-    """``check(x, e)``: raise what ``_check_locality`` at X would, for an
-    iterate X of defect e, screening the cloud only where the certificate
-    of the last anchor (see the module docstring) does not clear every
-    sample."""
-    # the computed ||X - X_a||_F^2 times 1 + rounding bounds the exact one:
-    # a difference and a dot product of length p n, as in _check_locality
-    rounding = (stack[0].size + 2) * np.finfo(float).eps
+    """``check(x)``: raise the guard's ``DomainError`` for the first sample of
+    ``stack`` at or beyond ``DOMAIN_GUARD`` from an iterate X (see the module
+    docstring). A screen bounds every ||X - Q_k||_F^2 <= ||X||^2 + b - 2 <X,
+    Q_k>, b = ``_sq_norm_bound``, by one matrix-vector product over the
+    (N, p n) rows of the stack; a sample whose bound, rounding added, is
+    not below ``_CLEAR`` goes through the exact guard. The first call
+    screens; a later one screens only where r_a + ||X - X_a||_F, from the
+    last screened X_a and its largest bound r_a, is not below ``_CLEAR``."""
+    rows = stack.reshape(len(stack), -1)
+    qq = _sq_norm_bound(*stack.shape[1:])
+    # Bound on the rounding error of ||X||^2 + b - 2 <X, Q_k> per unit of
+    # ||X||^2 + b, and of the computed ||X - X_a||_F^2 per unit of itself: a
+    # difference or two dot products of length p n and two additions, each
+    # within (p n + 2) u of the sum of the magnitudes, with u = eps / 2.
+    rounding = (rows.shape[1] + 2) * np.finfo(float).eps
     anchor = radius = None
 
-    def check(x: np.ndarray, e: float) -> None:
+    def check(x: np.ndarray) -> None:
         nonlocal anchor, radius
         if anchor is not None:
             gap = (x - anchor).ravel()
-            moved = math.sqrt(gap.dot(gap) * (1.0 + rounding))
-            if (radius + moved) * math.sqrt(1.0 + e) + e < DOMAIN_GUARD - _SCREEN_MARGIN:
+            if radius + math.sqrt(gap.dot(gap) * (1.0 + rounding)) < _CLEAR:
                 return
-        radius = _check_locality(x, e, stack)
+        xv = x.ravel()
+        xx = float(xv @ xv)
+        d2 = qq - 2.0 * (rows @ xv)
+        d2 += xx + rounding * (xx + qq)
+        near = np.flatnonzero(~(d2 < _CLEAR * _CLEAR))  # a NaN is not cleared
+        if near.size:
+            k, far = _first_far(x.T @ stack[near], "orthographic lifting")
+            if far is not None:
+                far.sample_index = int(near[k])
+                raise far
+        radius = math.sqrt(max(float(d2.max()), 0.0))
         anchor = x
     return check
 
@@ -319,12 +307,14 @@ def _locality_certificate(stack: np.ndarray):
 def _iteration(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
     """``(tangent, retract)`` of the pair's averaging iteration over an
     (N, p, n) ``stack`` with positive ``weights``, set up once per run, on
-    arrays: ``tangent(x, e)`` is (1/sum(w)) sum_k w_k lift(X, Q_k) for an
-    iterate X of orthonormality defect e, a ``DomainError`` naming the first
-    failing sample in ``sample_index``; ``retract(x, v)`` is the pair's
-    retraction. The polar tangent is (sum_k w_k Q_k S_k - sum(w) X) / sum(w),
-    each S_k from the polar core; the orthographic lifting is linear in Q,
-    so the other pairs lift the weighted ambient mean, computed here once.
+    arrays: ``tangent(x)`` is (1/sum(w)) sum_k w_k lift(X, Q_k) at an
+    iterate X, whose orthonormality defect must be below ``TOL_ORTH`` (the
+    orthographic liftings' locality certificate assumes it), or a
+    ``DomainError`` naming the first failing sample in ``sample_index``;
+    ``retract(x, v)`` is the pair's retraction. The polar tangent is
+    (sum_k w_k Q_k S_k - sum(w) X) / sum(w), each S_k from the polar core;
+    the orthographic lifting is linear in Q, so the other pairs lift the
+    weighted ambient mean, computed here once.
     """
     n_samples, p, n = stack.shape
     if pair is MapPair.POLAR:
@@ -333,7 +323,7 @@ def _iteration(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
         # X^T Q_k is one product with it, and so is sum_k w_k Q_k S_k
         columns = stack.transpose(1, 0, 2).reshape(p, n_samples * n)
 
-        def tangent(x, e):
+        def tangent(x):
             xtq = (x.T @ columns).reshape(n, n_samples, n).transpose(1, 0, 2)
             s = _polar_factors(np.ascontiguousarray(xtq))
             s *= weights[:, None, None]
@@ -345,8 +335,8 @@ def _iteration(pair: MapPair, stack: np.ndarray, weights: np.ndarray):
         qbar = _ambient_mean(stack, weights)
         check_locality = _locality_certificate(stack)
 
-        def tangent(x, e):
-            check_locality(x, e)
+        def tangent(x):
+            check_locality(x)
             return _project_to_tangent(x, qbar, x.T @ qbar)
     return tangent, _retraction(pair)
 

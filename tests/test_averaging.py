@@ -10,6 +10,7 @@ from stiefelmean.averaging import AveragingConfig, fixed_point_mean
 from stiefelmean.errors import DomainError, StiefelMeanError, ValidationError
 from stiefelmean.kernels import skew_expm, skew_part, solve_lyapunov_sym
 from stiefelmean.manifold import (
+    TOL_ORTH,
     Dims,
     SampleSet,
     StiefelPoint,
@@ -26,8 +27,8 @@ from stiefelmean.maps import (
     DOMAIN_GUARD,
     MapPair,
     _ambient_mean,
-    _check_locality,
     _iteration,
+    _locality_certificate,
     lift,
     orthographic_lifting,
     polar_lifting,
@@ -221,7 +222,7 @@ def test_batched_polar_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * polar_lifting(x, q).V
     loop /= w.sum()
-    batched = _iteration(MapPair.POLAR, cloud.stack, w)[0](x.X, orthonormality_defect(x.X))
+    batched = _iteration(MapPair.POLAR, cloud.stack, w)[0](x.X)
     assert np.linalg.norm(batched - loop) < 1e-13
 
 
@@ -236,7 +237,7 @@ def test_batched_orthographic_tangent_matches_per_sample_loop(weighted):
     for wk, q in zip(w, cloud.samples):
         loop += wk * orthographic_lifting(x, q).V
     loop /= w.sum()
-    batched = _iteration(MapPair.ORTHO, cloud.stack, w)[0](x.X, orthonormality_defect(x.X))
+    batched = _iteration(MapPair.ORTHO, cloud.stack, w)[0](x.X)
     assert np.linalg.norm(batched - loop) < 1e-15
 
 
@@ -268,7 +269,7 @@ def screened_guard(x, stack, iteration):
     """Run the screened guard of ``x`` over ``stack``; a failure is located
     at ``iteration`` as ``fixed_point_mean`` locates it."""
     try:
-        _check_locality(x, orthonormality_defect(x), stack)
+        _locality_certificate(stack)(x)
     except DomainError as exc:
         k = exc.sample_index
         raise DomainError(f"lifting failed: {exc.args[0]}",
@@ -307,8 +308,10 @@ def clouds_near_the_guard(draw):
     rng = np.random.default_rng(seed)
     center = generate_center(Dims(p, n), seed)
     spread = generate_samples(center, draw(st.floats(0.0, 0.4)), draw(st.integers(1, 6)), seed)
-    # an iterate carries an orthonormality defect below TOL_ORTH
-    x = center.X * (1.0 + draw(st.floats(0.0, 1e-10)))
+    # an iterate carries an orthonormality defect below TOL_ORTH: c X has
+    # defect (c^2 - 1) sqrt(n), here t TOL_ORTH with t up to 0.99
+    t = draw(st.floats(0.0, 0.99))
+    x = center.X * math.sqrt(1.0 + t * TOL_ORTH / math.sqrt(n))
     points = list(spread.stack)
     for _ in range(draw(st.integers(0, 4))):
         a = skew_part(rng.standard_normal((p, p)))
@@ -367,8 +370,8 @@ def reference_mean(cloud, config, initial, screen=False):
     """The fixed-point iteration one public call at a time.
 
     Every iteration lifts each sample with ``maps.lift``, which is the exact
-    locality guard; with ``screen``, ``_check_locality`` screens the whole
-    cloud at every iterate instead (orthographic-lifting pairs). The
+    locality guard; with ``screen``, ``_locality_certificate`` screens the
+    whole cloud at every iterate instead (orthographic-lifting pairs). The
     combined tangent is, for ortho and mixed, ``lift`` of the ambient mean
     summed in sample order; for polar, one ``solve_lyapunov_sym`` call per
     sample, the X^T Q_k and the weighted sum of the Q_k S_k formed through
@@ -552,14 +555,14 @@ def test_residual_small_at_converged_mean(pair):
 # ---------------------------------------------------------------- invariances
 
 @st.composite
-def property_clouds(draw):
-    """A cloud of 3 to 12 samples on St(p, n), 1 <= n <= p <= 12, at spread
-    sigma <= 0.2, an initial guess near its first sample, and weights drawn
-    from [0.2, 3] or ``None``."""
-    p = draw(st.integers(1, 12))
+def property_clouds(draw, max_p=12, max_sigma=0.2):
+    """A cloud of 3 to 12 samples on St(p, n), 1 <= n <= p <= ``max_p``, at
+    spread sigma <= ``max_sigma``, an initial guess near its first sample,
+    and weights drawn from [0.2, 3] or ``None``."""
+    p = draw(st.integers(1, max_p))
     n = draw(st.integers(1, p))
     n_samples = draw(st.integers(3, 12))
-    sigma = draw(st.floats(0.0, 0.2))
+    sigma = draw(st.floats(0.0, max_sigma))
     seed = draw(st.integers(0, 2**32 - 1))
     center = generate_center(Dims(p, n), derive_seed(seed, 0))
     cloud = generate_samples(center, sigma, n_samples, derive_seed(seed, 1))
@@ -611,6 +614,26 @@ def test_left_rotation_equivariance(case, seed, angle):
         rot = converged_mean(rotated, pair, weights, rotated_initial)
         if base is not None and rot is not None:
             assert discrepancy(rot, StiefelPoint(u @ base.X)) < 1e-9
+
+
+@given(property_clouds(max_p=30, max_sigma=0.6))
+def test_runs_near_the_guard_converge_or_fail_where_they_fail(case):
+    # At sigma up to 0.6 on up to St(30, 30) samples reach and cross the
+    # guard. Each run either ends with a finite field norm, converged or
+    # not, or raises a DomainError located at its iteration and, for a
+    # lifting, at its sample; never anything else.
+    cloud, initial, weights = case
+    for pair in ALL_PAIRS:
+        config = AveragingConfig(pair=pair, max_iters=20, weights=weights)
+        try:
+            report = fixed_point_mean(cloud, config, initial)
+        except DomainError as exc:
+            assert exc.iteration is not None
+            lifting = exc.args[0].startswith("lifting failed: ")
+            assert lifting or exc.args[0].startswith("retraction failed: ")
+            assert (exc.sample_index is not None) == lifting
+            continue
+        assert math.isfinite(report.residual_field_norm)
 
 
 # ---------------------------------------------------------------- weighted
@@ -781,9 +804,9 @@ def test_one_tangent_per_iterate_and_one_stop_measure(monkeypatch, pair, max_ite
     def counted(*args):
         tangent, retract_core = _iteration(*args)
 
-        def spy(x, e):
+        def spy(x):
             calls.append(None)
-            return tangent(x, e)
+            return tangent(x)
         return spy, retract_core
     monkeypatch.setattr(averaging, "_iteration", counted)
     cloud = small_cloud(53, sigma=0.1, n_samples=12)

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from stiefelmean.errors import (
@@ -34,3 +36,12 @@ def test_every_error_carries_the_location_fields():
     assert str(RankDeficientError("m", 2)) == "m"
     # a file error keeps its line and column as a prefix of the message
     assert str(FileFormatError("bad", line=4, column=1)) == "line 4, column 1: bad"
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # each with every field set: the location fields, and defect, column or line
+    for err in (StiefelMeanError("m"), DomainError("m"), ValidationError("m", defect=1.5),
+                RankDeficientError("m", 2), FileFormatError("m", line=4, column=1)):
+        err.iteration, err.sample_index = 2, 3
+        back = pickle.loads(pickle.dumps(err))
+        assert (type(back), str(back), vars(back)) == (type(err), str(err), vars(err))

@@ -255,14 +255,16 @@ def test_spd_inv_sqrt_series_matches_eigh_near_identity(n, monkeypatch):
         assert np.linalg.norm(r @ s @ r - np.eye(n)) < tol
 
 
-def test_spd_inv_sqrt_series_keeps_positive_definiteness_check(monkeypatch):
-    # eigenvalues at or below EPS_SPD still reach the eigh path and its
-    # DomainError, however close to the identity the input is
+def test_spd_inv_sqrt_series_keeps_positive_definiteness_check():
+    # The series takes only ||S - I||_F <= SERIES_RADIUS, whose eigenvalues
+    # are at least 1 - SERIES_RADIUS (Weyl), above EPS_SPD. So eigenvalues at
+    # or below EPS_SPD still reach the eigh path and its DomainError, however
+    # close to the identity the rest of the input is.
+    assert 1.0 - kernels.SERIES_RADIUS > kernels.EPS_SPD
     s = np.diag([1.0, 1.0 - 0.2])
     assert np.allclose(spd_inv_sqrt(s), np.diag([1.0, 1.0 / math.sqrt(0.8)]), atol=1e-15)
-    monkeypatch.setattr(kernels, "EPS_SPD", 0.9)
-    with pytest.raises(DomainError, match=r"<= 9\.0e-01$"):
-        spd_inv_sqrt(s)
+    with pytest.raises(DomainError, match=r"<= 1\.0e-14$"):
+        spd_inv_sqrt(np.diag([1.0, 1.0, kernels.EPS_SPD]))
 
 
 def test_spd_inv_sqrt_rejects_asymmetric():
@@ -477,9 +479,12 @@ def test_skew_expm_action_rejects_bad_input():
     for omega in (np.zeros((3, 3)), np.zeros((2, 4, 4)), np.zeros((1, 1, 3, 3))):
         with pytest.raises(ValidationError, match=r"Omega must be an \(N, 3, 3\) stack"):
             skew_expm_action(omega, x)
-    with pytest.raises(ValidationError, match="Omega slice 1 must be skew-symmetric") as err:
+    with pytest.raises(ValidationError) as err:
         skew_expm_action(np.array([np.zeros((3, 3)), np.eye(3), np.eye(3)]), x)
+    assert str(err.value) == (
+        "skew_expm_action Omega must be skew-symmetric, got defect 3.464e+00 (sample 1)")
     assert err.value.defect == pytest.approx(2.0 * math.sqrt(3.0))
+    assert err.value.sample_index == 1
     for bad in (math.nan, math.inf):
         omega = np.zeros((2, 3, 3))
         omega[1, 0, 1] = bad
@@ -827,18 +832,18 @@ def _broken(good, shape, structure):
     """(value, what the message says) for each way the rule rejects: not
     numbers, complex numbers, NaN or +-inf entries, a norm that overflows, the wrong ndim, the
     wrong matrix shape and, with a structure, a slice without it. A stack is
-    broken in slice 1."""
+    broken in slice 1, which the error names in ``sample_index``."""
     k = (1,) if good.ndim == 3 else ()
-    where = " slice 1" if good.ndim == 3 else ""
+    where = r" \(sample 1\)" if good.ndim == 3 else ""
     cases = [("abc", " must be an array of real numbers$"),
              (good + 1e-3j, " must be an array of real numbers$")]
     for index, bad in ((k, math.nan), (k + (0, 0), math.inf), (k + (-1, 0), -math.inf)):
         value = good.copy()
         value[index] = bad  # NaN fills the whole matrix or slice
-        cases.append((value, f"{where} must be finite$"))
+        cases.append((value, f" must be finite{where}$"))
     value = good.copy()
     value[k] *= 1e200  # finite entries whose squares overflow
-    cases.append((value, f"{where} must be finite$"))
+    cases.append((value, f" must be finite{where}$"))
     wrong = [good.ravel(), good[None, None]] + ([good[0]] if shape == "stack" else [])
     wrong.append(good.T if shape == "tall" else good[..., :0] if shape == "any"
                  else good[..., :-1])
@@ -847,7 +852,7 @@ def _broken(good, shape, structure):
         value = good.copy()
         value[k + (0, 1)] += 1.0
         value[k + (0, 0)] += 1.0
-        cases.append((value, f"{where} must be {structure}, got defect "))
+        cases.append((value, f" must be {structure}, got defect [0-9.e+-]+{where}$"))
     return cases
 
 
@@ -861,6 +866,7 @@ def test_matrix_inputs_share_one_rule(name, call, good, shape, structure):
         with pytest.raises(ValidationError, match=f"^{re.escape(name)}{message}") as err:
             call(value)
         assert (err.value.defect is not None) == ("defect" in message)
+        assert err.value.sample_index == (1 if "sample 1" in message else None)
 
 
 def test_skew_expm_action_core_gives_the_public_bits():
